@@ -7,6 +7,7 @@ are written with 17 significant digits so save/load round-trips bit-exactly.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -14,7 +15,8 @@ import numpy as np
 
 
 class DataError(ValueError):
-    """Unusable input data: missing file, ragged rows, non-numeric cells."""
+    """Unusable input data: missing file, ragged rows, non-numeric or
+    non-finite cells."""
 
 
 @dataclass
@@ -132,11 +134,16 @@ def load_csv(path, target: str | int | None = None,
             parsed = []
             for col, cell in enumerate(cells):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise DataError(
                         f"{path}: non-numeric cell at row {line_no}, "
                         f"column {header[col]!r}") from None
+                if not math.isfinite(value):
+                    raise DataError(
+                        f"{path}: non-finite cell at row {line_no}, "
+                        f"column {header[col]!r}: {cell!r}")
+                parsed.append(value)
             rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: no data rows")

@@ -384,10 +384,14 @@ def _read_columns(path, required: tuple[str, ...]) -> dict[str, np.ndarray]:
                                     f"expected {len(names)}")
                 for name, cell in zip(names, row):
                     try:
-                        cols[name].append(float(cell))
+                        value = float(cell)
                     except ValueError:
                         raise DataError(f"{path}: row {lineno}, column {name!r}: "
                                         f"not numeric: {cell!r}") from None
+                    if not math.isfinite(value):
+                        raise DataError(f"{path}: row {lineno}, column {name!r}: "
+                                        f"not finite: {cell!r}")
+                    cols[name].append(value)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     missing = [name for name in required if name not in cols]
@@ -591,7 +595,7 @@ def run_bench_time(cfg: TimingConfig) -> RunOutput:
                 times.append(time.perf_counter() - tic)
             mean_s = float(np.mean(times))
             std_s = float(np.std(times))
-            rows.append([family, T, f"{mean_s:.4f}", f"{std_s:.4f}"])
+            rows.append([family, T, mean_s, std_s])
             measured[f"{family}/T={T}"] = {"mean_s": mean_s, "std_s": std_s}
 
     timing_path = outdir / "timing.csv"

@@ -309,40 +309,34 @@ def loss_cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarra
 # ---------------------------------------------------------------------------
 # L2 penalty (weight decay) with per-parameter-group coefficients
 
-def _group_lambda(name: str, lambdas) -> float:
-    if isinstance(lambdas, Mapping):
-        lam = float(lambdas.get(name, 0.0))
-    else:
-        lam = float(lambdas)
-    if lam < 0.0:
-        raise ValueError(f"negative weight decay for {name}")
-    return lam
-
-
-def l2_penalty(net: Network, lambdas) -> float:
-    """sum_g lambda_g * ||param_g||^2 over W and b groups.
+def _l2_terms(net: Network, lambdas) -> tuple[float, dict[str, np.ndarray]]:
+    """The L2 penalty and its gradients {name: 2 lambda_g param_g}, one pass.
 
     ``lambdas`` is a scalar applied to every group, or a mapping from
     parameter name ('L0.W', 'L0.b', ...) to its coefficient. Noise levels
     (alpha) are never decayed: shrinking them would silently cancel the
     mechanism the model is built around.
     """
+    per_group = not isinstance(lambdas, (int, float)) and isinstance(lambdas, Mapping)
+    scalar = None if per_group else float(lambdas)
     total = 0.0
-    for name, p in net.parameters().items():
-        if name.endswith(".alpha"):
-            continue
-        lam = _group_lambda(name, lambdas)
-        if lam != 0.0:
-            total += lam * float(np.sum(p * p))
-    return total
-
-
-def l2_penalty_grads(net: Network, lambdas) -> dict[str, np.ndarray]:
     grads: dict[str, np.ndarray] = {}
     for name, p in net.parameters().items():
         if name.endswith(".alpha"):
             continue
-        lam = _group_lambda(name, lambdas)
+        lam = float(lambdas.get(name, 0.0)) if per_group else scalar
+        if lam < 0.0:
+            raise ValueError(f"negative weight decay for {name}")
         if lam != 0.0:
+            total += lam * float((p * p).sum())
             grads[name] = 2.0 * lam * p
-    return grads
+    return total, grads
+
+
+def l2_penalty(net: Network, lambdas) -> float:
+    """sum_g lambda_g * ||param_g||^2 over W and b groups (see _l2_terms)."""
+    return _l2_terms(net, lambdas)[0]
+
+
+def l2_penalty_grads(net: Network, lambdas) -> dict[str, np.ndarray]:
+    return _l2_terms(net, lambdas)[1]

@@ -12,6 +12,7 @@ stochasticity is the point. DETERMINISTIC mode switches them off.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,8 @@ def layer_weight_std(W: np.ndarray, spec: NoiseSpec,
 
     Population standard deviation (N in the denominator, not N-1): a
     constant-weight layer yields exactly 0, and [[-1, 1]] yields exactly 1.
+    It is the reduction np.std performs, in the same order and so equal to
+    it bit for bit, without np.std's dispatch overhead.
     """
     W = np.asarray(W, dtype=np.float64)
     if W.size == 0:
@@ -76,7 +79,8 @@ def layer_weight_std(W: np.ndarray, spec: NoiseSpec,
         if init_std is None:
             raise ValueError("sigma_source 'init' needs the captured init std")
         return float(init_std)
-    return float(np.std(W))
+    d = W - W.sum() / W.size
+    return math.sqrt((d * d).sum() / W.size)
 
 
 def sample_noise(layer: "NoisyDenseLayer", rng: np.random.Generator) -> np.ndarray:

@@ -9,12 +9,13 @@ EVAL pass because stochastic prediction is the model being selected.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .nn import (EVAL, TRAIN, Network, l2_penalty, l2_penalty_grads,
+from .nn import (EVAL, TRAIN, Network, _l2_terms, l2_penalty,
                  loss_cross_entropy, loss_cross_entropy_grad, loss_mse,
                  loss_mse_grad)
 from .noise import NoisyDenseLayer
@@ -54,6 +55,45 @@ class TrainConfig:
             raise ValueError("val_passes must be at least 1")
 
 
+class _FlatState:
+    """Optimizer buffers for all parameters, each one contiguous float64 vector.
+
+    The first gather fixes the layout: the parameters that have a gradient,
+    in ``params`` order, each owning a slice. A later step with other names
+    raises rather than silently starting fresh moments. ``views`` holds, per
+    buffer, name -> a view shaped like the parameter.
+    """
+
+    def __init__(self, n_buffers: int):
+        self.names = None
+        self.slots = []
+        self.buffers = []
+        self.views = [{} for _ in range(n_buffers)]
+
+    def gather(self, params, grads) -> np.ndarray:
+        names = [n for n in params if n in grads]
+        if self.names is None:
+            self.names, offset = names, 0
+            for name in names:
+                shape = np.shape(params[name])
+                size = int(np.prod(shape))
+                self.slots.append((name, slice(offset, offset + size), shape))
+                offset += size
+            self.buffers = [np.zeros(offset) for _ in self.views]
+            for view, buf in zip(self.views, self.buffers):
+                view.update((name, buf[sl].reshape(shape))
+                            for name, sl, shape in self.slots)
+        elif names != self.names:
+            raise ValueError(f"parameters with a gradient changed from "
+                             f"{self.names} to {names}")
+        return np.concatenate([grads[n] for n in names], axis=None)
+
+    def apply(self, params, update: np.ndarray) -> None:
+        for name, sl, shape in self.slots:
+            p = params[name]
+            p -= update[sl].reshape(shape)
+
+
 class Adam:
     """Bias-corrected Adam. State is keyed by parameter name."""
 
@@ -64,25 +104,21 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._state = _FlatState(2)
+        self._m, self._v = self._state.views
 
     def step(self, params: Mapping[str, np.ndarray],
              grads: Mapping[str, np.ndarray]) -> None:
+        g = self._state.gather(params, grads)
+        m, v = self._state.buffers
         self.t += 1
-        for name, p in params.items():
-            if name not in grads:
-                continue
-            g = grads[name]
-            m = self._m.setdefault(name, np.zeros_like(p))
-            v = self._v.setdefault(name, np.zeros_like(p))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1 ** self.t)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        m_hat = m / (1.0 - self.beta1 ** self.t)
+        v_hat = v / (1.0 - self.beta2 ** self.t)
+        self._state.apply(params, self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
 
 
 class SGDMomentum:
@@ -91,16 +127,15 @@ class SGDMomentum:
     def __init__(self, lr: float, momentum: float = 0.9):
         self.lr = lr
         self.momentum = momentum
-        self._v: dict[str, np.ndarray] = {}
+        self._state = _FlatState(1)
+        self._v = self._state.views[0]
 
     def step(self, params, grads) -> None:
-        for name, p in params.items():
-            if name not in grads:
-                continue
-            v = self._v.setdefault(name, np.zeros_like(p))
-            v *= self.momentum
-            v += grads[name]
-            p -= self.lr * v
+        g = self._state.gather(params, grads)
+        v = self._state.buffers[0]
+        v *= self.momentum
+        v += g
+        self._state.apply(params, self.lr * v)
 
 
 def make_optimizer(cfg: TrainConfig):
@@ -158,8 +193,9 @@ def training_loss_and_grads(net: Network, X, Y, weight_decay=0.0,
         loss = loss_cross_entropy(out, Y)
         out_grad = loss_cross_entropy_grad(out, Y)
     grads = net.backward(trace, out_grad)
-    loss += l2_penalty(net, weight_decay) + _alpha_penalty_value(net)
-    for name, g in l2_penalty_grads(net, weight_decay).items():
+    l2, l2_grads = _l2_terms(net, weight_decay)
+    loss += l2 + _alpha_penalty_value(net)
+    for name, g in l2_grads.items():
         grads[name] = grads[name] + g
     for i, layer in enumerate(net.layers):
         if isinstance(layer, NoisyDenseLayer) and layer.spec.mode == "learned":
@@ -268,7 +304,9 @@ def grid_search(evaluate: Callable[[dict, np.random.Generator], dict],
     ``evaluate`` receives one hyperparameter assignment plus a sub-stream
     derived from (seed, config index) and must return a dict containing at
     least 'val_loss'. Ranking: smallest val_loss, ties broken by smaller
-    learning rate, then by declaration order.
+    learning rate, then by declaration order. A non-finite val_loss (NaN or
+    +-inf, e.g. from a diverged fit) ranks after every finite one; among
+    themselves such rows fall to the same tie-breaks.
     """
     if not grid:
         raise ValueError("empty grid")
@@ -284,6 +322,11 @@ def grid_search(evaluate: Callable[[dict, np.random.Generator], dict],
         if "val_loss" not in result:
             raise ValueError("evaluate must report 'val_loss'")
         rows.append({"config_index": idx, **assignment, **result})
-    best = min(rows, key=lambda r: (r["val_loss"], r.get("lr", 0.0),
-                                    r["config_index"]))
+    def rank(r):
+        v = float(r["val_loss"])
+        finite = math.isfinite(v)
+        return (not finite, v if finite else 0.0, r.get("lr", 0.0),
+                r["config_index"])
+
+    best = min(rows, key=rank)
     return GridResult(best=best, rows=rows)

@@ -128,6 +128,21 @@ def test_missing_data_file_exits_3(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_non_finite_data_cell_exits_3(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_text("x,y\n1,nan\ninf,2\n")
+    code = main(["benchmark", "--data", str(data),
+                 "--outdir", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    assert "row 2, column 'y'" in capsys.readouterr().err
+    (tmp_path / "unc.csv").write_text("uncertainty\n0.1\n0.2\n")
+    code = main(["riskcov", "--pred-file", str(data),
+                 "--unc-file", str(tmp_path / "unc.csv"),
+                 "--outdir", str(tmp_path / "rc")])
+    assert code == EXIT_DATA
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_unwritable_outdir_exits_4(tmp_path, capsys):
     blocker = tmp_path / "blocked"
     blocker.write_text("plain file where a directory should go\n")

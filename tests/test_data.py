@@ -105,6 +105,16 @@ def test_non_numeric_cell_names_row_and_column(tmp_path):
         load_csv(path)
 
 
+def test_non_finite_cells_rejected_with_row_and_column(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("x,y\n1,nan\ninf,2\n")
+    with pytest.raises(DataError, match="non-finite cell at row 2, column 'y'"):
+        load_csv(path)
+    path.write_text("x,y\n1,2\n-inf,2\n")
+    with pytest.raises(DataError, match="row 3, column 'x'"):
+        load_csv(path)
+
+
 def test_header_only_file_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("a,b\n")

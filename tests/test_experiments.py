@@ -341,6 +341,11 @@ def test_bench_time_rows_and_values(tmp_path):
         ("mc_dropout", 1), ("mc_dropout", 2)]
     for r in rows:
         assert float(r[2]) >= 0.0 and float(r[3]) >= 0.0
+        # written as repr, so the file holds the measured values exactly
+        measured = out.timings[f"{r[0]}/T={r[1]}"]
+        assert (float(r[2]), float(r[3])) == (measured["mean_s"],
+                                              measured["std_s"])
+        assert r[2] == repr(measured["mean_s"])
     # measurements ride in timings, keeping metrics deterministic
     assert set(out.timings) == {
         "total_s", "deterministic/T=1", "noise_fixed/T=1", "noise_fixed/T=2",

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from mcni.nn import (DETERMINISTIC, ContractError, DenseLayer, Network,
-                     ShapeError, l2_penalty, l2_penalty_grads,
+                     ShapeError, _l2_terms, l2_penalty, l2_penalty_grads,
                      loss_cross_entropy, loss_cross_entropy_grad, loss_mse,
                      loss_mse_grad, softmax)
+from mcni.noise import NoiseSpec, NoisyDenseLayer
 
 from oracles import fd_gradient
 
@@ -256,7 +257,35 @@ def test_l2_per_group_coefficients():
     assert grads["L0.b"][0] == 3.0
 
 
+def test_l2_terms_bit_identical_to_reference_sum_and_grads():
+    rng = np.random.default_rng(11)
+    spec = NoiseSpec(mode="learned", granularity="element")
+    net = Network([NoisyDenseLayer.create(3, 5, "relu", rng, spec=spec),
+                   DenseLayer.create(5, 2, "identity", rng)])
+    mapping = {"L0.W": 0.3, "L1.b": 1e-5, "L0.alpha": 7.0, "L9.W": 2.0}
+    for lambdas in (0.037, mapping):
+        total, grads = _l2_terms(net, lambdas)
+        ref_total, ref_grads = 0.0, {}
+        for name, p in net.parameters().items():
+            lam = (lambdas.get(name, 0.0) if isinstance(lambdas, dict)
+                   else lambdas)
+            if name.endswith(".alpha") or lam == 0.0:
+                continue
+            ref_total += lam * float(np.sum(p * p))
+            ref_grads[name] = 2.0 * lam * p
+        assert total == ref_total
+        assert grads.keys() == ref_grads.keys()
+        for name, g in ref_grads.items():
+            assert np.array_equal(grads[name], g)
+        assert l2_penalty(net, lambdas) == total
+        assert l2_penalty_grads(net, lambdas).keys() == grads.keys()
+    assert set(_l2_terms(net, mapping)[1]) == {"L0.W", "L1.b"}
+    assert _l2_terms(net, 0.0) == (0.0, {})
+
+
 def test_l2_negative_lambda_rejected():
     net = single_layer([[1.0]], [0.0])
     with pytest.raises(ValueError):
         l2_penalty(net, -0.1)
+    with pytest.raises(ValueError, match="L0.b"):
+        l2_penalty_grads(net, {"L0.b": -1.0})

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcni.mc import welford_mean_var
 from mcni.nn import DETERMINISTIC, EVAL, TRAIN, Network, ShapeError
@@ -38,6 +40,19 @@ def test_std_matches_two_pass_loop():
     mean = sum(W.ravel()) / W.size
     var = sum((v - mean) ** 2 for v in W.ravel()) / W.size
     assert abs(layer_weight_std(W, NoiseSpec()) - np.sqrt(var)) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 40), cols=st.integers(1, 40),
+       log_scale=st.floats(-8.0, 6.0), offset=st.floats(-1e3, 1e3),
+       transpose=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_std_is_bit_identical_to_np_std(rows, cols, log_scale, offset,
+                                        transpose, seed):
+    W = np.random.default_rng(seed).normal(size=(rows, cols))
+    W = W * 10.0 ** log_scale + offset
+    if transpose:
+        W = W.T                  # non-contiguous input
+    assert layer_weight_std(W, NoiseSpec()) == float(np.std(W))
 
 
 def test_std_sources():

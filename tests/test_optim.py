@@ -55,6 +55,96 @@ def test_adam_matches_scalar_loop_oracle():
         assert abs(p["w"][j] - ref) < 1e-12
 
 
+def _per_name_adam(lr, beta1, beta2, eps):
+    """The per-parameter Adam loop the flat-buffer Adam must reproduce."""
+    state = {"t": 0, "m": {}, "v": {}}
+
+    def step(params, grads):
+        state["t"] += 1
+        t = state["t"]
+        for name, p in params.items():
+            if name not in grads:
+                continue
+            g = grads[name]
+            m = state["m"].setdefault(name, np.zeros_like(p))
+            v = state["v"].setdefault(name, np.zeros_like(p))
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * (g * g)
+            m_hat = m / (1.0 - beta1 ** t)
+            v_hat = v / (1.0 - beta2 ** t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return step, state
+
+
+def _per_name_sgd(lr, momentum):
+    vel = {}
+
+    def step(params, grads):
+        for name, p in params.items():
+            if name not in grads:
+                continue
+            v = vel.setdefault(name, np.zeros_like(p))
+            v *= momentum
+            v += grads[name]
+            p -= lr * v
+    return step, vel
+
+
+def _learned_noise_net(seed):
+    rng = np.random.default_rng(seed)
+    scalar = NoiseSpec(mode="learned", alpha_init=0.1, alpha_penalty_lambda=0.05)
+    element = NoiseSpec(mode="learned", granularity="element", alpha_init=0.2)
+    return Network([NoisyDenseLayer.create(3, 6, "tanh", rng, spec=scalar),
+                    NoisyDenseLayer.create(6, 2, "identity", rng, spec=element)])
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+def test_flat_state_is_bit_identical_to_per_name_loop(kind):
+    net, twin = _learned_noise_net(8), _learned_noise_net(8)
+    assert net.layers[0].alpha.shape == ()              # 0-d scalar alpha
+    assert net.layers[1].alpha.shape == (6, 2)          # element alpha
+    if kind == "adam":
+        opt = Adam(lr=0.01, beta1=0.85, beta2=0.99, eps=1e-8)
+        ref_step, ref_state = _per_name_adam(0.01, 0.85, 0.99, 1e-8)
+        moments = [(opt._m, ref_state["m"]), (opt._v, ref_state["v"])]
+    else:
+        opt = SGDMomentum(lr=0.01, momentum=0.8)
+        ref_step, ref_vel = _per_name_sgd(0.01, 0.8)
+        moments = [(opt._v, ref_vel)]
+    params, ref_params = net.parameters(), twin.parameters()
+    data = np.random.default_rng(9)
+    x, y = data.normal(size=(7, 3)), data.normal(size=(7, 2))
+    noise = np.random.default_rng(10)
+    for _ in range(6):
+        _, grads = training_loss_and_grads(net, x, y, 0.01, rng=noise)
+        del grads["L1.b"]                               # a name without a gradient
+        ref_step(ref_params, {k: g.copy() for k, g in grads.items()})
+        opt.step(params, grads)
+        for name in params:
+            assert np.array_equal(params[name], ref_params[name]), name
+        for flat, ref in moments:
+            assert flat.keys() == ref.keys() == grads.keys()
+            for name in ref:
+                assert flat[name].shape == ref[name].shape
+                assert np.array_equal(flat[name], ref[name]), name
+
+
+@pytest.mark.parametrize("opt", [Adam(lr=0.1), SGDMomentum(lr=0.1)])
+def test_flat_state_rejects_a_changed_parameter_set(opt):
+    params = {"w": np.zeros(2), "b": np.zeros(1)}
+    opt.step(params, {"w": np.ones(2), "b": np.ones(1)})
+    before = {k: p.copy() for k, p in params.items()}
+    with pytest.raises(ValueError, match="changed"):
+        opt.step(params, {"w": np.ones(2)})
+    with pytest.raises(ValueError, match="changed"):
+        opt.step({**params, "c": np.zeros(3)},
+                 {"w": np.ones(2), "b": np.ones(1), "c": np.ones(3)})
+    for k, p in params.items():
+        assert np.array_equal(p, before[k])
+
+
 # ---------------------------------------------------------------------------
 # SGD with momentum
 
@@ -308,6 +398,30 @@ def test_grid_sub_seeds_are_deterministic():
     a = grid_search(evaluate, {"lr": [0.1, 0.2], "wd": [0.0, 1.0]}, seed=5)
     b = grid_search(evaluate, {"lr": [0.1, 0.2], "wd": [0.0, 1.0]}, seed=5)
     assert [r["val_loss"] for r in a.rows] == [r["val_loss"] for r in b.rows]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_val_loss_ranks_last(bad):
+    losses = [bad, 0.5, 0.1]
+
+    def evaluate(config, rng):
+        return {"val_loss": losses[config["wd"]]}
+    result = grid_search(evaluate, {"lr": [0.01], "wd": [0, 1, 2]})
+    assert result.best["config_index"] == 2
+    losses[2] = bad
+    result = grid_search(evaluate, {"lr": [0.01], "wd": [0, 1, 2]})
+    assert result.best["config_index"] == 1
+
+
+def test_all_non_finite_falls_to_lr_then_declaration_order():
+    losses = {(0.01, 0): np.nan, (0.01, 1): np.inf,
+              (0.001, 0): np.inf, (0.001, 1): np.nan}
+
+    def evaluate(config, rng):
+        return {"val_loss": losses[config["lr"], config["wd"]]}
+    result = grid_search(evaluate, {"lr": [0.01, 0.001], "wd": [0, 1]})
+    assert result.best["lr"] == 0.001
+    assert result.best["config_index"] == 2
 
 
 def test_grid_rejects_bad_specs():
