@@ -12,7 +12,8 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 runtime error.
 Every run writes a manifest.json next to its data files listing the
 resolved config, content hashes of inputs and outputs, wall-clock timings,
 and the headline metrics. The manifest digest printed at the end excludes
-timings and is rerun-stable.
+timings and is rerun-stable; the hash of an output whose payload is itself
+a measurement (bench-time's timing.csv) is recorded under timings.
 """
 
 from __future__ import annotations
@@ -222,15 +223,20 @@ def resolve_config(args: argparse.Namespace):
 
 
 def write_manifest(command: str, cfg, out: RunOutput) -> Path:
+    outputs = {name: sha256_file(path) for name, path in out.files.items()}
+    timings = dict(out.timings)
+    if out.measured_files:
+        # a measurement's hash changes on every run: keep it out of the digest
+        timings["outputs"] = {name: outputs.pop(name)
+                              for name in out.measured_files}
     manifest = {
         "command": command,
         "config": config_to_dict(cfg),
         "inputs": {name: {"path": str(path), "sha256": sha256_file(path)}
                    for name, path in out.inputs.items()},
-        "outputs": {name: sha256_file(path)
-                    for name, path in out.files.items()},
+        "outputs": outputs,
         "results": out.metrics,
-        "timings": out.timings,
+        "timings": timings,
     }
     path = Path(cfg.outdir) / "manifest.json"
     write_json(path, manifest)

@@ -27,7 +27,7 @@ from .mc import PredictiveSamples, mc_predict, summarize_classification, \
     summarize_regression
 from .metrics import mpiw, msll, nll_gaussian, picp, risk_coverage, rmse
 from .models import FAMILIES, build_mlp
-from .nn import EVAL, softmax
+from .nn import EVAL
 from .optim import TrainConfig, fit, grid_search
 from .runio import write_csv, write_json
 
@@ -44,6 +44,8 @@ class RunOutput:
     metrics: dict
     timings: dict[str, float]
     inputs: dict[str, Path] = field(default_factory=dict)
+    # names in files whose payload is a wall-clock measurement
+    measured_files: tuple[str, ...] = ()
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -483,18 +485,8 @@ def corrupted_predict(net, X, sigma: float, T: int, rng) -> PredictiveSamples:
     over input corruption and weight noise together. At sigma=0 every pass
     sees X bit-exactly, reducing to a clean prediction.
     """
-    probs = net.task == "classification" and not net.outputs_probabilities
-    values = None
-    for t, stream in enumerate(rng.spawn(T)):
-        corrupt_rng, pass_rng = stream.spawn(2)
-        Xc = gaussian_corrupt(X, sigma, corrupt_rng)
-        out, _ = net.forward(Xc, mode=EVAL, rng=pass_rng)
-        if probs:
-            out = softmax(out)
-        if values is None:
-            values = np.empty((T,) + out.shape)
-        values[t] = out
-    return PredictiveSamples(values=values, task=net.task, lineage=None)
+    return mc_predict(net, X, T, rng, EVAL,
+                      transform=lambda X, r: gaussian_corrupt(X, sigma, r))
 
 
 def run_noise_sweep(cfg: SweepConfig) -> RunOutput:
@@ -607,7 +599,8 @@ def run_bench_time(cfg: TimingConfig) -> RunOutput:
                "families": list(cfg.families), "t_list": list(cfg.t_list)}
     files = {"timing.csv": timing_path}
     return RunOutput(files, metrics,
-                     {"total_s": time.perf_counter() - t0, **measured})
+                     {"total_s": time.perf_counter() - t0, **measured},
+                     measured_files=("timing.csv",))
 
 
 # ---------------------------------------------------------------------------
@@ -652,11 +645,10 @@ def run_gpcheck(cfg: GpCheckConfig) -> RunOutput:
     per_seed = {}
     for seed in cfg.seeds:
         probe = WideNetProbe(width=cfg.width, n_networks=cfg.n_networks,
-                             probe_inputs=cfg.probes, seed=seed)
+                             probe_inputs=cfg.probes)
         kcfg = KernelMCConfig(n_samples=cfg.n_samples,
                               nonlinearity=cfg.nonlinearity,
-                              bias_std=cfg.bias_std, input_dim=input_dim,
-                              seed=seed)
+                              bias_std=cfg.bias_std, input_dim=input_dim)
         report = correspondence_report(probe, kcfg,
                                        np.random.default_rng([seed, 17]),
                                        widths=cfg.widths)

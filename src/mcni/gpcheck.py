@@ -38,7 +38,6 @@ class KernelMCConfig:
     nonlinearity: str = "relu"
     bias_std: float = 1.0           # s in b ~ N(0, s^2)
     input_dim: int = 2
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -56,7 +55,6 @@ class WideNetProbe:
     width: int
     n_networks: int
     probe_inputs: tuple
-    seed: int = 0
 
     def __post_init__(self):
         if self.width < 1:

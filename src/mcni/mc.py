@@ -6,6 +6,11 @@ could in principle run concurrently. Summaries reduce over the pass axis
 with a sequential Welford recurrence in a fixed order; besides numerical
 robustness this makes the variance of bit-identical passes exactly zero
 (a two-pass mean would leave last-ulp residue).
+
+The weights are frozen for the whole call, so sigma_l is computed once per
+call, not once per pass, and the passes run in one Workspace: per-layer
+buffers built once and reused by every pass. Each pass's output is copied
+into the sample block, which never aliases a buffer.
 """
 
 from __future__ import annotations
@@ -51,19 +56,30 @@ class ClassificationSummary:
 
 
 def mc_predict(net: Network, X, T: int, rng: np.random.Generator,
-               mode: str = EVAL) -> PredictiveSamples:
-    """Run T independent noisy passes; stochastic mechanisms stay live in EVAL."""
+               mode: str = EVAL, transform=None) -> PredictiveSamples:
+    """Run T independent noisy passes; stochastic mechanisms stay live in EVAL.
+
+    ``transform(X, rng)`` optionally gives each pass its own input. A pass
+    with a transform splits its stream in two, the first for the transform
+    and the second for the network.
+    """
     if T < 1:
         raise ValueError("need at least one Monte Carlo pass")
     X = np.asarray(X, dtype=np.float64)
     streams = rng.spawn(T)
     needs_softmax = net.task == "classification" and not net.outputs_probabilities
     outs = np.empty((T,) + (X.shape[0], net.fan_out), dtype=np.float64)
+    workspace = net.workspace(X.shape[0])
     for t, stream in enumerate(streams):
-        out, _ = net.forward(X, mode, stream)
+        x = X
+        if transform is not None:
+            input_rng, stream = stream.spawn(2)
+            x = transform(X, input_rng)
+        out, _ = net.forward(x, mode, stream, workspace=workspace)
         if needs_softmax:
-            out = softmax(out)
-        outs[t] = out
+            softmax(out, out=outs[t])
+        else:
+            outs[t] = out
     lineage = tuple(s.bit_generator.seed_seq.spawn_key for s in streams)
     return PredictiveSamples(values=outs, task=net.task, lineage=lineage)
 

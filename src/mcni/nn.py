@@ -9,6 +9,12 @@ here need.
 Modes: TRAIN and EVAL both keep stochastic mechanisms live (weight noise and
 dropout are part of the model at prediction time, not a training trick);
 DETERMINISTIC switches them off for debugging and baselines.
+
+Repeated passes at one batch size (Monte Carlo inference) can run in a
+Workspace: per-layer buffers built once and overwritten by every pass, so a
+pass allocates no full-size arrays. Each operation is the same as on the
+allocating path, only with an ``out=`` target, so the results are the same
+bit for bit.
 """
 
 from __future__ import annotations
@@ -29,27 +35,30 @@ class ShapeError(ValueError):
 
 
 class ContractError(RuntimeError):
-    """A forward trace was replayed against a network it does not belong to."""
+    """A forward trace or workspace was used with a network it does not fit."""
 
 
 # ---------------------------------------------------------------------------
 # activations
 
-def softmax(z: np.ndarray) -> np.ndarray:
+def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax, shift-stabilized so large logits cannot overflow."""
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
-def apply_activation(name: str, z: np.ndarray) -> np.ndarray:
+def apply_activation(name: str, z: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """act(z), written into ``out`` when given (identity returns z itself)."""
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     if name == "sigmoid":
         # evaluate on the stable side of the exp in both tails
-        out = np.empty_like(z)
+        out = np.empty_like(z) if out is None else out
         pos = z >= 0
         out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
         ez = np.exp(z[~pos])
@@ -58,7 +67,7 @@ def apply_activation(name: str, z: np.ndarray) -> np.ndarray:
     if name == "identity":
         return z
     if name == "softmax":
-        return softmax(z)
+        return softmax(z, out=out)
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -121,20 +130,42 @@ class DenseLayer:
     def parameters(self) -> dict[str, np.ndarray]:
         return {"W": self.W, "b": self.b}
 
-    def effective_weight(self, mode: str, rng, frozen=None):
+    def buffers(self, batch: int, width: int) -> dict:
+        """Workspace buffers for a batch of ``batch`` rows (width is fan_in)."""
+        return {"z": np.empty((batch, self.fan_out)),
+                "a": np.empty((batch, self.fan_out))}
+
+    def effective_weight(self, mode: str, rng, frozen=None, buffers=None):
         """The weight actually multiplied into the input. Hook for noise."""
         return self.W, None
 
-    def forward_pass(self, x, mode, rng, frozen=None):
-        w_eff, eps = self.effective_weight(mode, rng, frozen)
-        z = x @ w_eff + self.b
-        a = apply_activation(self.activation, z)
+    def forward_pass(self, x, mode, rng, frozen=None, buffers=None):
+        buf = buffers or {}
+        w_eff, eps = self.effective_weight(mode, rng, frozen, buffers)
+        z = np.matmul(x, w_eff, out=buf.get("z"))
+        z += self.b
+        a = apply_activation(self.activation, z, out=buf.get("a"))
         return a, {"x": x, "z": z, "a": a, "w_eff": w_eff, "eps": eps}
 
     def backward_pass(self, cache, grad_out):
         grad_z = activation_backward(self.activation, grad_out, cache["z"], cache["a"])
         grads = {"W": cache["x"].T @ grad_z, "b": grad_z.sum(axis=0)}
         return grad_z @ cache["w_eff"].T, grads
+
+
+@dataclass
+class Workspace:
+    """Buffers reused by repeated forward passes of one network at one batch.
+
+    Built once per Monte Carlo call by ``Network.workspace``, and valid only
+    while the weights stay frozen: noisy layers fix sigma_l when it is built.
+    Every pass overwrites the buffers, so the output of a pass is a view that
+    the next pass replaces; copy what must outlive it.
+    """
+
+    net: "Network"
+    batch: int
+    layers: list = field(repr=False)
 
 
 @dataclass
@@ -146,6 +177,7 @@ class ForwardTrace:
     mode: str
     caches: list = field(repr=False)
     output: np.ndarray = field(repr=False)
+    buffered: bool = False   # made in a Workspace; its arrays get overwritten
 
 
 class Network:
@@ -205,13 +237,22 @@ class Network:
         for name, arr in params.items():
             np.copyto(live[name], arr)
 
+    def workspace(self, batch: int) -> Workspace:
+        """Per-layer buffers for repeated passes over ``batch`` input rows."""
+        layers, width = [], self.fan_in
+        for layer in self.layers:
+            layers.append(layer.buffers(batch, width))
+            width = getattr(layer, "fan_out", width)
+        return Workspace(net=self, batch=batch, layers=layers)
+
     def forward(self, x, mode: str = TRAIN, rng: np.random.Generator | None = None,
-                frozen_noise=None):
+                frozen_noise=None, workspace: Workspace | None = None):
         """Run the stack; returns (output, ForwardTrace).
 
         ``frozen_noise`` is a per-layer list of pre-drawn noise (weight noise
         eps or dropout masks); used by gradient checks so finite differences
-        see a smooth deterministic function.
+        see a smooth deterministic function. With a ``workspace`` every
+        intermediate, the output included, is written into its buffers.
         """
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
@@ -224,18 +265,30 @@ class Network:
                 f"layer {first} expects {self.fan_in} features, got {x.shape[1]}")
         if frozen_noise is not None and len(frozen_noise) != len(self.layers):
             raise ContractError("frozen_noise must have one entry per layer")
+        if workspace is not None:
+            if workspace.net is not self:
+                raise ContractError("workspace does not belong to this network")
+            if x.shape[0] != workspace.batch:
+                raise ShapeError(f"workspace holds {workspace.batch} rows, "
+                                 f"input has {x.shape[0]}")
         h = x
         caches = []
         for i, layer in enumerate(self.layers):
             frozen = None if frozen_noise is None else frozen_noise[i]
-            h, cache = layer.forward_pass(h, mode, rng, frozen=frozen)
+            buffers = None if workspace is None else workspace.layers[i]
+            h, cache = layer.forward_pass(h, mode, rng, frozen=frozen,
+                                          buffers=buffers)
             caches.append(cache)
-        return h, ForwardTrace(net=self, x=x, mode=mode, caches=caches, output=h)
+        return h, ForwardTrace(net=self, x=x, mode=mode, caches=caches, output=h,
+                               buffered=workspace is not None)
 
     def backward(self, trace: ForwardTrace, output_grad: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss given d(loss)/d(output)."""
         if trace.net is not self:
             raise ContractError("trace does not belong to this network")
+        if trace.buffered:
+            raise ContractError("trace was made in a workspace; the next pass "
+                                "overwrites its buffers")
         output_grad = np.asarray(output_grad, dtype=np.float64)
         if output_grad.shape != trace.output.shape:
             raise ShapeError(

@@ -8,6 +8,9 @@ one entry per weight). Bias is never perturbed.
 
 Both mechanisms stay active in TRAIN and EVAL mode; prediction-time
 stochasticity is the point. DETERMINISTIC mode switches them off.
+
+In a workspace (repeated passes over frozen weights), a noisy layer computes
+sigma_l once, when its buffers are built, and draws eps into a reused buffer.
 """
 
 from __future__ import annotations
@@ -83,10 +86,18 @@ def layer_weight_std(W: np.ndarray, spec: NoiseSpec,
     return math.sqrt((d * d).sum() / W.size)
 
 
-def sample_noise(layer: "NoisyDenseLayer", rng: np.random.Generator) -> np.ndarray:
-    """One eps draw shaped like W with std sigma_l, shared by the whole batch."""
-    sigma = layer.weight_std()
-    return sigma * rng.standard_normal(layer.W.shape)
+def sample_noise(layer: "NoisyDenseLayer", rng: np.random.Generator,
+                 buffers: dict | None = None) -> np.ndarray:
+    """One eps draw shaped like W with std sigma_l, shared by the whole batch.
+
+    With workspace ``buffers`` the draw goes into buffers["eps"] and is scaled
+    by the sigma_l fixed when they were built.
+    """
+    if buffers is None:
+        return layer.weight_std() * rng.standard_normal(layer.W.shape)
+    eps = rng.standard_normal(out=buffers["eps"])
+    eps *= buffers["sigma"]
+    return eps
 
 
 def alpha_gradient(weight_grad: np.ndarray, eps: np.ndarray,
@@ -145,13 +156,20 @@ class NoisyDenseLayer(DenseLayer):
     def weight_std(self) -> float:
         return layer_weight_std(self.W, self.spec, init_std=self.init_std)
 
+    def buffers(self, batch: int, width: int) -> dict:
+        """Dense buffers plus eps, w_eff and sigma_l of the frozen weights."""
+        buf = super().buffers(batch, width)
+        buf.update(eps=np.empty(self.W.shape), w_eff=np.empty(self.W.shape),
+                   sigma=self.weight_std())
+        return buf
+
     def parameters(self):
         params = {"W": self.W, "b": self.b}
         if self.spec.mode == "learned":
             params["alpha"] = self.alpha
         return params
 
-    def effective_weight(self, mode, rng, frozen=None):
+    def effective_weight(self, mode, rng, frozen=None, buffers=None):
         if frozen is not None:
             eps = frozen
         elif mode == DETERMINISTIC:
@@ -159,8 +177,9 @@ class NoisyDenseLayer(DenseLayer):
         else:
             if rng is None:
                 raise ValueError("noisy forward needs an rng (or frozen noise)")
-            eps = sample_noise(self, rng)
-        return self.W + self.alpha * eps, eps
+            eps = sample_noise(self, rng, buffers)
+        w_eff = np.multiply(self.alpha, eps, out=(buffers or {}).get("w_eff"))
+        return np.add(self.W, w_eff, out=w_eff), eps
 
     def backward_pass(self, cache, grad_out):
         grad_in, grads = super().backward_pass(cache, grad_out)
@@ -189,17 +208,24 @@ class DropoutLayer:
         if not (0.0 <= self.p < 1.0):
             raise ValueError("drop probability must lie in [0, 1)")
 
-    def forward_pass(self, x, mode, rng, frozen=None):
+    def buffers(self, batch: int, width: int) -> dict:
+        shape = (batch, width)
+        return {"u": np.empty(shape), "keep": np.empty(shape, dtype=bool),
+                "mask": np.empty(shape), "y": np.empty(shape)}
+
+    def forward_pass(self, x, mode, rng, frozen=None, buffers=None):
+        buf = buffers or {}
         if frozen is not None:
             mask = frozen
-            return x * mask, {"mask": mask}
+            return np.multiply(x, mask, out=buf.get("y")), {"mask": mask}
         if mode == DETERMINISTIC or self.p == 0.0:
             return x, {"mask": None}
         if rng is None:
             raise ValueError("dropout forward needs an rng (or a frozen mask)")
-        keep = rng.random(size=x.shape) >= self.p
-        mask = keep / (1.0 - self.p)
-        return x * mask, {"mask": mask}
+        u = rng.random(size=x.shape, out=buf.get("u"))
+        keep = np.greater_equal(u, self.p, out=buf.get("keep"))
+        mask = np.divide(keep, 1.0 - self.p, out=buf.get("mask"))
+        return np.multiply(x, mask, out=buf.get("y")), {"mask": mask}
 
     def backward_pass(self, cache, grad_out):
         mask = cache["mask"]

@@ -181,6 +181,21 @@ def test_rerun_same_outdir_same_digest(tmp_path, capsys):
     assert first == second
 
 
+def test_bench_time_rerun_same_outdir_same_digest(tmp_path, capsys):
+    argv = ["bench-time", "--outdir", str(tmp_path / "bt"), "--set", "batch=8",
+            "--set", "input_dim=3", "--set", "hidden=4", "--set", "t_list=1,2",
+            "--set", "reps=2"]
+    assert main(argv) == EXIT_OK
+    first = digest_line(capsys.readouterr().out)
+    assert main(argv) == EXIT_OK
+    second = digest_line(capsys.readouterr().out)
+    assert first == second
+    # the measured file's hash is kept, outside the digested part
+    manifest = json.loads((tmp_path / "bt" / "manifest.json").read_text())
+    assert "timing.csv" not in manifest["outputs"]
+    assert set(manifest["timings"]["outputs"]) == {"timing.csv"}
+
+
 def test_rerun_other_outdir_same_data_files(tmp_path):
     assert run_toy_cli(tmp_path / "a") == EXIT_OK
     assert run_toy_cli(tmp_path / "b") == EXIT_OK

@@ -7,7 +7,8 @@ from mcni.mc import (PredictiveSamples, mc_predict, summarize_classification,
                      summarize_regression, welford_mean, welford_mean_var)
 from mcni.models import build_mlp
 from mcni.noise import NoiseSpec, NoisyDenseLayer
-from mcni.nn import Network
+from mcni.nn import (DETERMINISTIC, EVAL, TRAIN, ContractError, Network,
+                     ShapeError)
 
 from oracles import entropy_oracle, welford_scalar
 
@@ -177,3 +178,108 @@ def test_non_probability_rows_rejected():
     with pytest.raises(ValueError):
         summarize_classification(
             PredictiveSamples(values=logits, task="classification"))
+
+
+# ---------------------------------------------------------------------------
+# workspace path: bit-exact against plain allocating forward passes
+
+def reference_passes(net, X, T, rng, mode):
+    """mc_predict as a loop of plain net.forward calls, no workspace."""
+    outs = []
+    for stream in rng.spawn(T):
+        out, _ = net.forward(X, mode, stream)
+        if net.task == "classification" and not net.outputs_probabilities:
+            e = np.exp(out - out.max(axis=-1, keepdims=True))
+            out = e / e.sum(axis=-1, keepdims=True)
+        outs.append(out)
+    return np.stack(outs)
+
+
+def head_net(family, activation, head, seed, **kw):
+    task = "regression" if head == "regression" else "classification"
+    net = build_mlp(family, 3, [6, 5], 1 if task == "regression" else 4,
+                    task=task, activation=activation, noise_level=0.2,
+                    rng=np.random.default_rng(seed), **kw)
+    if head == "probabilities":
+        net.layers[-1].activation = "softmax"
+    return net
+
+
+@pytest.mark.parametrize("head", ["regression", "logits", "probabilities"])
+@pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
+@pytest.mark.parametrize("family", ["deterministic", "mc_dropout",
+                                    "noise_fixed", "noise_learned"])
+def test_workspace_passes_equal_plain_forward(family, activation, head):
+    net = head_net(family, activation, head, 20)
+    X = np.random.default_rng(21).normal(size=(9, 3)) * 2.0
+    for mode in (EVAL, DETERMINISTIC):
+        for T in (1, 6):
+            got = mc_predict(net, X, T, np.random.default_rng([22, T]), mode)
+            ref = reference_passes(net, X, T, np.random.default_rng([22, T]),
+                                   mode)
+            assert np.array_equal(got.values, ref), (mode, T)
+
+
+@pytest.mark.parametrize("granularity", ["scalar", "element"])
+@pytest.mark.parametrize("sigma", [("current", None), ("init", None),
+                                   ("constant", 0.3)])
+@pytest.mark.parametrize("family", ["noise_fixed", "noise_learned"])
+def test_workspace_noise_specs_equal_plain_forward(family, sigma, granularity):
+    net = head_net(family, "relu", "regression", 23, granularity=granularity,
+                   sigma_source=sigma[0], sigma_value=sigma[1])
+    if granularity == "element":
+        # distinct per-weight levels, so a broadcast slip would show
+        for layer in net.layers:
+            layer.alpha = np.random.default_rng(24).uniform(
+                0.05, 0.5, size=layer.W.shape)
+    X = np.random.default_rng(25).normal(size=(7, 3))
+    got = mc_predict(net, X, 5, np.random.default_rng(26))
+    ref = reference_passes(net, X, 5, np.random.default_rng(26), EVAL)
+    assert np.array_equal(got.values, ref)
+
+
+def test_sigma_l_computed_once_per_noisy_layer_per_call(monkeypatch):
+    import mcni.noise
+    calls = []
+    original = mcni.noise.layer_weight_std
+
+    def counting(W, *args, **kwargs):
+        calls.append(W.shape)
+        return original(W, *args, **kwargs)
+
+    monkeypatch.setattr(mcni.noise, "layer_weight_std", counting)
+    net = build_mlp("noise_fixed", 3, [6, 5], 1, rng=np.random.default_rng(27))
+    mc_predict(net, np.ones((4, 3)), 20, np.random.default_rng(28))
+    assert calls == [(3, 6), (6, 5), (5, 1)]
+
+
+def test_second_call_leaves_first_values_unchanged():
+    net = build_mlp("mc_dropout", 3, [6], 1, rng=np.random.default_rng(29))
+    X = np.random.default_rng(30).normal(size=(5, 3))
+    first = mc_predict(net, X, 4, np.random.default_rng(31))
+    kept = first.values.copy()
+    second = mc_predict(net, X, 4, np.random.default_rng(32))
+    assert np.array_equal(first.values, kept)
+    assert not np.array_equal(first.values, second.values)
+    # every pass kept its own output, not a view of the last pass
+    assert not np.array_equal(first.values[0], first.values[-1])
+
+
+def test_workspace_trace_cannot_be_replayed_backward():
+    net = build_mlp("noise_learned", 3, [6], 1, rng=np.random.default_rng(33))
+    X = np.ones((4, 3))
+    out, trace = net.forward(X, TRAIN, np.random.default_rng(34),
+                             workspace=net.workspace(4))
+    with pytest.raises(ContractError):
+        net.backward(trace, np.ones_like(out))
+
+
+def test_workspace_must_fit_network_and_batch():
+    net = build_mlp("noise_fixed", 3, [6], 1, rng=np.random.default_rng(35))
+    other = build_mlp("noise_fixed", 3, [6], 1, rng=np.random.default_rng(35))
+    with pytest.raises(ContractError):
+        net.forward(np.ones((4, 3)), EVAL, np.random.default_rng(0),
+                    workspace=other.workspace(4))
+    with pytest.raises(ShapeError):
+        net.forward(np.ones((5, 3)), EVAL, np.random.default_rng(0),
+                    workspace=net.workspace(4))
