@@ -279,34 +279,45 @@ def run_benchmark(cfg: BenchmarkConfig) -> RunOutput:
     best_per_family: dict[str, dict] = {}
     nll_store: dict[tuple[str, int], np.ndarray] = {}
 
+    def score(net, result, mc_rng) -> dict:
+        summ = summarize_regression(mc_predict(net, test.X, cfg.passes, mc_rng))
+        y = test.Y[:, 0]
+        nll = nll_gaussian(y, summ.mean[:, 0], summ.sigma[:, 0])
+        return {"val_loss": result.best_val_loss,
+                "test_rmse": rmse(summ.mean[:, 0], y),
+                "test_nll": nll.total,
+                "test_picp": picp(y, summ.lower[:, 0], summ.upper[:, 0]),
+                "test_mpiw": mpiw(summ.lower[:, 0], summ.upper[:, 0]),
+                "_nll_per_point": nll.per_point}
+
     for family in cfg.families:
-        def evaluate(config: dict, rng, family=family) -> dict:
-            build_rng, fit_rng, mc_rng = rng.spawn(3)
-            kwargs = {}
-            if family == "mc_dropout":
-                kwargs["dropout_p"] = config["dropout_p"]
-            elif family == "noise_fixed":
-                kwargs["noise_level"] = config["noise_level"]
-            elif family == "noise_learned":
-                kwargs["noise_level"] = config["alpha_init"]
-            net = build_mlp(family, in_dim, list(cfg.hidden), 1,
-                            task="regression", activation=cfg.activation,
-                            rng=build_rng, **kwargs)
-            tc = TrainConfig(optimizer="adam", lr=config["lr"],
-                             weight_decay=config["weight_decay"],
-                             max_epochs=cfg.max_epochs, batch_size=cfg.batch_size,
-                             patience=cfg.patience, val_passes=cfg.val_passes)
-            result = fit(net, train.X, train.Y, tc, val.X, val.Y, rng=fit_rng)
-            summ = summarize_regression(mc_predict(net, test.X, cfg.passes, mc_rng))
-            y = test.Y[:, 0]
-            nll = nll_gaussian(y, summ.mean[:, 0], summ.sigma[:, 0])
-            out = {"val_loss": result.best_val_loss,
-                   "test_rmse": rmse(summ.mean[:, 0], y),
-                   "test_nll": nll.total,
-                   "test_picp": picp(y, summ.lower[:, 0], summ.upper[:, 0]),
-                   "test_mpiw": mpiw(summ.lower[:, 0], summ.upper[:, 0]),
-                   "_nll_per_point": nll.per_point}
-            return out
+        def evaluate(configs: list[dict], rngs: list, family=family) -> list[dict]:
+            # the family's configs share an architecture: train them as one
+            # stack, each with its own build, fit and prediction streams
+            nets, train_cfgs, fit_rngs, mc_rngs = [], [], [], []
+            for config, rng in zip(configs, rngs):
+                build_rng, fit_rng, mc_rng = rng.spawn(3)
+                kwargs = {}
+                if family == "mc_dropout":
+                    kwargs["dropout_p"] = config["dropout_p"]
+                elif family == "noise_fixed":
+                    kwargs["noise_level"] = config["noise_level"]
+                elif family == "noise_learned":
+                    kwargs["noise_level"] = config["alpha_init"]
+                nets.append(build_mlp(family, in_dim, list(cfg.hidden), 1,
+                                      task="regression", activation=cfg.activation,
+                                      rng=build_rng, **kwargs))
+                train_cfgs.append(TrainConfig(
+                    optimizer="adam", lr=config["lr"],
+                    weight_decay=config["weight_decay"],
+                    max_epochs=cfg.max_epochs, batch_size=cfg.batch_size,
+                    patience=cfg.patience, val_passes=cfg.val_passes))
+                fit_rngs.append(fit_rng)
+                mc_rngs.append(mc_rng)
+            results = fit(nets, train.X, train.Y, train_cfgs, val.X, val.Y,
+                          rng=fit_rngs)
+            return [score(net, result, mc_rng)
+                    for net, result, mc_rng in zip(nets, results, mc_rngs)]
 
         result = grid_search(evaluate, _family_grid(cfg, family), seed=cfg.seed)
         for row in result.rows:

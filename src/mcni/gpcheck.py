@@ -2,8 +2,9 @@
 
 Two estimates of the same object are compared on a small probe set:
 
-* kernel_mc: Monte Carlo evaluation of K(x, y) = E[ sigma(w.x + b) sigma(w.y + b) ]
-  with w standard normal and b ~ N(0, s^2), the kernel of the limiting GP.
+* kernel_mc_matrix: Monte Carlo evaluation, on every probe pair, of
+  K(x, y) = E[ sigma(w.x + b) sigma(w.y + b) ] with w standard normal and
+  b ~ N(0, s^2), the kernel of the limiting GP.
 * wide_net_covariance: the empirical output covariance of many single-hidden-
   layer networks sampled from the matching prior (hidden weights N(0,1),
   hidden bias N(0, s^2), output weights N(0, 1/width), no output bias).
@@ -74,23 +75,6 @@ def _chunks(total: int, size: int):
         step = min(size, total - done)
         yield step
         done += step
-
-
-def kernel_mc(x, y, cfg: KernelMCConfig, rng: np.random.Generator) -> float:
-    """MC estimate of the kernel at one input pair, shared (w, b) draws."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if x.shape != (cfg.input_dim,) or y.shape != (cfg.input_dim,):
-        raise ValueError(f"inputs must be {cfg.input_dim}-vectors")
-    chunk = max(1, _CHUNK_BUDGET // (cfg.input_dim + 2))
-    acc = 0.0
-    for c in _chunks(cfg.n_samples, chunk):
-        w = rng.standard_normal((c, cfg.input_dim))
-        b = cfg.bias_std * rng.standard_normal(c)
-        fx = apply_activation(cfg.nonlinearity, w @ x + b)
-        fy = apply_activation(cfg.nonlinearity, w @ y + b)
-        acc += float(fx @ fy)
-    return acc / cfg.n_samples
 
 
 def kernel_mc_matrix(probes, cfg: KernelMCConfig,

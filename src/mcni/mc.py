@@ -103,14 +103,6 @@ def welford_mean_var(values: np.ndarray):
     return mean, m2 / (T - 1)
 
 
-def welford_mean(values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    mean = np.zeros(values.shape[1:], dtype=np.float64)
-    for k in range(values.shape[0]):
-        mean += (values[k] - mean) / (k + 1)
-    return mean
-
-
 def summarize_regression(samples: PredictiveSamples) -> PredictiveSummary:
     """Predictive mean, unbiased variance, and mean +/- 3 sigma bounds."""
     mean, variance = welford_mean_var(samples.values)

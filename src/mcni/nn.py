@@ -10,6 +10,15 @@ Modes: TRAIN and EVAL both keep stochastic mechanisms live (weight noise and
 dropout are part of the model at prediction time, not a training trick);
 DETERMINISTIC switches them off for debugging and baselines.
 
+Member stacks: several same-shape networks can run as one network whose
+parameters carry a leading member axis (``stack_networks``): weights
+(S, fan_in, fan_out), biases (S, 1, fan_out). Every layer computes through
+``np.matmul``, ``swapaxes(-1, -2)`` and reductions over the trailing axes,
+so the same code serves a single net (2-D weights) and a stack; each
+member's slice of a stacked result equals, bit for bit, what that member
+computes alone. A stack takes per-member inputs (S, batch, features) or
+one shared (batch, features) input, and one generator per member.
+
 Repeated passes at one batch size (Monte Carlo inference) can run in a
 Workspace: per-layer buffers built once and overwritten by every pass, so a
 pass allocates no full-size arrays. Each operation is the same as on the
@@ -19,7 +28,7 @@ bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
 import numpy as np
@@ -94,7 +103,10 @@ def activation_backward(name: str, grad_out: np.ndarray, z: np.ndarray,
 
 @dataclass
 class DenseLayer:
-    """Affine layer a = act(x W + b). Weights (fan_in, fan_out), bias (fan_out,)."""
+    """Affine layer a = act(x W + b). Weights (fan_in, fan_out), bias (fan_out,).
+
+    In a member stack: weights (S, fan_in, fan_out), bias (S, 1, fan_out).
+    """
 
     W: np.ndarray
     b: np.ndarray
@@ -103,9 +115,10 @@ class DenseLayer:
     def __post_init__(self):
         self.W = np.asarray(self.W, dtype=np.float64)
         self.b = np.asarray(self.b, dtype=np.float64)
-        if self.W.ndim != 2:
-            raise ShapeError("weight matrix must be 2-D")
-        if self.b.shape != (self.W.shape[1],):
+        if self.W.ndim not in (2, 3):
+            raise ShapeError("weight matrix must be 2-D (3-D in a member stack)")
+        bias_shape = self.W.shape[:-2] + (1,) * (self.W.ndim - 2) + self.W.shape[-1:]
+        if self.b.shape != bias_shape:
             raise ShapeError("bias shape must match fan_out")
         if self.activation not in ("relu", "tanh", "sigmoid", "identity", "softmax"):
             raise ValueError(f"unknown activation {self.activation!r}")
@@ -119,13 +132,21 @@ class DenseLayer:
         W = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         return cls(W=W, b=np.zeros(fan_out), activation=activation)
 
+    @classmethod
+    def stack(cls, layers) -> "DenseLayer":
+        """One layer holding ``layers`` (same shape and activation) as members."""
+        _require_same(layers, "activation")
+        return cls(W=np.stack([l.W for l in layers]),
+                   b=np.stack([l.b[None] for l in layers]),
+                   activation=layers[0].activation)
+
     @property
     def fan_in(self) -> int:
-        return self.W.shape[0]
+        return self.W.shape[-2]
 
     @property
     def fan_out(self) -> int:
-        return self.W.shape[1]
+        return self.W.shape[-1]
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"W": self.W, "b": self.b}
@@ -149,8 +170,20 @@ class DenseLayer:
 
     def backward_pass(self, cache, grad_out):
         grad_z = activation_backward(self.activation, grad_out, cache["z"], cache["a"])
-        grads = {"W": cache["x"].T @ grad_z, "b": grad_z.sum(axis=0)}
-        return grad_z @ cache["w_eff"].T, grads
+        grads = {"W": np.swapaxes(cache["x"], -1, -2) @ grad_z,
+                 "b": grad_z.sum(axis=-2).reshape(self.b.shape)}
+        return grad_z @ np.swapaxes(cache["w_eff"], -1, -2), grads
+
+
+def _require_same(layers, *names) -> None:
+    first = layers[0]
+    for layer in layers[1:]:
+        if type(layer) is not type(first):
+            raise ShapeError("stacked members must have the same layer types")
+        for name in names:
+            if getattr(layer, name) != getattr(first, name):
+                raise ShapeError(f"stacked members differ in {name}")
+
 
 
 @dataclass
@@ -199,6 +232,10 @@ class Network:
         if not dense:
             raise ValueError("network needs at least one dense layer")
         self._dense = dense
+        sizes = {l.W.shape[0] if l.W.ndim == 3 else None for _, l in dense}
+        if len(sizes) != 1:
+            raise ShapeError("layers disagree on the number of stacked members")
+        self.members = sizes.pop()   # None for a single net
         for (i, a), (j, b) in zip(dense, dense[1:]):
             if a.fan_out != b.fan_in:
                 raise ShapeError(
@@ -227,6 +264,14 @@ class Network:
                     out[f"L{i}.{name}"] = arr
         return out
 
+    def take(self, keep) -> "Network":
+        """A stack of the members ``keep`` (indices into this stack): every
+        layer field that carries the member axis (the 3-D ones) is indexed."""
+        return Network([replace(l, **{f.name: getattr(l, f.name)[keep]
+                                      for f in fields(l)
+                                      if np.ndim(getattr(l, f.name)) == 3})
+                        for l in self.layers], self.task)
+
     def copy_parameters(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.parameters().items()}
 
@@ -253,24 +298,32 @@ class Network:
         eps or dropout masks); used by gradient checks so finite differences
         see a smooth deterministic function. With a ``workspace`` every
         intermediate, the output included, is written into its buffers.
+        A member stack takes one generator per member in ``rng``.
         """
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
+        if self.members is not None and x.ndim == 3:
+            if x.shape[0] != self.members:
+                raise ShapeError(f"input holds {x.shape[0]} members, "
+                                 f"the stack has {self.members}")
+        elif x.ndim != 2:
             raise ShapeError(f"input must be 2-D (batch, features), got {x.ndim}-D")
-        if x.shape[1] != self.fan_in:
+        if x.shape[-1] != self.fan_in:
             first = self._dense[0][0]
             raise ShapeError(
-                f"layer {first} expects {self.fan_in} features, got {x.shape[1]}")
+                f"layer {first} expects {self.fan_in} features, got {x.shape[-1]}")
+        if (self.members is not None and rng is not None
+                and len(rng) != self.members):
+            raise ContractError("a member stack needs one generator per member")
         if frozen_noise is not None and len(frozen_noise) != len(self.layers):
             raise ContractError("frozen_noise must have one entry per layer")
         if workspace is not None:
             if workspace.net is not self:
                 raise ContractError("workspace does not belong to this network")
-            if x.shape[0] != workspace.batch:
+            if x.shape[-2] != workspace.batch:
                 raise ShapeError(f"workspace holds {workspace.batch} rows, "
-                                 f"input has {x.shape[0]}")
+                                 f"input has {x.shape[-2]}")
         h = x
         caches = []
         for i, layer in enumerate(self.layers):
@@ -303,93 +356,159 @@ class Network:
         return grads
 
 
+def stack_networks(nets) -> Network:
+    """One network whose parameters carry a leading member axis.
+
+    The nets must share their layer types, shapes and activations; per-member
+    values (weights, biases, noise levels, drop rates) go into the stack.
+    The stack holds copies: training it leaves the member nets untouched.
+    """
+    nets = list(nets)
+    if not nets:
+        raise ValueError("a stack needs at least one member")
+    if any(n.members is not None for n in nets):
+        raise ShapeError("only single nets can be stacked")
+    if len({(n.task, len(n.layers)) for n in nets}) != 1:
+        raise ShapeError("stacked members differ in task or depth")
+    return Network([type(group[0]).stack(group)
+                    for group in zip(*(n.layers for n in nets))],
+                   task=nets[0].task)
+
+
+def _member_sum(a: np.ndarray, stacked: bool) -> np.ndarray:
+    """Sum over all axes but the member axis; over every axis when unstacked."""
+    return a.sum(axis=tuple(range(1, a.ndim)) if stacked else None)
+
+
 # ---------------------------------------------------------------------------
-# losses
+# losses: one value per member, reduced over the trailing (batch, output) axes
+
+def _check_targets(pred: np.ndarray, target: np.ndarray) -> None:
+    # a stack's prediction (S, batch, out) may share one (batch, out) target
+    if pred.shape != target.shape and pred.shape[1:] != target.shape:
+        raise ShapeError(f"prediction {pred.shape} vs target {target.shape}")
+
 
 def loss_mse(pred: np.ndarray, target: np.ndarray) -> float:
-    """Squared error averaged over batch and output dimensions."""
+    """Squared error averaged over batch and output dimensions (per member)."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ShapeError(f"prediction {pred.shape} vs target {target.shape}")
+    _check_targets(pred, target)
     diff = pred - target
-    return float(np.mean(diff * diff))
+    return np.mean(diff * diff, axis=(-2, -1))
 
 
 def loss_mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ShapeError(f"prediction {pred.shape} vs target {target.shape}")
-    return 2.0 * (pred - target) / pred.size
+    _check_targets(pred, target)
+    return 2.0 * (pred - target) / (pred.shape[-2] * pred.shape[-1])
 
 
-def _check_labels(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def _label_index(logits: np.ndarray, labels) -> tuple:
+    """Index of each row's labelled logit; labels (batch,) or (S, batch)."""
     labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
+    rows = logits.shape[:-1]
+    if labels.shape not in (rows, rows[-1:]):
         raise ShapeError("labels must be a 1-D int array aligned with the batch")
     if not np.issubdtype(labels.dtype, np.integer):
         raise ShapeError("labels must be integers")
-    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
+    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[-1]):
         raise ShapeError("label outside [0, n_classes)")
-    return labels
+    return (*np.indices(rows, sparse=True), labels)
 
 
 def loss_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-likelihood of integer labels under softmax(logits).
 
     Computed in log space from shifted logits, so extreme logits (e.g. 1e3)
-    do not overflow.
+    do not overflow. Stacked logits (S, batch, classes) give one value per
+    member.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
+    if logits.ndim not in (2, 3):
         raise ShapeError("logits must be 2-D (batch, classes)")
-    labels = _check_labels(logits, labels)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    picked = shifted[np.arange(logits.shape[0]), labels]
-    return float(np.mean(log_norm - picked))
+    index = _label_index(logits, labels)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=-1))
+    return np.mean(log_norm - shifted[index], axis=-1)
 
 
 def loss_cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
-    labels = _check_labels(logits, labels)
+    index = _label_index(logits, labels)
     g = softmax(logits)
-    g[np.arange(logits.shape[0]), labels] -= 1.0
-    return g / logits.shape[0]
+    g[index] -= 1.0
+    return g / logits.shape[-2]
 
 
 # ---------------------------------------------------------------------------
 # L2 penalty (weight decay) with per-parameter-group coefficients
 
+class WeightDecay:
+    """L2 coefficients resolved once for the parameter groups of one net.
+
+    ``lambdas`` is a scalar applied to every group, or a mapping from
+    parameter name ('L0.W', 'L0.b', ...) to its coefficient. A member stack
+    may take a list with one such value per member; the penalty is then one
+    value per member, and a member whose coefficient for a group is zero
+    gets -0.0 in the penalty and the gradient, the exact additive identity,
+    so adding the terms leaves its values as they would be without decay.
+    Noise levels (alpha) are never decayed: shrinking them would silently
+    cancel the mechanism the model is built around.
+    """
+
+    def __init__(self, net: Network, lambdas):
+        def coefficient(decay, name):
+            if isinstance(decay, Mapping):
+                return decay.get(name, 0.0)
+            return decay
+
+        per_member = isinstance(lambdas, (list, tuple))
+        self.stacked = net.members is not None
+        self.groups = []     # (name, lambda, 2 lambda shaped like p, mixed)
+        for name, p in net.parameters().items():
+            if name.endswith(".alpha"):
+                continue
+            lam = np.asarray([coefficient(d, name) for d in lambdas] if per_member
+                             else coefficient(lambdas, name), dtype=np.float64)
+            if (lam < 0.0).any():
+                raise ValueError(f"negative weight decay for {name}")
+            on = lam != 0.0
+            if not on.any():
+                continue
+            wide = lam.reshape(lam.shape + (1,) * (p.ndim - lam.ndim))
+            mixed = None if on.all() else (on, wide != 0.0)
+            self.groups.append((name, lam, 2.0 * wide, mixed))
+
+    def terms(self, net: Network) -> tuple[float, dict[str, np.ndarray]]:
+        """The penalty sum_g lambda_g ||param_g||^2 and its gradients."""
+        params = net.parameters()
+        total = 0.0
+        grads: dict[str, np.ndarray] = {}
+        for name, lam, two_lam, mixed in self.groups:
+            p = params[name]
+            term = lam * _member_sum(p * p, self.stacked)
+            grad = two_lam * p
+            if mixed is not None:
+                term = np.where(mixed[0], term, -0.0)
+                grad = np.where(mixed[1], grad, -0.0)
+            total += term
+            grads[name] = grad
+        return total, grads
+
+
 def _l2_terms(net: Network, lambdas) -> tuple[float, dict[str, np.ndarray]]:
     """The L2 penalty and its gradients {name: 2 lambda_g param_g}, one pass.
 
-    ``lambdas`` is a scalar applied to every group, or a mapping from
-    parameter name ('L0.W', 'L0.b', ...) to its coefficient. Noise levels
-    (alpha) are never decayed: shrinking them would silently cancel the
-    mechanism the model is built around.
+    ``lambdas`` is anything WeightDecay takes, or a WeightDecay already
+    resolved for this net (a training loop resolves it once).
     """
-    per_group = not isinstance(lambdas, (int, float)) and isinstance(lambdas, Mapping)
-    scalar = None if per_group else float(lambdas)
-    total = 0.0
-    grads: dict[str, np.ndarray] = {}
-    for name, p in net.parameters().items():
-        if name.endswith(".alpha"):
-            continue
-        lam = float(lambdas.get(name, 0.0)) if per_group else scalar
-        if lam < 0.0:
-            raise ValueError(f"negative weight decay for {name}")
-        if lam != 0.0:
-            total += lam * float((p * p).sum())
-            grads[name] = 2.0 * lam * p
-    return total, grads
+    if not isinstance(lambdas, WeightDecay):
+        lambdas = WeightDecay(net, lambdas)
+    return lambdas.terms(net)
 
 
 def l2_penalty(net: Network, lambdas) -> float:
     """sum_g lambda_g * ||param_g||^2 over W and b groups (see _l2_terms)."""
     return _l2_terms(net, lambdas)[0]
-
-
-def l2_penalty_grads(net: Network, lambdas) -> dict[str, np.ndarray]:
-    return _l2_terms(net, lambdas)[1]

@@ -11,16 +11,22 @@ stochasticity is the point. DETERMINISTIC mode switches them off.
 
 In a workspace (repeated passes over frozen weights), a noisy layer computes
 sigma_l once, when its buffers are built, and draws eps into a reused buffer.
+
+In a member stack (see ``nn.stack_networks``) alpha, sigma_l and the drop
+rate carry the leading member axis, shaped (S, 1, 1) where they are one
+value per member. Each member still draws one eps per pass, shared across
+its batch, from its own generator into its own slice, so a member's draws
+are exactly the ones it would make alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .nn import DenseLayer, DETERMINISTIC, ShapeError
+from .nn import DenseLayer, DETERMINISTIC, ShapeError, _require_same
 
 NOISE_MODES = ("fixed", "learned")
 GRANULARITIES = ("scalar", "element")
@@ -71,7 +77,9 @@ def layer_weight_std(W: np.ndarray, spec: NoiseSpec,
     Population standard deviation (N in the denominator, not N-1): a
     constant-weight layer yields exactly 0, and [[-1, 1]] yields exactly 1.
     It is the reduction np.std performs, in the same order and so equal to
-    it bit for bit, without np.std's dispatch overhead.
+    it bit for bit, without np.std's dispatch overhead. A stack of weight
+    matrices (S, fan_in, fan_out) gives one value per member, shaped
+    (S, 1, 1).
     """
     W = np.asarray(W, dtype=np.float64)
     if W.size == 0:
@@ -81,22 +89,39 @@ def layer_weight_std(W: np.ndarray, spec: NoiseSpec,
     if spec.sigma_source == "init":
         if init_std is None:
             raise ValueError("sigma_source 'init' needs the captured init std")
-        return float(init_std)
-    d = W - W.sum() / W.size
-    return math.sqrt((d * d).sum() / W.size)
+        return init_std if np.ndim(init_std) else float(init_std)
+    stacked, n = W.ndim == 3, W.shape[-2] * W.shape[-1]
+    d = W - W.sum(axis=(-2, -1), keepdims=stacked) / n
+    var = (d * d).sum(axis=(-2, -1), keepdims=stacked) / n
+    return np.sqrt(var) if stacked else math.sqrt(var)
 
 
-def sample_noise(layer: "NoisyDenseLayer", rng: np.random.Generator,
+def _draw_members(rng, out: np.ndarray, method: str) -> None:
+    """Fill ``out`` with the generator method ``method``: from one
+    generator, or in a stack from one generator per member, each into its
+    own slice out[s] (a member whose generator is None draws nothing)."""
+    if isinstance(rng, np.random.Generator):
+        getattr(rng, method)(out=out)
+        return
+    for g, part in zip(rng, out, strict=True):
+        if g is not None:
+            getattr(g, method)(out=part)
+
+
+def sample_noise(layer: "NoisyDenseLayer", rng,
                  buffers: dict | None = None) -> np.ndarray:
     """One eps draw shaped like W with std sigma_l, shared by the whole batch.
 
     With workspace ``buffers`` the draw goes into buffers["eps"] and is scaled
-    by the sigma_l fixed when they were built.
+    by the sigma_l fixed when they were built. A stack takes one generator
+    per member.
     """
     if buffers is None:
-        return layer.weight_std() * rng.standard_normal(layer.W.shape)
-    eps = rng.standard_normal(out=buffers["eps"])
-    eps *= buffers["sigma"]
+        eps, sigma = np.empty(layer.W.shape), layer.weight_std()
+    else:
+        eps, sigma = buffers["eps"], buffers["sigma"]
+    _draw_members(rng, eps, "standard_normal")
+    eps *= sigma
     return eps
 
 
@@ -105,23 +130,12 @@ def alpha_gradient(weight_grad: np.ndarray, eps: np.ndarray,
     """Reparameterization gradient: dL/dalpha = eps * dL/dw_eff.
 
     eps is treated as a constant of the pass; sigma_l is not differentiated
-    through. Scalar granularity sums over the matrix.
+    through. Scalar granularity sums over the matrix (per member in a stack).
     """
     g = eps * weight_grad
     if granularity == "scalar":
-        return np.asarray(g.sum())
+        return np.asarray(g.sum(axis=(-2, -1), keepdims=g.ndim == 3))
     return g
-
-
-def alpha_penalty(alphas, lam: float) -> float:
-    """-lam * sum ||alpha||^2: rewards larger noise, guarding against collapse."""
-    if lam < 0.0:
-        raise ValueError("alpha penalty coefficient must be non-negative")
-    total = 0.0
-    for a in alphas:
-        a = np.asarray(a, dtype=np.float64)
-        total += float(np.sum(a * a))
-    return -lam * total
 
 
 @dataclass
@@ -134,12 +148,14 @@ class NoisyDenseLayer(DenseLayer):
 
     def __post_init__(self):
         super().__post_init__()
+        # scalar alpha: () for a single net, (S, 1, 1) in a stack
+        expected = self.W.shape
+        if self.spec.granularity == "scalar":
+            expected = self.W.shape[:-2] + (1, 1) * (self.W.ndim - 2)
         if self.alpha is None:
-            shape = () if self.spec.granularity == "scalar" else self.W.shape
-            self.alpha = np.full(shape, self.spec.alpha_init, dtype=np.float64)
+            self.alpha = np.full(expected, self.spec.alpha_init, dtype=np.float64)
         else:
             self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        expected = () if self.spec.granularity == "scalar" else self.W.shape
         if self.alpha.shape != expected:
             raise ShapeError(
                 f"alpha shape {self.alpha.shape} does not match "
@@ -152,6 +168,20 @@ class NoisyDenseLayer(DenseLayer):
         init_std = float(np.std(base.W))
         return cls(W=base.W, b=base.b, activation=activation, spec=spec,
                    alpha=None, init_std=init_std)
+
+    @classmethod
+    def stack(cls, layers) -> "NoisyDenseLayer":
+        """Members may differ in alpha; their specs must agree otherwise."""
+        _require_same(layers, "activation")
+        specs = {replace(l.spec, alpha_init=0.0) for l in layers}
+        if len(specs) != 1:
+            raise ShapeError("stacked members differ in their noise spec")
+        base = DenseLayer.stack(layers)
+        alpha_shape = layers[0].W.shape if layers[0].alpha.ndim else (1, 1)
+        return cls(W=base.W, b=base.b, activation=base.activation,
+                   spec=layers[0].spec,
+                   alpha=np.stack([l.alpha.reshape(alpha_shape) for l in layers]),
+                   init_std=np.array([l.init_std for l in layers]).reshape(-1, 1, 1))
 
     def weight_std(self) -> float:
         return layer_weight_std(self.W, self.spec, init_std=self.init_std)
@@ -199,14 +229,20 @@ class DropoutLayer:
     """Inverted dropout on activations: keep with prob 1-p, scale by 1/(1-p).
 
     Live in TRAIN and EVAL (the MC-dropout baseline predicts with dropout
-    on); identity in DETERMINISTIC mode or at p = 0, bit-exactly.
+    on); identity in DETERMINISTIC mode or at p = 0, bit-exactly. In a stack
+    p is (S, 1, 1); a member with p = 0 draws nothing and keeps every unit.
     """
 
     p: float
 
     def __post_init__(self):
-        if not (0.0 <= self.p < 1.0):
+        if not np.all((0.0 <= np.asarray(self.p)) & (np.asarray(self.p) < 1.0)):
             raise ValueError("drop probability must lie in [0, 1)")
+
+    @classmethod
+    def stack(cls, layers) -> "DropoutLayer":
+        _require_same(layers)
+        return cls(np.array([l.p for l in layers], dtype=np.float64).reshape(-1, 1, 1))
 
     def buffers(self, batch: int, width: int) -> dict:
         shape = (batch, width)
@@ -218,13 +254,21 @@ class DropoutLayer:
         if frozen is not None:
             mask = frozen
             return np.multiply(x, mask, out=buf.get("y")), {"mask": mask}
-        if mode == DETERMINISTIC or self.p == 0.0:
+        if mode == DETERMINISTIC or not np.any(self.p):
             return x, {"mask": None}
         if rng is None:
             raise ValueError("dropout forward needs an rng (or a frozen mask)")
-        u = rng.random(size=x.shape, out=buf.get("u"))
-        keep = np.greater_equal(u, self.p, out=buf.get("keep"))
-        mask = np.divide(keep, 1.0 - self.p, out=buf.get("mask"))
+        p = self.p
+        if np.ndim(p) == 0:
+            u = rng.random(size=x.shape, out=buf.get("u"))
+        else:
+            # a member with p = 0 keeps u = 0 >= p: every unit, no draw
+            u = np.zeros(np.broadcast_shapes(x.shape, p.shape))
+            _draw_members([g if ps else None
+                           for g, ps in zip(rng, p.ravel(), strict=True)],
+                          u, "random")
+        keep = np.greater_equal(u, p, out=buf.get("keep"))
+        mask = np.divide(keep, 1.0 - p, out=buf.get("mask"))
         return np.multiply(x, mask, out=buf.get("y")), {"mask": mask}
 
     def backward_pass(self, cache, grad_out):

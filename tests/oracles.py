@@ -193,3 +193,46 @@ def fd_gradient(f, x, h=1e-5):
         lo[i] -= h
         out.append((f(hi) - f(lo)) / (2.0 * h))
     return out
+
+
+def grid_assignments(grid):
+    """Every assignment of a {axis: values} grid, the last axis fastest."""
+    out = [{}]
+    for key, values in grid.items():
+        out = [dict(a, **{key: v}) for a in out for v in values]
+    return out
+
+
+def benchmark_oracle(family_grids, seed, make_rng, evaluate_one):
+    """The benchmark's grid search, one config at a time.
+
+    ``family_grids`` maps each family to its grid. Every assignment of a
+    family's grid gets the generator make_rng([seed, index]) and is scored
+    alone by evaluate_one(family, assignment, rng), which returns a dict
+    with at least 'val_loss'. Returns the rows (family, index, assignment,
+    result) in order, and per family the row with the smallest finite
+    val_loss, ties going to the smaller lr and then the earlier index.
+    """
+    rows, best = [], {}
+    for family, grid in family_grids.items():
+        family_rows = []
+        for idx, assignment in enumerate(grid_assignments(grid)):
+            result = evaluate_one(family, dict(assignment),
+                                  make_rng([seed, idx]))
+            family_rows.append((family, idx, assignment, result))
+        winner = None
+        for row in family_rows:
+            v = row[3]["val_loss"]
+            if not math.isfinite(v):
+                continue
+            if winner is None:
+                winner = row
+                continue
+            w = winner[3]["val_loss"]
+            if v < w or (v == w and row[2]["lr"] < winner[2]["lr"]):
+                winner = row
+        if winner is None:     # no finite loss: smallest lr, then first
+            winner = min(family_rows, key=lambda r: (r[2]["lr"], r[1]))
+        rows.extend(family_rows)
+        best[family] = winner
+    return rows, best

@@ -24,7 +24,7 @@ from mcni.experiments import (BenchmarkConfig, GpCheckConfig, SweepConfig,
                               ToyConfig, run_benchmark, run_gpcheck,
                               run_noise_sweep, run_toy)
 from mcni.gpcheck import (KernelMCConfig, WideNetProbe,
-                          analytic_kernel_identity, kernel_mc,
+                          analytic_kernel_identity, kernel_mc_matrix,
                           relative_deviation, wide_net_covariance)
 from mcni.mc import mc_predict, summarize_regression
 from mcni.metrics import (brier, ece, mpiw, msll, nll_gaussian, picp,
@@ -228,7 +228,8 @@ def test_criterion_05_gp_correspondence(tmp_path):
 
     relu_cfg = KernelMCConfig(n_samples=1_000_000, nonlinearity="relu",
                               bias_std=1.0, input_dim=1)
-    k_hat = kernel_mc([0.0], [0.0], relu_cfg, np.random.default_rng([0, 22]))
+    k_hat = kernel_mc_matrix([[0.0], [0.0]], relu_cfg,
+                             np.random.default_rng([0, 22]))[0, 1]
     assert abs(k_hat - 0.5) < 0.005, f"kernel at origin {k_hat:.5f}"
 
     out = run_gpcheck(GpCheckConfig(outdir=str(tmp_path / "gp"),

@@ -5,18 +5,20 @@ import json
 import numpy as np
 import pytest
 
-from mcni.data import DataError
+from mcni.data import DataError, load_csv, split, standardize_fit_apply
 from mcni.experiments import (BenchmarkConfig, ConfigError, GpCheckConfig,
                               RiskCovConfig, SweepConfig, TimingConfig,
-                              ToyConfig, config_to_dict, corrupted_predict,
-                              gen_blobs, run_bench_time, run_benchmark,
-                              run_gpcheck, run_noise_sweep, run_riskcov,
-                              run_toy, spearman_rho)
-from mcni.mc import mc_predict
+                              ToyConfig, _family_grid, config_to_dict,
+                              corrupted_predict, gen_blobs, run_bench_time,
+                              run_benchmark, run_gpcheck, run_noise_sweep,
+                              run_riskcov, run_toy, spearman_rho)
+from mcni.mc import mc_predict, summarize_regression
+from mcni.metrics import mpiw, msll, nll_gaussian, picp, rmse
 from mcni.models import build_mlp
 from mcni.nn import EVAL, softmax
+from mcni.optim import TrainConfig, fit
 
-from oracles import spearman_oracle
+from oracles import benchmark_oracle, spearman_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +157,73 @@ def test_benchmark_zero_noise_reduces_to_deterministic(tmp_path):
     assert out.metrics["rmse_ratio_fixed_vs_deterministic"] == pytest.approx(
         1.0, abs=1e-9)
     assert "msll_vs_mc_dropout" not in fams["deterministic"]
+
+
+def test_benchmark_matches_per_config_oracle(tmp_path):
+    """Each family's grid is trained as one stack; its files must equal a
+    search that builds, fits and scores one config at a time."""
+    cfg = tiny_benchmark(tmp_path, hidden=(5,), lr_grid=(0.05, 0.01),
+                         weight_decay_grid=(1e-6, 0.0), dropout_grid=(0.1, 0.3),
+                         noise_grid=(0.05, 0.2), alpha_init_grid=(0.05, 0.1),
+                         max_epochs=12, patience=2, passes=6, seed=3)
+    out = run_benchmark(cfg)
+
+    data = load_csv(cfg.data, target=cfg.target, task="regression")
+    train, val, test = standardize_fit_apply(
+        *split(data, cfg.split_fractions, seed=cfg.seed))
+    knob = {"mc_dropout": "dropout_p", "noise_fixed": "noise_level",
+            "noise_learned": "alpha_init"}
+    epochs = []
+
+    def evaluate_one(family, config, rng):
+        build_rng, fit_rng, mc_rng = rng.spawn(3)
+        kwargs = {}
+        if family == "mc_dropout":
+            kwargs["dropout_p"] = config["dropout_p"]
+        elif family != "deterministic":
+            kwargs["noise_level"] = config[knob[family]]
+        net = build_mlp(family, train.X.shape[1], list(cfg.hidden), 1,
+                        rng=build_rng, **kwargs)
+        tc = TrainConfig(lr=config["lr"], weight_decay=config["weight_decay"],
+                         max_epochs=cfg.max_epochs, batch_size=cfg.batch_size,
+                         patience=cfg.patience, val_passes=cfg.val_passes)
+        result = fit(net, train.X, train.Y, tc, val.X, val.Y, rng=fit_rng)
+        epochs.append(result.epochs_run)
+        summ = summarize_regression(mc_predict(net, test.X, cfg.passes, mc_rng))
+        y, mean, sigma = test.Y[:, 0], summ.mean[:, 0], summ.sigma[:, 0]
+        nll = nll_gaussian(y, mean, sigma)
+        return {"val_loss": result.best_val_loss, "test_rmse": rmse(mean, y),
+                "test_nll": nll.total,
+                "test_picp": picp(y, summ.lower[:, 0], summ.upper[:, 0]),
+                "test_mpiw": mpiw(summ.lower[:, 0], summ.upper[:, 0]),
+                "nll": nll.per_point}
+
+    rows, best = benchmark_oracle(
+        {f: _family_grid(cfg, f) for f in cfg.families}, cfg.seed,
+        np.random.default_rng, evaluate_one)
+    assert len(set(epochs)) > 1            # early stops compact the stacks
+
+    lines = out.files["leaderboard.csv"].read_text().splitlines()
+    expected = ["family,lr,weight_decay,dropout_p,noise_level,alpha_init,"
+                "val_loss,test_rmse,test_nll,test_picp,test_mpiw"]
+    for family, _, assignment, r in rows:
+        cells = [family, assignment["lr"], assignment["weight_decay"]]
+        cells += [assignment.get(k, "") for k in
+                  ("dropout_p", "noise_level", "alpha_init")]
+        cells += [r[k] for k in ("val_loss", "test_rmse", "test_nll",
+                                 "test_picp", "test_mpiw")]
+        expected.append(",".join(c if isinstance(c, str) else repr(float(c))
+                                 for c in cells))
+    assert lines == expected
+
+    families = json.loads(out.files["metrics.json"].read_text())["families"]
+    baseline = best["mc_dropout"][3]["nll"]
+    assert list(families) == list(cfg.families)
+    for family, (_, idx, assignment, r) in best.items():
+        want = {"config_index": idx, **assignment,
+                **{k: v for k, v in r.items() if k != "nll"},
+                "msll_vs_mc_dropout": msll(r["nll"], baseline)}
+        assert families[family] == want, family
 
 
 def test_benchmark_config_validation(tmp_path):

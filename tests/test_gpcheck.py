@@ -5,7 +5,7 @@ import pytest
 
 from mcni.gpcheck import (KernelMCConfig, WideNetProbe,
                           analytic_kernel_identity, correspondence_report,
-                          kernel_mc, kernel_mc_matrix, relative_deviation,
+                          kernel_mc_matrix, relative_deviation,
                           wide_net_covariance)
 
 
@@ -16,26 +16,31 @@ def cfg(**kw):
 
 
 # ---------------------------------------------------------------------------
-# kernel_mc
+# kernel_mc_matrix on one input pair
+
+def kernel_pair(x, y, c, rng):
+    """K(x, y) from the kernel estimate on the two-probe set {x, y}."""
+    return kernel_mc_matrix([x, y], c, rng)[0, 1]
+
 
 def test_relu_at_origin_with_no_bias_is_exactly_zero():
     c = cfg(bias_std=0.0, input_dim=1)
-    k = kernel_mc([0.0], [0.0], c, np.random.default_rng(0))
+    k = kernel_pair([0.0], [0.0], c, np.random.default_rng(0))
     assert k == 0.0
 
 
 def test_relu_at_origin_unit_bias_half():
     """E[relu(b)^2] for b ~ N(0,1) is the half-Gaussian second moment 1/2."""
     c = cfg(n_samples=1_000_000, bias_std=1.0, input_dim=1)
-    k = kernel_mc([0.0], [0.0], c, np.random.default_rng(1))
+    k = kernel_pair([0.0], [0.0], c, np.random.default_rng(1))
     assert abs(k - 0.5) < 0.005
 
 
 def test_kernel_symmetric_under_shared_draws():
     c = cfg(n_samples=5000)
     x, y = [1.0, 0.5], [0.8, 0.6]
-    a = kernel_mc(x, y, c, np.random.default_rng(2))
-    b = kernel_mc(y, x, c, np.random.default_rng(2))
+    a = kernel_pair(x, y, c, np.random.default_rng(2))
+    b = kernel_pair(y, x, c, np.random.default_rng(2))
     assert a == b
 
 
@@ -44,7 +49,7 @@ def test_kernel_standard_error_scales_with_sqrt_k():
     x, y = [1.0, 0.5], [0.8, 0.6]
     stds = []
     for k in (2000, 8000):
-        vals = [kernel_mc(x, y, cfg(n_samples=k), np.random.default_rng([3, k, r]))
+        vals = [kernel_pair(x, y, cfg(n_samples=k), np.random.default_rng([3, k, r]))
                 for r in range(20)]
         stds.append(np.std(vals))
     ratio = stds[0] / stds[1]
@@ -53,7 +58,9 @@ def test_kernel_standard_error_scales_with_sqrt_k():
 
 def test_kernel_mc_input_validation():
     with pytest.raises(ValueError):
-        kernel_mc([1.0], [1.0, 2.0], cfg(), np.random.default_rng(0))
+        kernel_mc_matrix([[1.0], [1.0, 2.0]], cfg(), np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        kernel_mc_matrix([[1.0], [2.0]], cfg(), np.random.default_rng(0))
     with pytest.raises(ValueError):
         KernelMCConfig(n_samples=0)
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mcni.nn import (DETERMINISTIC, ContractError, DenseLayer, Network,
-                     ShapeError, _l2_terms, l2_penalty, l2_penalty_grads,
+                     ShapeError, _l2_terms, l2_penalty,
                      loss_cross_entropy, loss_cross_entropy_grad, loss_mse,
                      loss_mse_grad, softmax)
 from mcni.noise import NoiseSpec, NoisyDenseLayer
@@ -252,7 +252,7 @@ def test_l2_per_group_coefficients():
     net = single_layer([[2.0]], [3.0])
     lambdas = {"L0.W": 1.0, "L0.b": 0.5}
     assert l2_penalty(net, lambdas) == 4.0 + 0.5 * 9.0
-    grads = l2_penalty_grads(net, lambdas)
+    grads = _l2_terms(net, lambdas)[1]
     assert grads["L0.W"][0, 0] == 4.0
     assert grads["L0.b"][0] == 3.0
 
@@ -278,7 +278,6 @@ def test_l2_terms_bit_identical_to_reference_sum_and_grads():
         for name, g in ref_grads.items():
             assert np.array_equal(grads[name], g)
         assert l2_penalty(net, lambdas) == total
-        assert l2_penalty_grads(net, lambdas).keys() == grads.keys()
     assert set(_l2_terms(net, mapping)[1]) == {"L0.W", "L1.b"}
     assert _l2_terms(net, 0.0) == (0.0, {})
 
@@ -288,4 +287,4 @@ def test_l2_negative_lambda_rejected():
     with pytest.raises(ValueError):
         l2_penalty(net, -0.1)
     with pytest.raises(ValueError, match="L0.b"):
-        l2_penalty_grads(net, {"L0.b": -1.0})
+        _l2_terms(net, {"L0.b": -1.0})

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from mcni.mc import welford_mean_var
 from mcni.nn import DETERMINISTIC, EVAL, TRAIN, Network, ShapeError
 from mcni.noise import (DropoutLayer, NoiseSpec, NoisyDenseLayer,
-                        alpha_gradient, alpha_penalty, layer_weight_std,
-                        sample_noise)
-from mcni.optim import training_loss, training_loss_and_grads
+                        alpha_gradient, layer_weight_std, sample_noise)
+from mcni.optim import training_loss_and_grads
 
 
 def noisy_layer(W, alpha, spec=None, activation="identity"):
@@ -238,7 +237,7 @@ def test_alpha_gradient_matches_finite_difference(granularity):
             np.copyto(layer.alpha, base_alpha)
             flat_view = np.atleast_1d(layer.alpha).reshape(-1)
             flat_view[i] += sign * h
-            loss = training_loss(net, x, y, frozen_noise=frozen)
+            loss, _ = training_loss_and_grads(net, x, y, frozen_noise=frozen)
             if slot == 0:
                 hi = loss
             else:
@@ -261,33 +260,51 @@ def test_deterministic_pass_zero_alpha_gradient():
 
 
 # ---------------------------------------------------------------------------
-# alpha penalty
+# alpha penalty, through the training loss
+
+def penalty_loss_and_grad(alpha, lam):
+    """Training loss and alpha gradient of one learned element-alpha layer
+    whose weights, input, target and frozen noise are all zero: the data
+    term and its alpha gradient are exactly zero, leaving the penalty."""
+    alpha = np.asarray(alpha, float).reshape(1, -1)
+    spec = NoiseSpec(mode="learned", granularity="element",
+                     alpha_penalty_lambda=lam)
+    net = Network([NoisyDenseLayer(W=np.zeros(alpha.shape),
+                                   b=np.zeros(alpha.shape[1]), spec=spec,
+                                   alpha=alpha)])
+    loss, grads = training_loss_and_grads(
+        net, np.zeros((1, 1)), np.zeros((1, alpha.shape[1])),
+        frozen_noise=[np.zeros(alpha.shape)])
+    return loss, grads["L0.alpha"].ravel()
+
 
 def test_alpha_penalty_disabled():
-    assert alpha_penalty([np.array([1.0, 2.0])], 0.0) == 0.0
+    assert penalty_loss_and_grad([1.0, 2.0], 0.0)[0] == 0.0
 
 
 def test_alpha_penalty_hand_case():
     # -0.5 * (1 + 1)
-    assert alpha_penalty([np.array([1.0, -1.0])], 0.5) == -1.0
+    assert penalty_loss_and_grad([1.0, -1.0], 0.5)[0] == -1.0
 
 
 def test_alpha_penalty_gradient_matches_fd():
     lam = 0.3
     a = np.array([0.7, -0.4, 1.1])
-    analytic = -2.0 * lam * a
+    _, analytic = penalty_loss_and_grad(a, lam)
+    assert np.allclose(analytic, -2.0 * lam * a, rtol=0, atol=1e-15)
     h = 1e-6
     for i in range(3):
         hi, lo = a.copy(), a.copy()
         hi[i] += h
         lo[i] -= h
-        fd = (alpha_penalty([hi], lam) - alpha_penalty([lo], lam)) / (2 * h)
+        fd = (penalty_loss_and_grad(hi, lam)[0]
+              - penalty_loss_and_grad(lo, lam)[0]) / (2 * h)
         assert abs(fd - analytic[i]) / max(abs(fd), 1e-8) < 1e-6
 
 
 def test_alpha_penalty_negative_lambda_rejected():
     with pytest.raises(ValueError):
-        alpha_penalty([np.ones(2)], -0.1)
+        NoiseSpec(alpha_penalty_lambda=-0.1)
 
 
 # ---------------------------------------------------------------------------

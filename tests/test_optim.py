@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from mcni.nn import DenseLayer, Network, l2_penalty, loss_mse
-from mcni.noise import NoiseSpec, NoisyDenseLayer
-from mcni.models import build_mlp
-from mcni.optim import (Adam, SGDMomentum, TrainConfig, fit, grid_search,
-                        task_loss, training_loss, training_loss_and_grads)
+from mcni.nn import EVAL, TRAIN, DenseLayer, Network, l2_penalty, loss_mse
+from mcni.noise import NoiseSpec, NoisyDenseLayer, sample_noise
+from mcni.models import FAMILIES, build_mlp
+from mcni.optim import (Adam, FitResult, SGDMomentum, TrainConfig, fit,
+                        grid_search, task_loss, training_loss_and_grads)
 
 from oracles import adam_steps_oracle, sgd_momentum_steps_oracle
 
@@ -201,7 +201,10 @@ def test_training_loss_reduces_to_task_loss():
     rng = np.random.default_rng(2)
     net = build_mlp("noise_fixed", 2, [4], 1, noise_level=0.0, rng=rng)
     x, y = rng.normal(size=(6, 2)), rng.normal(size=(6, 1))
-    loss = training_loss(net, x, y, weight_decay=0.0, rng=np.random.default_rng(3))
+    noise = np.random.default_rng(3)
+    frozen = [sample_noise(l, noise) for l in net.layers]
+    loss, _ = training_loss_and_grads(net, x, y, weight_decay=0.0,
+                                      frozen_noise=frozen)
     out, _ = net.forward(x, "deterministic")
     assert abs(loss - loss_mse(out, y)) < 1e-15
 
@@ -209,7 +212,8 @@ def test_training_loss_reduces_to_task_loss():
 def test_training_loss_hand_value():
     # lambda=1 on a single weight of 2, data term exactly zero
     net = linear_net(2.0)
-    loss = training_loss(net, np.zeros((1, 1)), np.zeros((1, 1)), weight_decay=1.0)
+    loss, _ = training_loss_and_grads(net, np.zeros((1, 1)), np.zeros((1, 1)),
+                                      weight_decay=1.0, frozen_noise=[None])
     assert loss == 4.0
 
 
@@ -219,11 +223,11 @@ def test_training_loss_is_sum_of_parts():
     net = Network([NoisyDenseLayer.create(3, 4, "tanh", rng, spec=spec),
                    NoisyDenseLayer.create(4, 1, "identity", rng, spec=spec)])
     x, y = rng.normal(size=(5, 3)), rng.normal(size=(5, 1))
-    from mcni.noise import sample_noise
     frozen = [sample_noise(l, rng) for l in net.layers]
     wd = 0.01
 
-    total = training_loss(net, x, y, weight_decay=wd, frozen_noise=frozen)
+    total, _ = training_loss_and_grads(net, x, y, weight_decay=wd,
+                                       frozen_noise=frozen)
     out, _ = net.forward(x, "train", frozen_noise=frozen)
     alpha_sq = sum(float(l.alpha ** 2) for l in net.layers)
     parts = loss_mse(out, y) + l2_penalty(net, wd) - 0.05 * alpha_sq
@@ -234,9 +238,12 @@ def test_weight_decay_never_reaches_alpha():
     rng = np.random.default_rng(5)
     spec = NoiseSpec(mode="learned", alpha_init=0.5)
     net = Network([NoisyDenseLayer.create(2, 2, "identity", rng, spec=spec)])
-    from mcni.nn import l2_penalty_grads
-    grads = l2_penalty_grads(net, 10.0)
-    assert "L0.alpha" not in grads
+    x, y = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+    frozen = [sample_noise(net.layers[0], rng)]
+    _, decayed = training_loss_and_grads(net, x, y, 10.0, frozen_noise=frozen)
+    _, plain = training_loss_and_grads(net, x, y, 0.0, frozen_noise=frozen)
+    assert np.array_equal(decayed["L0.alpha"], plain["L0.alpha"])
+    assert not np.array_equal(decayed["L0.W"], plain["L0.W"])
     with_alpha = l2_penalty(net, 10.0)
     net.layers[0].alpha = np.asarray(123.0)
     assert l2_penalty(net, 10.0) == with_alpha
@@ -352,12 +359,223 @@ def test_alpha_zero_follows_deterministic_trajectory():
 
 
 # ---------------------------------------------------------------------------
+# stacked fit: several nets trained as one member stack
+
+def reference_fit(net, train_x, train_y, cfg, val_x, val_y, rng):
+    """The one-net-at-a-time training loop, kept as the reference: a single
+    net (no member axis), its own optimizer, a Python list of batch losses."""
+    n = train_x.shape[0]
+    shuffle_rng, noise_rng = rng.spawn(2)
+    if cfg.optimizer == "adam":
+        optimizer = Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    else:
+        optimizer = SGDMomentum(cfg.lr, cfg.momentum)
+    params = net.parameters()
+    history = {"train_loss": [], "val_loss": []}
+    best_val, best_epoch, best_params, bad_epochs = np.inf, -1, None, 0
+    stopped = False
+    for epoch in range(cfg.max_epochs):
+        epochs_run = epoch + 1
+        order = shuffle_rng.permutation(n)
+        batch_losses = []
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            loss, grads = training_loss_and_grads(
+                net, train_x[idx], train_y[idx], cfg.weight_decay, TRAIN,
+                noise_rng)
+            optimizer.step(params, grads)
+            batch_losses.append(loss)
+        history["train_loss"].append(float(np.mean(batch_losses)))
+        vals = [task_loss(net, val_x, val_y, EVAL, noise_rng)
+                for _ in range(cfg.val_passes)]
+        v = float(np.mean(vals))
+        history["val_loss"].append(v)
+        if v < best_val:
+            best_val, best_epoch, bad_epochs = v, epoch, 0
+            best_params = net.copy_parameters()
+        else:
+            bad_epochs += 1
+            if cfg.patience > 0 and bad_epochs >= cfg.patience:
+                stopped = True
+                break
+    if best_params is not None:
+        net.load_parameters(best_params)
+    return FitResult(history=history, best_epoch=best_epoch,
+                     best_val_loss=float(best_val), epochs_run=epochs_run,
+                     stopped_early=stopped)
+
+
+def stack_data(task, seed=20):
+    """70 training rows and 11 validation rows, 3 features; 2 targets or 3
+    classes. At batch size 8 that is 9 batches, the last one ragged: enough
+    for an epoch's mean loss to be summed pairwise, not left to right."""
+    rng = np.random.default_rng(seed)
+    x, xv = rng.normal(size=(70, 3)), rng.normal(size=(11, 3))
+    if task == "regression":
+        w = rng.normal(size=(3, 2))
+        return (x, np.tanh(x @ w) + 0.1 * rng.normal(size=(70, 2)),
+                xv, np.tanh(xv @ w))
+    return (x, rng.integers(0, 3, size=70), xv, rng.integers(0, 3, size=11))
+
+
+# per member: learning rate, weight decay, family knob
+STACK_MEMBERS = [(0.3, 1e-3, 0.2), (0.02, 0.0, 0.05), (0.005, {"L0.W": 1e-2}, 0.0),
+                 (0.05, 1e-4, 0.1)]
+
+
+def build_member(family, task, knob, seed, granularity="scalar"):
+    out_dim = 2 if task == "regression" else 3
+    kwargs = {"dropout_p": knob} if family == "mc_dropout" else {
+        "noise_level": knob, "granularity": granularity}
+    return build_mlp(family, 3, [5, 4], out_dim, task=task, activation="tanh",
+                     rng=np.random.default_rng([seed, 1]), **kwargs)
+
+
+def assert_same_fit(net, result, ref_net, ref):
+    for name, p in ref_net.parameters().items():
+        assert np.array_equal(net.parameters()[name], p), name
+    assert result.history == ref.history
+    assert result.best_epoch == ref.best_epoch
+    assert result.best_val_loss == ref.best_val_loss
+    assert result.epochs_run == ref.epochs_run
+    assert result.stopped_early == ref.stopped_early
+    assert not result.diverged
+
+
+STACK_CASES = [(family, task, "scalar") for family in FAMILIES
+               for task in ("regression", "classification")]
+STACK_CASES += [("noise_learned", task, "element")
+                for task in ("regression", "classification")]
+
+
+@pytest.mark.parametrize("family,task,granularity", STACK_CASES)
+def test_stacked_fit_equals_each_member_fitted_alone(family, task, granularity):
+    x, y, xv, yv = stack_data(task)
+    cfgs = [TrainConfig(lr=lr, weight_decay=wd, max_epochs=25, batch_size=8,
+                        patience=2, val_passes=2)
+            for lr, wd, _ in STACK_MEMBERS]
+    seeds = range(30, 30 + len(STACK_MEMBERS))
+    nets = [build_member(family, task, knob, seed, granularity)
+            for (_, _, knob), seed in zip(STACK_MEMBERS, seeds)]
+    results = fit(nets, x, y, cfgs, xv, yv,
+                  rng=[np.random.default_rng([seed, 2]) for seed in seeds])
+    # members stop at different epochs, so the stack is compacted mid-run
+    assert len({r.epochs_run for r in results}) > 1
+    assert any(r.stopped_early for r in results)
+    for (_, _, knob), seed, c, net, result in zip(STACK_MEMBERS, seeds, cfgs,
+                                                  nets, results):
+        ref_net = build_member(family, task, knob, seed, granularity)
+        ref = reference_fit(ref_net, x, y, c, xv, yv,
+                            np.random.default_rng([seed, 2]))
+        assert_same_fit(net, result, ref_net, ref)
+        alone = build_member(family, task, knob, seed, granularity)
+        solo = fit(alone, x, y, c, xv, yv, rng=np.random.default_rng([seed, 2]))
+        assert_same_fit(alone, solo, ref_net, ref)
+
+
+def test_stacked_sgd_equals_reference():
+    x, y, xv, yv = stack_data("regression", seed=21)
+    cfgs = [TrainConfig(optimizer="sgd", lr=lr, momentum=0.8, weight_decay=wd,
+                        max_epochs=12, batch_size=8, patience=3)
+            for lr, wd, _ in STACK_MEMBERS]
+    nets = [build_member("noise_fixed", "regression", knob, 40 + i)
+            for i, (_, _, knob) in enumerate(STACK_MEMBERS)]
+    results = fit(nets, x, y, cfgs, xv, yv,
+                  rng=[np.random.default_rng(i) for i in range(len(nets))])
+    for i, ((_, _, knob), c) in enumerate(zip(STACK_MEMBERS, cfgs)):
+        ref_net = build_member("noise_fixed", "regression", knob, 40 + i)
+        ref = reference_fit(ref_net, x, y, c, xv, yv, np.random.default_rng(i))
+        assert_same_fit(nets[i], results[i], ref_net, ref)
+
+
+def test_diverged_member_stops_and_healthy_member_is_unaffected():
+    x, y, xv, yv = stack_data("regression", seed=22)
+    wild = TrainConfig(optimizer="sgd", lr=50.0, max_epochs=30, batch_size=8)
+    calm = TrainConfig(optimizer="sgd", lr=0.01, max_epochs=30, batch_size=8)
+    nets = [build_member("noise_fixed", "regression", 0.05, s) for s in (50, 51)]
+    with np.errstate(all="ignore"):
+        wild_result, calm_result = fit(
+            nets, x, y, [wild, calm], xv, yv,
+            rng=[np.random.default_rng(50), np.random.default_rng(51)])
+    assert wild_result.diverged and wild_result.stopped_early
+    assert wild_result.epochs_run < wild.max_epochs
+    last = (wild_result.history["train_loss"][-1],
+            wild_result.history["val_loss"][-1])
+    assert not all(np.isfinite(last))
+    assert all(np.isfinite(wild_result.history["val_loss"][:-1]))
+    assert np.isfinite(wild_result.best_val_loss)
+    assert not calm_result.diverged and not calm_result.stopped_early
+    assert calm_result.epochs_run == calm.max_epochs
+
+    alone = build_member("noise_fixed", "regression", 0.05, 51)
+    solo = fit(alone, x, y, calm, xv, yv, rng=np.random.default_rng(51))
+    assert_same_fit(nets[1], calm_result, alone, solo)
+
+
+def test_non_finite_train_loss_stops_without_validation():
+    x, y, _, _ = stack_data("regression", seed=23)
+    net = build_member("deterministic", "regression", 0.0, 60)
+    cfg = TrainConfig(optimizer="sgd", lr=50.0, max_epochs=40, batch_size=8)
+    with np.errstate(all="ignore"):
+        result = fit(net, x, y, cfg, rng=np.random.default_rng(60))
+    assert result.diverged and result.epochs_run < cfg.max_epochs
+    assert not np.isfinite(result.history["train_loss"][-1])
+
+
+def test_stacked_fit_rejects_mismatched_members():
+    x, y, xv, yv = stack_data("regression")
+    nets = [build_member("noise_fixed", "regression", 0.05, s) for s in (1, 2)]
+    with pytest.raises(ValueError, match="max_epochs"):
+        fit(nets, x, y, [TrainConfig(max_epochs=2), TrainConfig(max_epochs=3)],
+            rng=[np.random.default_rng(0), np.random.default_rng(1)])
+    with pytest.raises(ValueError, match="one generator per net"):
+        fit(nets, x, y, TrainConfig(), rng=[np.random.default_rng(0)])
+    other = build_mlp("noise_fixed", 3, [6], 2, rng=np.random.default_rng(3))
+    with pytest.raises(ValueError):
+        fit([nets[0], other], x, y, TrainConfig(max_epochs=1),
+            rng=[np.random.default_rng(0), np.random.default_rng(1)])
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+def test_stacked_optimizer_rows_equal_separate_optimizers(kind):
+    """Per-member learning rates, and rows dropped by select mid-run."""
+    rng = np.random.default_rng(24)
+    lrs = [0.1, 0.01, 0.003]
+    make = (lambda lr: Adam(lr)) if kind == "adam" else (lambda lr: SGDMomentum(lr))
+    stacked = {"w": rng.normal(size=(3, 2, 2)), "a": rng.normal(size=(3, 1, 1))}
+    singles = [{"w": stacked["w"][s].copy(), "a": stacked["a"][s].reshape(())}
+               for s in range(3)]
+    opt, refs = make(np.array(lrs)), [make(lr) for lr in lrs]
+    members = [0, 1, 2]
+    for step in range(6):
+        if step == 3:                      # member 1 leaves the stack
+            opt.select([0, 2])
+            stacked = {k: v[[0, 2]] for k, v in stacked.items()}
+            members = [0, 2]
+        g = {"w": rng.normal(size=(len(members), 2, 2)),
+             "a": rng.normal(size=(len(members), 1, 1))}
+        opt.step(stacked, g)
+        for row, s in enumerate(members):
+            refs[s].step(singles[s], {"w": g["w"][row], "a": g["a"][row].reshape(())})
+            assert np.array_equal(stacked["w"][row], singles[s]["w"])
+            assert stacked["a"][row, 0, 0] == singles[s]["a"]
+            moments = (opt._m, refs[s]._m) if kind == "adam" else (opt._v, refs[s]._v)
+            assert np.array_equal(moments[0]["w"][row], moments[1]["w"])
+    assert opt._state.buffers[0].shape[0] == 2
+
+
+# ---------------------------------------------------------------------------
 # grid search
+
+def each(fn):
+    """A batch ``evaluate`` that applies fn(config, rng) to every assignment."""
+    return lambda configs, rngs: [fn(c, r) for c, r in zip(configs, rngs)]
+
 
 def test_single_point_grid_returns_it():
     def evaluate(config, rng):
         return {"val_loss": 1.0}
-    result = grid_search(evaluate, {"lr": [0.01]})
+    result = grid_search(each(evaluate), {"lr": [0.01]})
     assert result.best["lr"] == 0.01
     assert result.best["config_index"] == 0
     assert len(result.rows) == 1
@@ -366,38 +584,51 @@ def test_single_point_grid_returns_it():
 def test_scripted_lower_loss_wins():
     def evaluate(config, rng):
         return {"val_loss": 0.1 if config["wd"] == 0.5 else 0.9}
-    result = grid_search(evaluate, {"lr": [0.01], "wd": [0.1, 0.5]})
+    result = grid_search(each(evaluate), {"lr": [0.01], "wd": [0.1, 0.5]})
     assert result.best["wd"] == 0.5
 
 
 def test_leaderboard_length_is_grid_product():
-    calls = []
+    calls, batches = [], []
 
-    def evaluate(config, rng):
-        calls.append(dict(config))
-        return {"val_loss": 1.0}
+    def evaluate(configs, rngs):
+        batches.append(len(configs))
+        calls.extend(dict(c) for c in configs)
+        return [{"val_loss": 1.0} for _ in configs]
 
     result = grid_search(evaluate, {"a": [1, 2, 3], "b": [10, 20]})
     assert len(result.rows) == 6
     assert len(calls) == 6
+    assert batches == [6]                  # every assignment in one call
+    assert calls == [{"a": a, "b": b} for a in (1, 2, 3) for b in (10, 20)]
     assert [r["config_index"] for r in result.rows] == list(range(6))
 
 
 def test_ties_break_toward_smaller_lr_then_declaration_order():
     def evaluate(config, rng):
         return {"val_loss": 1.0}
-    result = grid_search(evaluate, {"lr": [0.01, 0.001]})
+    result = grid_search(each(evaluate), {"lr": [0.01, 0.001]})
     assert result.best["lr"] == 0.001
-    result = grid_search(evaluate, {"lr": [0.01], "wd": [0.3, 0.7]})
+    result = grid_search(each(evaluate), {"lr": [0.01], "wd": [0.3, 0.7]})
     assert result.best["wd"] == 0.3        # earlier declaration wins the tie
 
 
 def test_grid_sub_seeds_are_deterministic():
     def evaluate(config, rng):
         return {"val_loss": float(rng.random())}
-    a = grid_search(evaluate, {"lr": [0.1, 0.2], "wd": [0.0, 1.0]}, seed=5)
-    b = grid_search(evaluate, {"lr": [0.1, 0.2], "wd": [0.0, 1.0]}, seed=5)
+    a = grid_search(each(evaluate), {"lr": [0.1, 0.2], "wd": [0.0, 1.0]}, seed=5)
+    b = grid_search(each(evaluate), {"lr": [0.1, 0.2], "wd": [0.0, 1.0]}, seed=5)
     assert [r["val_loss"] for r in a.rows] == [r["val_loss"] for r in b.rows]
+
+
+def test_grid_sub_streams_follow_seed_and_config_index():
+    def evaluate(config, rng):
+        return {"val_loss": float(rng.random())}
+    result = grid_search(each(evaluate), {"lr": [0.1, 0.2], "wd": [0.0, 1.0]},
+                         seed=5)
+    expected = [float(np.random.default_rng([5, idx]).random())
+                for idx in range(4)]
+    assert [r["val_loss"] for r in result.rows] == expected
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -406,10 +637,10 @@ def test_non_finite_val_loss_ranks_last(bad):
 
     def evaluate(config, rng):
         return {"val_loss": losses[config["wd"]]}
-    result = grid_search(evaluate, {"lr": [0.01], "wd": [0, 1, 2]})
+    result = grid_search(each(evaluate), {"lr": [0.01], "wd": [0, 1, 2]})
     assert result.best["config_index"] == 2
     losses[2] = bad
-    result = grid_search(evaluate, {"lr": [0.01], "wd": [0, 1, 2]})
+    result = grid_search(each(evaluate), {"lr": [0.01], "wd": [0, 1, 2]})
     assert result.best["config_index"] == 1
 
 
@@ -419,7 +650,7 @@ def test_all_non_finite_falls_to_lr_then_declaration_order():
 
     def evaluate(config, rng):
         return {"val_loss": losses[config["lr"], config["wd"]]}
-    result = grid_search(evaluate, {"lr": [0.01, 0.001], "wd": [0, 1]})
+    result = grid_search(each(evaluate), {"lr": [0.01, 0.001], "wd": [0, 1]})
     assert result.best["lr"] == 0.001
     assert result.best["config_index"] == 2
 
@@ -428,8 +659,11 @@ def test_grid_rejects_bad_specs():
     def evaluate(config, rng):
         return {}
     with pytest.raises(ValueError):
-        grid_search(evaluate, {})
+        grid_search(each(evaluate), {})
     with pytest.raises(ValueError):
-        grid_search(evaluate, {"lr": []})
+        grid_search(each(evaluate), {"lr": []})
     with pytest.raises(ValueError):
-        grid_search(evaluate, {"lr": [0.1]})       # no val_loss reported
+        grid_search(each(evaluate), {"lr": [0.1]})       # no val_loss reported
+    with pytest.raises(ValueError, match="2 assignments"):
+        grid_search(lambda configs, rngs: [{"val_loss": 1.0}],
+                    {"lr": [0.1, 0.2]})                  # one result short
