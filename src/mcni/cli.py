@@ -5,7 +5,8 @@ Subcommands: toy | benchmark | riskcov | noise-sweep | bench-time | gpcheck.
 Each subcommand owns a config dataclass in mcni.experiments. Values are
 resolved in order: dataclass defaults, then the [command] section of an INI
 config file (--config), then --set key=value overrides, then dedicated
-flags. Validation happens before any training starts.
+flags, each named after the field it sets (--pred-file sets pred_file).
+The runner validates the resolved config before it writes anything.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 runtime error.
 
@@ -190,35 +191,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-FLAG_FIELDS = {
-    "toy": {"seeds": "seeds", "passes": "passes", "random_x": "random_x"},
-    "benchmark": {"data": "data", "target": "target", "seed": "seed",
-                  "passes": "passes"},
-    "riskcov": {"pred_file": "pred_file", "unc_file": "unc_file",
-                "risk_kind": "risk_kind"},
-    "noise-sweep": {"seeds": "seeds", "passes": "passes"},
-    "bench-time": {"seed": "seed"},
-    "gpcheck": {"seeds": "seeds", "nonlinearity": "nonlinearity"},
-}
-
-
 def resolve_config(args: argparse.Namespace):
+    """Build the command's config; its runner validates it before any work."""
     cls, runner = COMMANDS[args.command]
     cfg = cls()
     if args.config:
         _apply(cfg, _load_config_file(args.config, args.command),
                f"config file {args.config}")
     _apply(cfg, _parse_set_args(args.set), "--set")
-    flag_updates = {}
-    for attr, field_name in FLAG_FIELDS[args.command].items():
-        value = getattr(args, attr, None)
-        if value is None or value is False:
-            continue
-        flag_updates[field_name] = str(value)
-    if args.outdir:
-        flag_updates["outdir"] = args.outdir
-    _apply(cfg, flag_updates, "command line")
-    cfg.validate()
+    # each dedicated flag is named after the config field it sets
+    flags = {f.name: str(value) for f in dataclasses.fields(cfg)
+             if (value := getattr(args, f.name, None)) is not None
+             and value is not False}
+    _apply(cfg, flags, "command line")
     return cfg, runner
 
 
@@ -248,10 +233,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg, runner = resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         out = runner(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

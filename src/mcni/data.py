@@ -1,6 +1,8 @@
 """Datasets: toy heteroscedastic generator, CSV ingestion, splits, corruption.
 
-CSV format: UTF-8, comma-separated, one header row, decimal floats. Floats
+CSV format: UTF-8, comma-separated, one header row of distinct names,
+finite decimal floats. read_table is the one CSV reader: load_csv builds a
+Dataset from it and the riskcov driver takes named columns from it. Floats
 are written with 17 significant digits so save/load round-trips bit-exactly.
 """
 
@@ -15,8 +17,8 @@ import numpy as np
 
 
 class DataError(ValueError):
-    """Unusable input data: missing file, ragged rows, non-numeric or
-    non-finite cells."""
+    """Unusable input data: missing file, malformed CSV, non-numeric or
+    non-finite cells, a split that leaves a part empty."""
 
 
 @dataclass
@@ -103,51 +105,67 @@ def gen_toy(n: int = 200, seed: int = 0, random_x: bool = False) -> Dataset:
 # ---------------------------------------------------------------------------
 # CSV
 
-def load_csv(path, target: str | int | None = None,
-             task: str = "regression") -> Dataset:
-    """Parse a header-row CSV into a Dataset.
+def read_table(path) -> tuple[list[str], np.ndarray]:
+    """Read a header-row CSV of numbers into (column names, float table).
 
-    ``target`` picks the target column by header name or index; default is
-    the last column. Classification targets must be integer-coded.
-    Error messages carry 1-based physical row numbers (header is row 1).
+    The one CSV reader, so every input follows the same rules: UTF-8, one
+    header row of distinct names (surrounding spaces stripped), blank lines
+    skipped, at least one data row, every row as wide as the header, and
+    every cell a finite number. A breach raises DataError; a bad row or cell
+    is named by its 1-based physical row (the header is row 1) and column.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such data file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        n_cols = len(header)
-        if n_cols < 2:
-            raise DataError(f"{path}: need at least one feature and one target column")
-        rows = []
-        for line_no, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != n_cols:
-                raise DataError(
-                    f"{path}: ragged row {line_no}: {len(cells)} cells, "
-                    f"expected {n_cols}")
-            parsed = []
-            for col, cell in enumerate(cells):
-                try:
-                    value = float(cell)
-                except ValueError:
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = [name.strip() for name in next(reader, [])]
+            if not header:
+                raise DataError(f"{path}: no header row")
+            repeated = sorted({name for name in header if header.count(name) > 1})
+            if repeated:
+                raise DataError(f"{path}: repeated column names {repeated}")
+            rows = []
+            for line_no, cells in enumerate(reader, start=2):
+                if not cells:
+                    continue
+                if len(cells) != len(header):
                     raise DataError(
-                        f"{path}: non-numeric cell at row {line_no}, "
-                        f"column {header[col]!r}") from None
-                if not math.isfinite(value):
-                    raise DataError(
-                        f"{path}: non-finite cell at row {line_no}, "
-                        f"column {header[col]!r}: {cell!r}")
-                parsed.append(value)
-            rows.append(parsed)
+                        f"{path}: ragged row {line_no}: {len(cells)} cells, "
+                        f"expected {len(header)}")
+                parsed = []
+                for name, cell in zip(header, cells):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: non-numeric cell at row {line_no}, "
+                            f"column {name!r}: {cell!r}") from None
+                    if not math.isfinite(value):
+                        raise DataError(
+                            f"{path}: non-finite cell at row {line_no}, "
+                            f"column {name!r}: {cell!r}")
+                    parsed.append(value)
+                rows.append(parsed)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
-    table = np.asarray(rows, dtype=np.float64)
+    return header, np.asarray(rows, dtype=np.float64)
+
+
+def load_csv(path, target: str | int | None = None,
+             task: str = "regression") -> Dataset:
+    """Parse a header-row CSV (see read_table) into a Dataset.
+
+    ``target`` picks the target column by header name or index; default is
+    the last column. Classification targets must be integer-coded.
+    """
+    header, table = read_table(path)
+    n_cols = len(header)
+    if n_cols < 2:
+        raise DataError(f"{path}: need at least one feature and one target column")
 
     if target is None:
         t_idx = n_cols - 1
@@ -219,7 +237,11 @@ def standardize_fit_apply(train: Dataset, *others: Dataset):
 
 
 def split(dataset: Dataset, fractions=(0.8, 0.1, 0.1), seed: int = 0):
-    """Seeded permutation, then contiguous train/val/test slices."""
+    """Seeded permutation, then contiguous train/val/test slices.
+
+    Every part must be non-empty: a split that leaves one empty raises
+    DataError.
+    """
     f = tuple(float(x) for x in fractions)
     if len(f) != 3 or any(x < 0.0 for x in f):
         raise ValueError("fractions must be three non-negative numbers")
@@ -229,10 +251,12 @@ def split(dataset: Dataset, fractions=(0.8, 0.1, 0.1), seed: int = 0):
     perm = np.random.default_rng(seed).permutation(n)
     c1 = int(round(f[0] * n))
     c2 = int(round((f[0] + f[1]) * n))
-    if c1 == 0:
-        raise ValueError("split leaves the training set empty")
-    return (dataset.subset(perm[:c1]), dataset.subset(perm[c1:c2]),
-            dataset.subset(perm[c2:]))
+    parts = (perm[:c1], perm[c1:c2], perm[c2:])
+    for name, part in zip(("training", "validation", "test"), parts):
+        if part.size == 0:
+            raise DataError(f"split of {n} rows at fractions {f} leaves the "
+                            f"{name} set empty")
+    return tuple(dataset.subset(part) for part in parts)
 
 
 def gaussian_corrupt(X, sigma: float, rng: np.random.Generator) -> np.ndarray:

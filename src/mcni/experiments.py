@@ -1,18 +1,24 @@
 """Experiment drivers behind the CLI subcommands.
 
-Each run_* function validates its config, does the work, writes its data
-files, and returns a RunOutput describing what was produced. Commands are
-deterministic functions of (config, seeds): all randomness flows from
-np.random.default_rng seeded with [seed, tag] pairs, and files are written
-with repr-formatted floats, so reruns are byte-identical. Wall-clock
-timings go into the RunOutput, not into data files; the one deliberate
-exception is the timing benchmark's timing.csv, whose payload is the
-measurement itself and sits outside the byte-reproducibility contract.
+Each driver only computes: it returns its named outputs (a ``(header,
+rows)`` table for a CSV file, a dict for a JSON file), its headline
+metrics and, where it has them, its input files and measured timings. The
+``_command`` skeleton turns a driver into the public run_* function: it
+validates the config before anything touches the disk, creates ``outdir``,
+times the run, writes every output through runio and returns a RunOutput.
+
+Commands are deterministic functions of (config, seeds): all randomness
+flows from np.random.default_rng seeded with [seed, tag] pairs, and files
+are written with repr-formatted floats, so reruns are byte-identical.
+Wall-clock timings go into the RunOutput, not into data files; the one
+deliberate exception is the timing benchmark's timing.csv, whose payload
+is the measurement itself and sits outside the byte-reproducibility
+contract.
 """
 
 from __future__ import annotations
 
-import csv
+import functools
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -20,14 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, gaussian_corrupt, gen_toy, load_csv, split, \
-    standardize_fit_apply
+from .data import DataError, gaussian_corrupt, gen_toy, load_csv, read_table, \
+    split, standardize_fit_apply
 from .gpcheck import NONLINEARITIES, KernelMCConfig, WideNetProbe, correspondence_report
 from .mc import PredictiveSamples, mc_predict, summarize_classification, \
     summarize_regression
 from .metrics import mpiw, msll, nll_gaussian, picp, risk_coverage, rmse
 from .models import FAMILIES, build_mlp
-from .nn import EVAL
+from .nn import ACTIVATIONS, EVAL
 from .optim import TrainConfig, fit, grid_search
 from .runio import write_csv, write_json
 
@@ -48,9 +54,57 @@ class RunOutput:
     measured_files: tuple[str, ...] = ()
 
 
+@dataclass
+class Computed:
+    """What a driver computed, before anything is written.
+
+    ``outputs`` maps each file name to its payload: a ``(header, rows)``
+    table is written as CSV, a dict as JSON.
+    """
+
+    outputs: dict[str, tuple | dict]
+    metrics: dict
+    inputs: dict[str, Path] = field(default_factory=dict)
+    timings: dict[str, float] = field(default_factory=dict)
+    measured_files: tuple[str, ...] = ()
+
+
+def _command(driver):
+    """The one driver skeleton: make a run_* command from a driver.
+
+    The command validates the config, creates ``outdir``, times the run,
+    writes each named output and assembles the RunOutput.
+    """
+    @functools.wraps(driver)
+    def run(cfg) -> RunOutput:
+        cfg.validate()
+        outdir = Path(cfg.outdir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        t0 = time.perf_counter()
+        done = driver(cfg)
+        files = {}
+        for name, payload in done.outputs.items():
+            files[name] = outdir / name
+            if isinstance(payload, dict):
+                write_json(files[name], payload)
+            else:
+                write_csv(files[name], *payload)
+        return RunOutput(files, done.metrics,
+                         {"total_s": time.perf_counter() - t0, **done.timings},
+                         done.inputs, done.measured_files)
+    return run
+
+
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+def _require_net(hidden: tuple[int, ...], activation: str) -> None:
+    _require(len(hidden) >= 1 and all(h >= 1 for h in hidden),
+             "hidden must list at least one width, each >= 1")
+    _require(activation in ACTIVATIONS,
+             f"activation must be one of {ACTIVATIONS}")
 
 
 def spearman_rho(xs, ys) -> float:
@@ -105,13 +159,14 @@ class ToyConfig:
 
     def validate(self) -> None:
         _require(self.n_points >= 2, "n_points must be >= 2")
-        _require(self.hidden >= 1, "hidden must be >= 1")
+        _require_net((self.hidden,), self.activation)
         _require(self.lr > 0, "lr must be > 0")
         _require(self.epochs >= 1, "epochs must be >= 1")
         _require(self.batch_size >= 1, "batch_size must be >= 1")
         _require(self.passes >= 1, "passes must be >= 1")
         _require(0 <= self.dropout_p < 1, "dropout_p must be in [0, 1)")
         _require(self.noise_level >= 0, "noise_level must be >= 0")
+        _require(self.alpha_penalty_lambda >= 0, "alpha_penalty_lambda must be >= 0")
         _require(len(self.seeds) >= 1, "at least one seed required")
 
 
@@ -130,12 +185,8 @@ def _toy_build(model: str, cfg: ToyConfig, rng) -> "object":
                      activation=cfg.activation, rng=rng, **kwargs)
 
 
-def run_toy(cfg: ToyConfig) -> RunOutput:
-    cfg.validate()
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-
+@_command
+def run_toy(cfg: ToyConfig) -> Computed:
     train_cfg = TrainConfig(optimizer="adam", lr=cfg.lr, max_epochs=cfg.epochs,
                             batch_size=cfg.batch_size, patience=0)
     have_var = cfg.passes >= 2
@@ -191,18 +242,13 @@ def run_toy(cfg: ToyConfig) -> RunOutput:
         metrics["variance"] = ("unavailable: variance and intervals require "
                                "at least 2 passes (got %d)" % cfg.passes)
 
-    files = {}
-    pred_path = outdir / "predictions.csv"
-    write_csv(pred_path, ["seed", "model", "x", "y", "mean", "sigma"], pred_rows)
-    files["predictions.csv"] = pred_path
+    outputs: dict = {"predictions.csv": (
+        ["seed", "model", "x", "y", "mean", "sigma"], pred_rows)}
     if have_var:
-        int_path = outdir / "intervals.csv"
-        write_csv(int_path, ["seed", "model", "x", "lower", "upper"], int_rows)
-        files["intervals.csv"] = int_path
-    metrics_path = outdir / "metrics.json"
-    write_json(metrics_path, metrics)
-    files["metrics.json"] = metrics_path
-    return RunOutput(files, metrics, {"total_s": time.perf_counter() - t0})
+        outputs["intervals.csv"] = (["seed", "model", "x", "lower", "upper"],
+                                    int_rows)
+    outputs["metrics.json"] = metrics
+    return Computed(outputs, metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +280,20 @@ class BenchmarkConfig:
 
     def validate(self) -> None:
         _require(bool(self.data), "benchmark requires a dataset path (data=...)")
+        _require_net(self.hidden, self.activation)
         for name in ("lr_grid", "weight_decay_grid", "dropout_grid",
                      "noise_grid", "alpha_init_grid"):
             _require(len(getattr(self, name)) >= 1, f"{name} must be non-empty")
         _require(all(lr > 0 for lr in self.lr_grid), "learning rates must be > 0")
+        for name in ("weight_decay_grid", "noise_grid", "alpha_init_grid"):
+            _require(all(v >= 0 for v in getattr(self, name)),
+                     f"{name} entries must be >= 0")
+        _require(all(0 <= p < 1 for p in self.dropout_grid),
+                 "dropout_grid entries must be in [0, 1)")
+        fr = self.split_fractions
+        _require(len(fr) == 3 and all(0 <= f <= 1 for f in fr)
+                 and abs(sum(fr) - 1.0) <= 1e-9,
+                 "split_fractions must be three numbers in [0, 1] summing to 1")
         _require(self.batch_size >= 1, "batch_size must be >= 1")
         _require(self.max_epochs >= 1, "max_epochs must be >= 1")
         _require(self.patience >= 0, "patience must be >= 0")
@@ -264,12 +320,8 @@ def _family_grid(cfg: BenchmarkConfig, family: str) -> dict:
     return grid
 
 
-def run_benchmark(cfg: BenchmarkConfig) -> RunOutput:
-    cfg.validate()
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-
+@_command
+def run_benchmark(cfg: BenchmarkConfig) -> Computed:
     dataset = load_csv(cfg.data, target=cfg.target, task="regression")
     train, val, test = split(dataset, cfg.split_fractions, seed=cfg.seed)
     train, val, test = standardize_fit_apply(train, val, test)
@@ -350,13 +402,9 @@ def run_benchmark(cfg: BenchmarkConfig) -> RunOutput:
         metrics["rmse_ratio_fixed_vs_deterministic"] = (
             fx / det if det > 0 else float("inf"))
 
-    lead_path = outdir / "leaderboard.csv"
-    write_csv(lead_path, LEADERBOARD_HEADER, rows)
-    metrics_path = outdir / "metrics.json"
-    write_json(metrics_path, metrics)
-    files = {"leaderboard.csv": lead_path, "metrics.json": metrics_path}
-    return RunOutput(files, metrics, {"total_s": time.perf_counter() - t0},
-                     inputs={"data": Path(cfg.data)})
+    return Computed({"leaderboard.csv": (LEADERBOARD_HEADER, rows),
+                     "metrics.json": metrics}, metrics,
+                    inputs={"data": Path(cfg.data)})
 
 
 # ---------------------------------------------------------------------------
@@ -378,52 +426,24 @@ class RiskCovConfig:
         _require(bool(self.unc_file), "riskcov requires unc_file=...")
         _require(self.risk_kind in ("rmse", "error_rate", "accuracy"),
                  f"unknown risk_kind {self.risk_kind!r}")
-        _require(len(self.coverage_grid) >= 1, "coverage_grid must be non-empty")
+        _require(all(0 < c <= 1 for c in self.coverage_grid)
+                 and 1.0 in self.coverage_grid,
+                 "coverage_grid levels must lie in (0, 1] and include 1.0")
 
 
-def _read_columns(path, required: tuple[str, ...]) -> dict[str, np.ndarray]:
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file") from None
-            cols = {name.strip(): [] for name in header}
-            names = [name.strip() for name in header]
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(names):
-                    raise DataError(f"{path}: row {lineno} has {len(row)} fields, "
-                                    f"expected {len(names)}")
-                for name, cell in zip(names, row):
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise DataError(f"{path}: row {lineno}, column {name!r}: "
-                                        f"not numeric: {cell!r}") from None
-                    if not math.isfinite(value):
-                        raise DataError(f"{path}: row {lineno}, column {name!r}: "
-                                        f"not finite: {cell!r}")
-                    cols[name].append(value)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    missing = [name for name in required if name not in cols]
+def _columns(path, names: tuple[str, ...]) -> list[np.ndarray]:
+    header, table = read_table(path)
+    missing = [name for name in names if name not in header]
     if missing:
         raise DataError(f"{path}: missing required columns {missing} "
-                        f"(found {names})")
-    return {name: np.asarray(vals, dtype=float) for name, vals in cols.items()}
+                        f"(found {header})")
+    return [table[:, header.index(name)] for name in names]
 
 
-def run_riskcov(cfg: RiskCovConfig) -> RunOutput:
-    cfg.validate()
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-
-    preds = _read_columns(cfg.pred_file, ("pred", "target"))
-    uncs = _read_columns(cfg.unc_file, ("uncertainty",))
-    pred, target = preds["pred"], preds["target"]
-    unc = uncs["uncertainty"]
+@_command
+def run_riskcov(cfg: RiskCovConfig) -> Computed:
+    pred, target = _columns(cfg.pred_file, ("pred", "target"))
+    unc, = _columns(cfg.unc_file, ("uncertainty",))
     if len(pred) != len(unc):
         raise DataError(f"misaligned inputs: {cfg.pred_file} has {len(pred)} rows, "
                         f"{cfg.unc_file} has {len(unc)}")
@@ -436,17 +456,13 @@ def run_riskcov(cfg: RiskCovConfig) -> RunOutput:
     curve = risk_coverage(unc, risk_kind=cfg.risk_kind,
                           coverage_grid=cfg.coverage_grid, **kwargs)
 
-    curve_path = outdir / "curve.csv"
-    write_csv(curve_path, ["coverage", "risk"],
-              [[c, r] for c, r in curve.points])
     metrics = {"risk_kind": cfg.risk_kind, "n_points": int(len(pred)),
                "risk_at_full_coverage": float(curve.risks[-1])}
-    metrics_path = outdir / "metrics.json"
-    write_json(metrics_path, metrics)
-    files = {"curve.csv": curve_path, "metrics.json": metrics_path}
-    return RunOutput(files, metrics, {"total_s": time.perf_counter() - t0},
-                     inputs={"pred_file": Path(cfg.pred_file),
-                             "unc_file": Path(cfg.unc_file)})
+    return Computed({"curve.csv": (["coverage", "risk"],
+                                   [[c, r] for c, r in curve.points]),
+                     "metrics.json": metrics}, metrics,
+                    inputs={"pred_file": Path(cfg.pred_file),
+                            "unc_file": Path(cfg.unc_file)})
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +492,11 @@ class SweepConfig:
         _require(self.passes >= 2, "passes must be >= 2")
         _require(self.n_eval >= 1, "n_eval must be >= 1")
         _require(self.n_train >= 4, "n_train must be >= 4")
+        _require_net(self.hidden, self.activation)
+        _require(self.noise_level >= 0, "noise_level must be >= 0")
+        _require(self.lr > 0, "lr must be > 0")
         _require(self.epochs >= 1, "epochs must be >= 1")
+        _require(self.batch_size >= 1, "batch_size must be >= 1")
         _require(len(self.seeds) >= 1, "at least one seed required")
 
 
@@ -500,12 +520,8 @@ def corrupted_predict(net, X, sigma: float, T: int, rng) -> PredictiveSamples:
                       transform=lambda X, r: gaussian_corrupt(X, sigma, r))
 
 
-def run_noise_sweep(cfg: SweepConfig) -> RunOutput:
-    cfg.validate()
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-
+@_command
+def run_noise_sweep(cfg: SweepConfig) -> Computed:
     train_cfg = TrainConfig(optimizer="adam", lr=cfg.lr, max_epochs=cfg.epochs,
                             batch_size=cfg.batch_size, patience=0)
     rows = []
@@ -537,13 +553,10 @@ def run_noise_sweep(cfg: SweepConfig) -> RunOutput:
                "per_seed": per_seed,
                "mean_spearman_rho": float(np.mean(
                    [v["spearman_rho"] for v in per_seed.values()]))}
-    sweep_path = outdir / "sweep.csv"
-    write_csv(sweep_path, ["seed", "sigma", "point", "label", "predicted",
-                           "entropy", "mean_p0", "mean_p1"], rows)
-    metrics_path = outdir / "metrics.json"
-    write_json(metrics_path, metrics)
-    files = {"sweep.csv": sweep_path, "metrics.json": metrics_path}
-    return RunOutput(files, metrics, {"total_s": time.perf_counter() - t0})
+    header = ["seed", "sigma", "point", "label", "predicted", "entropy",
+              "mean_p0", "mean_p1"]
+    return Computed({"sweep.csv": (header, rows), "metrics.json": metrics},
+                    metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -567,19 +580,33 @@ class TimingConfig:
 
     def validate(self) -> None:
         _require(self.batch >= 1, "batch must be >= 1")
+        _require(self.input_dim >= 1, "input_dim must be >= 1")
         _require(self.reps >= 2, "reps must be >= 2 to report a std")
         _require(all(t >= 1 for t in self.t_list), "passes must be >= 1")
         _require(len(self.t_list) >= 1, "t_list must be non-empty")
+        _require(len(self.hidden) >= 1 and all(h >= 1 for h in self.hidden),
+                 "hidden must list at least one width, each >= 1")
+        _require(self.noise_level >= 0, "noise_level must be >= 0")
+        _require(0 <= self.dropout_p < 1, "dropout_p must be in [0, 1)")
+        _require(len(self.families) >= 1, "at least one family required")
         unknown = set(self.families) - set(FAMILIES)
         _require(not unknown, f"unknown families: {sorted(unknown)}")
 
 
-def run_bench_time(cfg: TimingConfig) -> RunOutput:
-    cfg.validate()
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
+def _seconds_per_prediction(net, X, T: int, reps: int, key) -> list[float]:
+    """Wall-clock seconds of ``reps`` T-pass predictions, rep r seeded
+    [*key, r]."""
+    times = []
+    for rep in range(reps):
+        rng = np.random.default_rng([*key, rep])
+        tic = time.perf_counter()
+        mc_predict(net, X, T, rng)
+        times.append(time.perf_counter() - tic)
+    return times
 
+
+@_command
+def run_bench_time(cfg: TimingConfig) -> Computed:
     X = np.random.default_rng([cfg.seed, 99]).standard_normal(
         (cfg.batch, cfg.input_dim))
     rows = []
@@ -590,28 +617,20 @@ def run_bench_time(cfg: TimingConfig) -> RunOutput:
                         noise_level=cfg.noise_level, dropout_p=cfg.dropout_p)
         t_values = (1,) if family == "deterministic" else cfg.t_list
         for T in t_values:
-            times = []
-            for rep in range(cfg.reps):
-                rng = np.random.default_rng([cfg.seed, fam_idx, T, rep])
-                tic = time.perf_counter()
-                mc_predict(net, X, T, rng)
-                times.append(time.perf_counter() - tic)
+            times = _seconds_per_prediction(net, X, T, cfg.reps,
+                                            [cfg.seed, fam_idx, T])
             mean_s = float(np.mean(times))
             std_s = float(np.std(times))
             rows.append([family, T, mean_s, std_s])
             measured[f"{family}/T={T}"] = {"mean_s": mean_s, "std_s": std_s}
 
-    timing_path = outdir / "timing.csv"
-    write_csv(timing_path, ["model", "passes", "mean_seconds", "std_seconds"],
-              rows)
     # measurements live under timings (excluded from the determinism
     # contract), keeping the manifest's results block rerun-stable
     metrics = {"batch": cfg.batch, "reps": cfg.reps,
                "families": list(cfg.families), "t_list": list(cfg.t_list)}
-    files = {"timing.csv": timing_path}
-    return RunOutput(files, metrics,
-                     {"total_s": time.perf_counter() - t0, **measured},
-                     measured_files=("timing.csv",))
+    return Computed(
+        {"timing.csv": (["model", "passes", "mean_seconds", "std_seconds"], rows)},
+        metrics, timings=measured, measured_files=("timing.csv",))
 
 
 # ---------------------------------------------------------------------------
@@ -638,19 +657,17 @@ class GpCheckConfig:
         _require(self.bias_std >= 0, "bias_std must be >= 0")
         _require(self.n_samples >= 1, "n_samples must be >= 1")
         _require(self.n_networks >= 2, "n_networks must be >= 2")
+        _require(len(self.widths) >= 1, "widths must be non-empty")
         _require(self.width >= 1 and all(w >= 1 for w in self.widths),
                  "widths must be >= 1")
         _require(len(self.probes) >= 2, "need at least 2 probe inputs")
         dims = {len(p) for p in self.probes}
         _require(len(dims) == 1, "probe inputs must share one dimension")
+        _require(len(self.seeds) >= 1, "at least one seed required")
 
 
-def run_gpcheck(cfg: GpCheckConfig) -> RunOutput:
-    cfg.validate()
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-
+@_command
+def run_gpcheck(cfg: GpCheckConfig) -> Computed:
     input_dim = len(cfg.probes[0])
     rows = []
     per_seed = {}
@@ -670,14 +687,11 @@ def run_gpcheck(cfg: GpCheckConfig) -> RunOutput:
             "max_rel_deviation": report.max_rel_deviation,
             "convergence": report.convergence}
 
-    conv_path = outdir / "convergence.csv"
-    write_csv(conv_path, ["width", "n_networks", "max_rel_dev", "seed"], rows)
     metrics = {"nonlinearity": cfg.nonlinearity, "bias_std": cfg.bias_std,
                "width": cfg.width, "per_seed": per_seed}
-    metrics_path = outdir / "metrics.json"
-    write_json(metrics_path, metrics)
-    files = {"convergence.csv": conv_path, "metrics.json": metrics_path}
-    return RunOutput(files, metrics, {"total_s": time.perf_counter() - t0})
+    return Computed({"convergence.csv": (["width", "n_networks", "max_rel_dev",
+                                          "seed"], rows),
+                     "metrics.json": metrics}, metrics)
 
 
 def config_to_dict(cfg) -> dict:

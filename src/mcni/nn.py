@@ -50,6 +50,8 @@ class ContractError(RuntimeError):
 # ---------------------------------------------------------------------------
 # activations
 
+ACTIVATIONS = ("relu", "tanh", "sigmoid", "identity", "softmax")
+
 def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax, shift-stabilized so large logits cannot overflow."""
     e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
@@ -120,7 +122,7 @@ class DenseLayer:
         bias_shape = self.W.shape[:-2] + (1,) * (self.W.ndim - 2) + self.W.shape[-1:]
         if self.b.shape != bias_shape:
             raise ShapeError("bias shape must match fan_out")
-        if self.activation not in ("relu", "tanh", "sigmoid", "identity", "softmax"):
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
     @classmethod

@@ -1,12 +1,20 @@
 """CLI behavior: config resolution, exit codes, manifests."""
 
+import argparse
+import dataclasses
+import hashlib
 import json
+import shlex
+import shutil
+from pathlib import Path
 
 import pytest
 
-from mcni.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME,
+from mcni.cli import (COMMANDS, EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME,
                       build_parser, main, resolve_config)
 from mcni.experiments import ConfigError
+
+DATASETS = Path(__file__).resolve().parent.parent / "datasets"
 
 TINY_TOY = ["--set", "n_points=6", "--set", "hidden=4", "--set", "epochs=2",
             "--set", "passes=3", "--seeds", "0"]
@@ -93,6 +101,24 @@ def test_config_file_section_is_per_command(tmp_path):
     assert resolve(["toy", "--config", str(ini)]).passes == 500  # untouched
 
 
+def test_every_option_sets_a_field_of_its_command():
+    """Each dedicated flag is read as the config field of the same name."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(COMMANDS)
+    for command, parser in sub.choices.items():
+        names = {f.name for f in dataclasses.fields(COMMANDS[command][0])}
+        dests = {a.dest for a in parser._actions
+                 if not isinstance(a, argparse._HelpAction)}
+        assert dests - {"config", "set"} <= names, command
+        assert "outdir" in dests
+
+
+def test_resolve_config_does_not_validate():
+    # the runner validates; resolving an invalid config is not an error yet
+    assert resolve(["toy", "--set", "epochs=0"]).epochs == 0
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -115,6 +141,59 @@ def test_invalid_config_exits_2_before_writing(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+CONFIG_ERRORS = [
+    ("benchmark", "weight_decay_grid=1e-3,-1e-5"),
+    ("benchmark", "noise_grid=-0.01"),
+    ("benchmark", "alpha_init_grid=0.01,-0.05"),
+    ("benchmark", "dropout_grid=0.1,1.0"),
+    ("benchmark", "dropout_grid=-0.1"),
+    ("benchmark", "hidden="),
+    ("benchmark", "activation=gelu"),
+    ("benchmark", "split_fractions=0.5,0.5"),
+    ("benchmark", "split_fractions=0.6,0.5,-0.1"),
+    ("benchmark", "split_fractions=0.5,0.25,0.2"),
+    ("toy", "activation=gelu"),
+    ("toy", "alpha_penalty_lambda=-1"),
+    ("noise-sweep", "activation=gelu"),
+    ("noise-sweep", "hidden="),
+    ("noise-sweep", "noise_level=-0.1"),
+    ("noise-sweep", "lr=0"),
+    ("noise-sweep", "batch_size=0"),
+    ("riskcov", "coverage_grid=0.5,0.9"),
+    ("riskcov", "coverage_grid=0,1.0"),
+    ("riskcov", "coverage_grid=0.5,1.5"),
+    ("bench-time", "families="),
+    ("bench-time", "hidden="),
+    ("bench-time", "input_dim=0"),
+    ("bench-time", "noise_level=-0.1"),
+    ("bench-time", "dropout_p=1.0"),
+    ("gpcheck", "seeds="),
+    ("gpcheck", "widths="),
+]
+NEEDED = {"benchmark": ["--data", "absent.csv"],
+          "riskcov": ["--pred-file", "p.csv", "--unc-file", "u.csv"]}
+
+
+@pytest.mark.parametrize("command,setting", CONFIG_ERRORS)
+def test_config_error_exits_2_before_writing(tmp_path, capsys, command, setting):
+    outdir = tmp_path / "never"
+    code = main([command, "--outdir", str(outdir), *NEEDED.get(command, []),
+                 "--set", setting])
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_empty_split_exits_3_without_writing_results(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    code = main(["benchmark", "--data", str(DATASETS / "synth_regression.csv"),
+                 "--outdir", str(outdir), "--set", "split_fractions=1.0,0.0,0.0"])
+    assert code == EXIT_DATA
+    assert "validation set empty" in capsys.readouterr().err
+    assert not (outdir / "leaderboard.csv").exists()
+    assert not (outdir / "metrics.json").exists()
 
 
 def test_unknown_set_key_exits_2(tmp_path):
@@ -140,7 +219,37 @@ def test_non_finite_data_cell_exits_3(tmp_path, capsys):
                  "--unc-file", str(tmp_path / "unc.csv"),
                  "--outdir", str(tmp_path / "rc")])
     assert code == EXIT_DATA
-    assert "not finite" in capsys.readouterr().err
+    assert "non-finite cell at row 2, column 'y'" in capsys.readouterr().err
+
+
+def run_riskcov_cli(tmp_path, pred_text, unc_text):
+    (tmp_path / "pred.csv").write_text(pred_text)
+    (tmp_path / "unc.csv").write_text(unc_text)
+    return main(["riskcov", "--pred-file", str(tmp_path / "pred.csv"),
+                 "--unc-file", str(tmp_path / "unc.csv"),
+                 "--outdir", str(tmp_path / "rc"),
+                 "--set", "coverage_grid=0.5,1.0"])
+
+
+def test_riskcov_skips_blank_lines_like_load_csv(tmp_path):
+    code = run_riskcov_cli(tmp_path, "pred,target\n1.0,1.0\n2.0,2.5\n\n",
+                           "uncertainty\n0.1\n\n0.2\n\n")
+    assert code == EXIT_OK
+    metrics = json.loads((tmp_path / "rc" / "metrics.json").read_text())
+    assert metrics["n_points"] == 2
+
+
+def test_riskcov_header_only_file_exits_3(tmp_path, capsys):
+    code = run_riskcov_cli(tmp_path, "pred,target\n1.0,1.0\n", "uncertainty\n")
+    assert code == EXIT_DATA
+    assert "no data rows" in capsys.readouterr().err
+
+
+def test_riskcov_repeated_header_name_exits_3(tmp_path, capsys):
+    code = run_riskcov_cli(tmp_path, "pred,target\n1.0,1.0\n2.0,2.0\n",
+                           "uncertainty,uncertainty\n0.1,0.2\n0.3,0.4\n")
+    assert code == EXIT_DATA
+    assert "repeated column names ['uncertainty']" in capsys.readouterr().err
 
 
 def test_unwritable_outdir_exits_4(tmp_path, capsys):
@@ -219,3 +328,59 @@ def test_riskcov_end_to_end(tmp_path, capsys):
     manifest = json.loads((tmp_path / "rc" / "manifest.json").read_text())
     assert set(manifest["inputs"]) == {"pred_file", "unc_file"}
     assert "sha256" in manifest["inputs"]["pred_file"]
+
+
+# ---------------------------------------------------------------------------
+# golden digests
+
+GOLDEN_ARGS = {
+    "toy": "--set seeds=0,1 --set epochs=30 --set passes=50 --set n_points=60 "
+           "--set hidden=20",
+    "benchmark": "--data synth_regression.csv --seed 7 --set lr_grid=0.005 "
+                 "--set weight_decay_grid=0.1,1e-5,1e-9 --set dropout_grid=0.01,0.05 "
+                 "--set noise_grid=0.01,0.05 --set alpha_init_grid=0.01,0.05 "
+                 "--set max_epochs=12 --set patience=2 --set passes=20",
+    "noise-sweep": "--set seeds=0 --set epochs=20 --set passes=20 --set n_train=60",
+    "riskcov": "--pred-file pred.csv --unc-file unc.csv",
+    "bench-time": "--set reps=3 --set t_list=1,10",
+    "gpcheck": "--set n_samples=20000 --set n_networks=200 --set width=256 "
+               "--set widths=64,128",
+}
+GOLDEN_DIGESTS = {
+    "toy": "c3d8d7d2774c307a91b5fb3018025d6220d169baaa9ca4d4074d298787d553d9",
+    "benchmark": "e601db61af2643ef7de4fae3e2f9b6b502fd8f374f65bb228c7c058cc907ad35",
+    "noise-sweep": "8b2b9f24c3525526a452a69a9a0ecb1ca2a8f9a3eb392b0b552cf2baab59145d",
+    "riskcov": "200a8b791f26f211740e8ea2dc9e1f4e1ba2aa8ecfff145417bbc211fc6b595e",
+    "bench-time": "74607196c7b612f5481fb3614fe96ef84d61e43b7305dbc3efd3dec35141d21f",
+    "gpcheck": "05599b22ade47b1c41ffad6171344c5833be26f6ca1db53847109a6520c07642",
+}
+GOLDEN_LEADERBOARD = "6d3bec1dbd3c4ee5b67ebc4353c18f110570a0261332a0a19248c400c26eaeb3"
+
+
+def test_golden_manifest_digests(tmp_path, monkeypatch, capsys):
+    """All six commands at pinned small configs reproduce recorded digests.
+
+    The configs and digests are BENCH_6.json's ``digests`` records, made
+    with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64); another BLAS build may
+    round a matmul differently and move them. Each command runs in one
+    work directory with the relative outdir ``out/<command>``, so the whole
+    manifest except timings is compared, config and input paths included.
+    """
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(DATASETS / "synth_regression.csv", "synth_regression.csv")
+    pred, unc = ["pred,target"], ["uncertainty"]
+    for i in range(40):
+        p = 0.1 * i
+        t = p + 0.05 if i % 3 else p - 0.2
+        pred.append(f"{p!r},{t!r}")
+        unc.append(repr((7 * i % 13) / 13))
+    Path("pred.csv").write_text("\n".join(pred) + "\n")
+    Path("unc.csv").write_text("\n".join(unc) + "\n")
+    digests = {}
+    for command, args in GOLDEN_ARGS.items():
+        argv = [command, *shlex.split(args), "--outdir", f"out/{command}"]
+        assert main(argv) == EXIT_OK, command
+        digests[command] = digest_line(capsys.readouterr().out).split()[-1]
+    assert digests == GOLDEN_DIGESTS
+    leaderboard = Path("out/benchmark/leaderboard.csv").read_bytes()
+    assert hashlib.sha256(leaderboard).hexdigest() == GOLDEN_LEADERBOARD

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mcni.data import (DataError, Dataset, Standardizer, gaussian_corrupt,
-                       gen_toy, load_csv, save_csv, split,
+                       gen_toy, load_csv, read_table, save_csv, split,
                        standardize_fit_apply, toy_mean)
 
 
@@ -122,6 +122,53 @@ def test_header_only_file_rejected(tmp_path):
         load_csv(path)
 
 
+def test_blank_lines_skipped_row_numbers_physical(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("a,b\n1,2\n\n3,4\n\n")
+    ds = load_csv(path)
+    assert np.array_equal(ds.X[:, 0], [1.0, 3.0])
+    assert np.array_equal(ds.Y[:, 0], [2.0, 4.0])
+    path.write_text("a,b\n1,2\n\n3,x\n")
+    with pytest.raises(DataError, match="row 4, column 'b'"):
+        load_csv(path)
+
+
+def test_blank_only_body_has_no_data_rows(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("a,b\n\n\n")
+    with pytest.raises(DataError, match="no data rows"):
+        load_csv(path)
+
+
+def test_repeated_header_name_rejected(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("a,b,a\n1,2,3\n")
+    with pytest.raises(DataError, match=r"repeated column names \['a'\]"):
+        load_csv(path)
+    path.write_text("a, a\n1,2\n")          # names compare stripped
+    with pytest.raises(DataError, match="repeated"):
+        load_csv(path)
+
+
+def test_empty_file_and_non_utf8_rejected(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("")
+    with pytest.raises(DataError, match="no header row"):
+        load_csv(path)
+    path.write_bytes(b"a,b\n1,\xff\n")
+    with pytest.raises(DataError, match="not UTF-8"):
+        load_csv(path)
+
+
+def test_read_table_returns_stripped_header_and_float_table(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(" pred , target\n1.5,2\n-3,4e-3\n")
+    header, table = read_table(path)
+    assert header == ["pred", "target"]
+    assert table.dtype == np.float64
+    assert np.array_equal(table, [[1.5, 2.0], [-3.0, 4e-3]])
+
+
 def test_single_column_rejected(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("a\n1\n")
@@ -170,6 +217,19 @@ def test_split_validation():
         split(ds, (0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         split(ds, (0.0, 0.5, 0.5))
+
+
+def test_split_leaving_a_part_empty_is_a_data_error():
+    ds = Dataset(X=np.ones((10, 1)), Y=np.ones((10, 1)))
+    with pytest.raises(DataError, match="training set empty"):
+        split(ds, (0.0, 0.5, 0.5))
+    with pytest.raises(DataError, match="validation set empty"):
+        split(ds, (1.0, 0.0, 0.0))
+    with pytest.raises(DataError, match="test set empty"):
+        split(ds, (0.5, 0.5, 0.0))
+    tiny = Dataset(X=np.ones((3, 1)), Y=np.ones((3, 1)))
+    with pytest.raises(DataError, match="3 rows .* test set empty"):
+        split(tiny, (0.8, 0.1, 0.1))        # 2 / 1 / 0 rows
 
 
 # ---------------------------------------------------------------------------
