@@ -78,6 +78,7 @@ def _command(driver):
     @functools.wraps(driver)
     def run(cfg) -> RunOutput:
         cfg.validate()
+        _require(str(cfg.outdir).strip() != "", "outdir must not be empty")
         outdir = Path(cfg.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
@@ -654,7 +655,8 @@ class GpCheckConfig:
     def validate(self) -> None:
         _require(self.nonlinearity in NONLINEARITIES,
                  f"nonlinearity must be one of {NONLINEARITIES}")
-        _require(self.bias_std >= 0, "bias_std must be >= 0")
+        _require(math.isfinite(self.bias_std) and self.bias_std >= 0,
+                 "bias_std must be finite and >= 0")
         _require(self.n_samples >= 1, "n_samples must be >= 1")
         _require(self.n_networks >= 2, "n_networks must be >= 2")
         _require(len(self.widths) >= 1, "widths must be non-empty")
@@ -663,6 +665,8 @@ class GpCheckConfig:
         _require(len(self.probes) >= 2, "need at least 2 probe inputs")
         dims = {len(p) for p in self.probes}
         _require(len(dims) == 1, "probe inputs must share one dimension")
+        _require(all(math.isfinite(v) for p in self.probes for v in p),
+                 "probe coordinates must be finite")
         _require(len(self.seeds) >= 1, "at least one seed required")
 
 
@@ -680,6 +684,11 @@ def run_gpcheck(cfg: GpCheckConfig) -> Computed:
         report = correspondence_report(probe, kcfg,
                                        np.random.default_rng([seed, 17]),
                                        widths=cfg.widths)
+        deviations = [e["max_rel_deviation"] for e in report.convergence]
+        if not all(np.isfinite(a).all() for a in
+                   (report.kernel, report.covariance, deviations)):
+            raise FloatingPointError(f"seed {seed}: kernel or covariance not "
+                                     "finite; probes or bias_std overflow")
         for entry in report.convergence:
             rows.append([entry["width"], entry["n_networks"],
                          entry["max_rel_deviation"], seed])

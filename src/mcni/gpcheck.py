@@ -17,11 +17,34 @@ the higher moments of the outputs, i.e. how Gaussian they are, and so moves
 the spread of that deviation only slightly. For the identity nonlinearity
 the kernel is known in closed form (x.y + s^2), which gives an exact
 reference.
+
+Execution. correspondence_report's estimates are independent: the MC kernel
+and one covariance per table width, each drawing from its own spawned
+sub-stream. They run on a small thread pool, one thread per usable CPU
+(``os.sched_getaffinity``) and no more than there are estimates, largest
+draw first; numpy releases the GIL while it draws and computes, so the
+estimates overlap. Every estimate consumes its stream in a fixed order and
+reduces in a fixed order, so the report is bit-for-bit the same at any
+thread count.
+
+Each estimate draws in chunks of at most ``_CHUNK_BUDGET`` doubles into
+buffers allocated once per call, in the same order and at the same chunk
+sizes as allocating fresh arrays per chunk would. wide_net_covariance then
+computes its hidden layer and outputs a few networks at a time, in a block
+of about ``_BLOCK_BUDGET`` doubles. So one worker holds at most about 32 MB
+of arrays: with 3 two-dimensional probes, the kernel of 1e6 samples peaks
+at 27 MB and a width-4096 covariance at 18 MB, and a whole report on two
+workers at 44 MB (tracemalloc), against 57 MB when run one estimate at a
+time on fresh arrays.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import threading
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -29,8 +52,11 @@ from .nn import apply_activation
 
 NONLINEARITIES = ("relu", "tanh", "identity")
 
-# chunk draws so no intermediate exceeds ~4e6 doubles (~32 MB)
+# chunk draws so no chunk's arrays exceed ~4e6 doubles (~32 MB); the chunk
+# sizes fix which samples share an accumulation, so they are part of the result
 _CHUNK_BUDGET = 4_000_000
+# hidden activations of one sub-block of networks: ~256 KB, cache-sized
+_BLOCK_BUDGET = 32_768
 
 
 @dataclass(frozen=True)
@@ -45,8 +71,8 @@ class KernelMCConfig:
             raise ValueError("n_samples must be at least 1")
         if self.nonlinearity not in NONLINEARITIES:
             raise ValueError(f"nonlinearity must be one of {NONLINEARITIES}")
-        if self.bias_std < 0.0:
-            raise ValueError("bias_std must be non-negative")
+        if not (math.isfinite(self.bias_std) and self.bias_std >= 0.0):
+            raise ValueError("bias_std must be finite and non-negative")
         if self.input_dim < 1:
             raise ValueError("input_dim must be at least 1")
 
@@ -64,6 +90,8 @@ class WideNetProbe:
             raise ValueError("n_networks must be at least 1")
         if len(self.probe_inputs) < 2:
             raise ValueError("need at least 2 probe inputs")
+        if not all(math.isfinite(v) for x in self.probe_inputs for v in x):
+            raise ValueError("probe inputs must be finite")
 
     def inputs(self) -> np.ndarray:
         return np.asarray(self.probe_inputs, dtype=np.float64)
@@ -77,6 +105,11 @@ def _chunks(total: int, size: int):
         done += step
 
 
+def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading part of a flat buffer as a C-contiguous array of shape."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
 def kernel_mc_matrix(probes, cfg: KernelMCConfig,
                      rng: np.random.Generator) -> np.ndarray:
     """Kernel estimate on all probe pairs with one shared draw set.
@@ -87,13 +120,20 @@ def kernel_mc_matrix(probes, cfg: KernelMCConfig,
     probes = np.asarray(probes, dtype=np.float64)
     if probes.ndim != 2 or probes.shape[1] != cfg.input_dim:
         raise ValueError(f"probes must be (P, {cfg.input_dim})")
-    p = probes.shape[0]
-    chunk = max(1, _CHUNK_BUDGET // (cfg.input_dim + p + 2))
+    if not np.isfinite(probes).all():
+        raise ValueError("probes must be finite")
+    p, d = probes.shape
+    chunk = max(1, _CHUNK_BUDGET // (d + p + 2))
+    size = min(chunk, cfg.n_samples)
+    w_buf, b_buf, f_buf = np.empty(size * d), np.empty(size), np.empty(p * size)
     acc = np.zeros((p, p), dtype=np.float64)
     for c in _chunks(cfg.n_samples, chunk):
-        w = rng.standard_normal((c, cfg.input_dim))
-        b = cfg.bias_std * rng.standard_normal(c)
-        feats = apply_activation(cfg.nonlinearity, probes @ w.T + b)  # (P, c)
+        w = rng.standard_normal(out=_view(w_buf, c, d))
+        feats = np.matmul(probes, w.T, out=_view(f_buf, p, c))
+        b = rng.standard_normal(out=b_buf[:c])
+        b *= cfg.bias_std
+        feats += b
+        apply_activation(cfg.nonlinearity, feats, out=feats)
         for i in range(p):
             for j in range(i, p):
                 acc[i, j] += float(feats[i] @ feats[j])
@@ -125,15 +165,27 @@ def wide_net_covariance(probe: WideNetProbe, cfg: KernelMCConfig,
     p, q = X.shape
     k = probe.width
     chunk = max(1, _CHUNK_BUDGET // (q * k + p * k + 2 * k))
+    size = min(chunk, probe.n_networks)
+    block = max(1, min(size, _BLOCK_BUDGET // (p * k)))
+    w1_buf = np.empty(size * q * k)
+    b1_buf, v_buf = np.empty(size * k), np.empty(size * k)
+    h_buf = np.empty(block * p * k)
     outputs = np.empty((probe.n_networks, p), dtype=np.float64)
     done = 0
     for c in _chunks(probe.n_networks, chunk):
-        w1 = rng.standard_normal((c, q, k))
-        b1 = cfg.bias_std * rng.standard_normal((c, 1, k))
-        hidden = apply_activation(cfg.nonlinearity,
-                                  np.einsum("pq,cqk->cpk", X, w1) + b1)
-        v = rng.standard_normal((c, k)) / np.sqrt(k)
-        outputs[done:done + c] = np.einsum("cpk,ck->cp", hidden, v)
+        w1 = rng.standard_normal(out=_view(w1_buf, c, q, k))
+        b1 = rng.standard_normal(out=_view(b1_buf, c, 1, k))
+        b1 *= cfg.bias_std
+        v = rng.standard_normal(out=_view(v_buf, c, k))
+        v /= np.sqrt(k)
+        for s in range(0, c, block):
+            e = min(c, s + block)
+            hidden = np.einsum("pq,cqk->cpk", X, w1[s:e],
+                               out=_view(h_buf, e - s, p, k))
+            hidden += b1[s:e]
+            apply_activation(cfg.nonlinearity, hidden, out=hidden)
+            np.einsum("cpk,ck->cp", hidden, v[s:e],
+                      out=outputs[done + s:done + e])
         done += c
     centered = outputs - outputs.mean(axis=0)
     cov = np.empty((p, p), dtype=np.float64)
@@ -148,6 +200,43 @@ def wide_net_covariance(probe: WideNetProbe, cfg: KernelMCConfig,
 def relative_deviation(covariance: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """|C - K| / (|K| + 1e-9), element-wise."""
     return np.abs(covariance - kernel) / (np.abs(kernel) + 1e-9)
+
+
+def _run_concurrently(tasks: list[tuple]) -> list:
+    """Call the function of each (size, function) task; results in list order.
+
+    Tasks start largest size first on min(usable CPUs, len(tasks)) threads,
+    the calling thread being one of them: on the gp_check benchmark a
+    ThreadPoolExecutor, which runs every task off the calling thread, peaked
+    3-8 MB higher. The first exception a task raises is re-raised once every
+    thread has stopped; tasks not yet started then never start.
+    """
+    pending = iter(sorted(range(len(tasks)), key=lambda i: -tasks[i][0]))
+    results, errors = [None] * len(tasks), []
+    lock = threading.Lock()
+
+    def work():
+        while not errors:
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = tasks[i][1]()
+            except BaseException as exc:  # re-raised in the calling thread
+                errors.append(exc)
+
+    n_threads = min(len(os.sched_getaffinity(0)), len(tasks))
+    helpers = [threading.Thread(target=work, daemon=True)
+               for _ in range(n_threads - 1)]
+    for t in helpers:
+        t.start()
+    work()
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 @dataclass
@@ -170,20 +259,32 @@ def correspondence_report(probe: WideNetProbe, cfg: KernelMCConfig,
     if absent), each width on its own sub-stream. Every width estimates the
     same kernel without bias, so each table entry measures the sampling
     deviation of probe.n_networks networks (plus the kernel estimate's own
-    error), not a distance that shrinks with width.
+    error), not a distance that shrinks with width. The estimates run
+    concurrently (see the module docstring); the result does not depend on
+    the number of threads.
     """
     X = probe.inputs()
+    q = X.shape[1]
+    # (numbers drawn, task); the kernel's stream is spawned before the widths'
+    tasks = []
     if cfg.nonlinearity == "identity":
         kernel = analytic_kernel_identity(X, cfg.bias_std)
     else:
-        kernel = kernel_mc_matrix(X, cfg, rng.spawn(1)[0])
+        tasks.append((cfg.n_samples * (cfg.input_dim + 1),
+                      partial(kernel_mc_matrix, X, cfg, rng.spawn(1)[0])))
 
     table_widths = sorted(set(int(w) for w in widths) | {probe.width})
-    streams = rng.spawn(len(table_widths))
+    for width, stream in zip(table_widths, rng.spawn(len(table_widths))):
+        tasks.append((probe.n_networks * (q + 2) * width,
+                      partial(wide_net_covariance, replace(probe, width=width),
+                              cfg, stream)))
+    covs = _run_concurrently(tasks)
+    if cfg.nonlinearity != "identity":
+        kernel = covs.pop(0)
+
     convergence = []
     headline = None
-    for width, stream in zip(table_widths, streams):
-        cov = wide_net_covariance(replace(probe, width=width), cfg, stream)
+    for width, cov in zip(table_widths, covs):
         dev = relative_deviation(cov, kernel)
         convergence.append({
             "width": width,

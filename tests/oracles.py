@@ -2,12 +2,17 @@
 
 Everything here is written independently of src/mcni: plain Python loops,
 math-module scalars, and the most literal transcription of each definition.
-Slow on purpose. Nothing in this file may import mcni.
+Slow on purpose. Nothing in this file may import mcni. The GP-check
+references at the end use numpy, because they must consume a numpy
+Generator exactly as the library does.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
+
+import numpy as np
 
 
 def picp_oracle(y, lower, upper):
@@ -236,3 +241,96 @@ def benchmark_oracle(family_grids, seed, make_rng, evaluate_one):
         rows.extend(family_rows)
         best[family] = winner
     return rows, best
+
+
+# ---------------------------------------------------------------------------
+# GP check: the sequential, allocate-per-chunk estimates, kept as references
+# for the buffered and concurrent library code. ``cfg`` and ``probe`` are
+# read by attribute (n_samples, nonlinearity, bias_std, input_dim; width,
+# n_networks, probe_inputs).
+
+GP_CHUNK_BUDGET = 4_000_000
+
+
+def _gp_activation(name, z):
+    if name == "relu":
+        return np.maximum(z, 0.0)
+    if name == "tanh":
+        return np.tanh(z)
+    return z
+
+
+def _gp_chunks(total, size):
+    done = 0
+    while done < total:
+        step = min(size, total - done)
+        yield step
+        done += step
+
+
+def kernel_mc_matrix_oracle(probes, cfg, rng):
+    probes = np.asarray(probes, dtype=np.float64)
+    p = probes.shape[0]
+    chunk = max(1, GP_CHUNK_BUDGET // (cfg.input_dim + p + 2))
+    acc = np.zeros((p, p), dtype=np.float64)
+    for c in _gp_chunks(cfg.n_samples, chunk):
+        w = rng.standard_normal((c, cfg.input_dim))
+        b = cfg.bias_std * rng.standard_normal(c)
+        feats = _gp_activation(cfg.nonlinearity, probes @ w.T + b)
+        for i in range(p):
+            for j in range(i, p):
+                acc[i, j] += float(feats[i] @ feats[j])
+    for i in range(p):
+        for j in range(i + 1, p):
+            acc[j, i] = acc[i, j]
+    return acc / cfg.n_samples
+
+
+def wide_net_covariance_oracle(probe, cfg, rng):
+    X = np.asarray(probe.probe_inputs, dtype=np.float64)
+    p, q = X.shape
+    k = probe.width
+    chunk = max(1, GP_CHUNK_BUDGET // (q * k + p * k + 2 * k))
+    outputs = np.empty((probe.n_networks, p), dtype=np.float64)
+    done = 0
+    for c in _gp_chunks(probe.n_networks, chunk):
+        w1 = rng.standard_normal((c, q, k))
+        b1 = cfg.bias_std * rng.standard_normal((c, 1, k))
+        hidden = _gp_activation(cfg.nonlinearity,
+                                np.einsum("pq,cqk->cpk", X, w1) + b1)
+        v = rng.standard_normal((c, k)) / np.sqrt(k)
+        outputs[done:done + c] = np.einsum("cpk,ck->cp", hidden, v)
+        done += c
+    centered = outputs - outputs.mean(axis=0)
+    cov = np.empty((p, p), dtype=np.float64)
+    for i in range(p):
+        for j in range(i, p):
+            cij = float(centered[:, i] @ centered[:, j]) / (probe.n_networks - 1)
+            cov[i, j] = cij
+            cov[j, i] = cij
+    return cov
+
+
+def correspondence_oracle(probe, cfg, rng, widths):
+    """(kernel, headline covariance, convergence rows), one estimate at a time.
+
+    The kernel's stream is spawned first, then one stream per table width
+    in ascending width order.
+    """
+    X = np.asarray(probe.probe_inputs, dtype=np.float64)
+    if cfg.nonlinearity == "identity":
+        kernel = X @ X.T + cfg.bias_std ** 2
+    else:
+        kernel = kernel_mc_matrix_oracle(X, cfg, rng.spawn(1)[0])
+    table_widths = sorted(set(int(w) for w in widths) | {probe.width})
+    rows, headline = [], None
+    for width, stream in zip(table_widths, rng.spawn(len(table_widths))):
+        at_width = SimpleNamespace(width=width, n_networks=probe.n_networks,
+                                   probe_inputs=probe.probe_inputs)
+        cov = wide_net_covariance_oracle(at_width, cfg, stream)
+        dev = np.abs(cov - kernel) / (np.abs(kernel) + 1e-9)
+        rows.append({"width": width, "n_networks": probe.n_networks,
+                     "max_rel_deviation": float(dev.max())})
+        if width == probe.width:
+            headline = cov
+    return kernel, headline, rows

@@ -171,6 +171,10 @@ CONFIG_ERRORS = [
     ("bench-time", "dropout_p=1.0"),
     ("gpcheck", "seeds="),
     ("gpcheck", "widths="),
+    ("gpcheck", "bias_std=inf"),
+    ("gpcheck", "bias_std=nan"),
+    ("gpcheck", "probes=nan,1;0.5,0.5"),
+    ("gpcheck", "probes=1,-inf;0.5,0.5"),
 ]
 NEEDED = {"benchmark": ["--data", "absent.csv"],
           "riskcov": ["--pred-file", "p.csv", "--unc-file", "u.csv"]}
@@ -184,6 +188,29 @@ def test_config_error_exits_2_before_writing(tmp_path, capsys, command, setting)
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_empty_outdir_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                  command):
+    monkeypatch.chdir(tmp_path)
+    for empty in (["--outdir", ""], ["--set", "outdir="]):
+        code = main([command, *empty, *NEEDED.get(command, [])])
+        assert code == EXIT_CONFIG
+        assert "outdir must not be empty" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_gpcheck_overflow_exits_4_without_writing_results(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    code = main(["gpcheck", "--outdir", str(outdir), "--set", "n_samples=1000",
+                 "--set", "n_networks=50", "--set", "widths=8",
+                 "--set", "width=8", "--set", "probes=1e308,1e308;1,1"])
+    assert code == EXIT_RUNTIME
+    assert "kernel or covariance not finite" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []
 
 
 def test_empty_split_exits_3_without_writing_results(tmp_path, capsys):

@@ -1,12 +1,18 @@
 """Kernel Monte Carlo vs wide-network covariance checks."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from mcni.gpcheck import (KernelMCConfig, WideNetProbe,
+from mcni import gpcheck
+from mcni.gpcheck import (NONLINEARITIES, KernelMCConfig, WideNetProbe,
                           analytic_kernel_identity, correspondence_report,
                           kernel_mc_matrix, relative_deviation,
                           wide_net_covariance)
+from oracles import (correspondence_oracle, kernel_mc_matrix_oracle,
+                     wide_net_covariance_oracle)
 
 
 def cfg(**kw):
@@ -67,6 +73,12 @@ def test_kernel_mc_input_validation():
         KernelMCConfig(nonlinearity="sigmoid")
     with pytest.raises(ValueError):
         KernelMCConfig(bias_std=-1.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            KernelMCConfig(bias_std=bad)
+    with pytest.raises(ValueError, match="finite"):
+        kernel_mc_matrix([[1.0, float("nan")], [0.5, 0.5]], cfg(),
+                         np.random.default_rng(0))
 
 
 def test_kernel_matrix_symmetric_and_psd():
@@ -120,6 +132,9 @@ def test_probe_validation():
         WideNetProbe(width=0, n_networks=10, probe_inputs=((1.0,), (2.0,)))
     with pytest.raises(ValueError):
         WideNetProbe(width=4, n_networks=10, probe_inputs=((1.0,),))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            WideNetProbe(width=4, n_networks=10, probe_inputs=((bad,), (2.0,)))
     probe = WideNetProbe(width=4, n_networks=1, probe_inputs=((1.0,), (2.0,)))
     with pytest.raises(ValueError):
         wide_net_covariance(probe, cfg(input_dim=1), np.random.default_rng(0))
@@ -168,3 +183,148 @@ def test_report_is_seed_reproducible():
     b = correspondence_report(probe, cfg(), np.random.default_rng(11), widths=(16,))
     assert np.array_equal(a.covariance, b.covariance)
     assert a.max_rel_deviation == b.max_rel_deviation
+
+
+# ---------------------------------------------------------------------------
+# bit-identity with the sequential estimates in tests/oracles.py
+
+PROBES3 = ((1.0, 0.5), (0.8, 0.6), (0.6, 1.0))
+
+
+@pytest.mark.parametrize("nonlinearity", NONLINEARITIES)
+@pytest.mark.parametrize("n_samples", [
+    1001,               # below one chunk (4e6 // 7 = 571,428 at 3 probes)
+    571_428 + 12_345,   # one full chunk and a partial one
+])
+def test_kernel_equals_sequential_oracle(nonlinearity, n_samples):
+    c = cfg(n_samples=n_samples, nonlinearity=nonlinearity, bias_std=0.7)
+    got = kernel_mc_matrix(PROBES3, c, np.random.default_rng(20))
+    want = kernel_mc_matrix_oracle(PROBES3, c, np.random.default_rng(20))
+    assert np.array_equal(got, want)
+
+
+# (width, n_networks) at 3 probes of dimension 2: chunk = 4e6 // (7 width),
+# sub-block = 32768 // (3 width)
+WIDE_CASES = [
+    (7, 301),       # below one chunk (81,632); one sub-block of 301
+    (100, 5000),    # below one chunk (5,714); sub-blocks of 109, last partial
+    (1500, 1000),   # chunks 380, 380, 240; sub-blocks of 7 do not divide 380
+    (4096, 300),    # chunks 139, 139, 22; sub-blocks of 2 do not divide 139
+]
+
+
+@pytest.mark.parametrize("nonlinearity", NONLINEARITIES)
+@pytest.mark.parametrize("width,n_networks", WIDE_CASES)
+def test_covariance_equals_sequential_oracle(nonlinearity, width, n_networks):
+    probe = WideNetProbe(width=width, n_networks=n_networks,
+                         probe_inputs=PROBES3)
+    c = cfg(nonlinearity=nonlinearity, bias_std=0.7)
+    got = wide_net_covariance(probe, c, np.random.default_rng(21))
+    want = wide_net_covariance_oracle(probe, c, np.random.default_rng(21))
+    assert np.array_equal(got, want)
+
+
+def test_covariance_equals_oracle_with_three_input_dims():
+    # more than two terms per hidden pre-activation, so summation order shows
+    probe = WideNetProbe(width=333, n_networks=500,
+                         probe_inputs=((1.0, 0.5, -0.3), (0.8, 0.6, 0.1)))
+    c = cfg(input_dim=3, bias_std=0.7)
+    got = wide_net_covariance(probe, c, np.random.default_rng(22))
+    want = wide_net_covariance_oracle(probe, c, np.random.default_rng(22))
+    assert np.array_equal(got, want)
+
+
+def fake_cpus(monkeypatch, n):
+    monkeypatch.setattr(gpcheck.os, "sched_getaffinity",
+                        lambda pid: set(range(n)))
+
+
+def assert_report_equals_oracle(probe, c, seed, widths):
+    report = correspondence_report(probe, c, np.random.default_rng(seed),
+                                   widths=widths)
+    kernel, cov, rows = correspondence_oracle(
+        probe, c, np.random.default_rng(seed), widths)
+    assert np.array_equal(report.kernel, kernel)
+    assert np.array_equal(report.covariance, cov)
+    assert report.convergence == rows
+
+
+@pytest.mark.parametrize("nonlinearity", NONLINEARITIES)
+@pytest.mark.parametrize("cpus", [1, None, 8])
+def test_report_equals_oracle_at_any_worker_count(monkeypatch, nonlinearity,
+                                                  cpus):
+    if cpus is not None:
+        fake_cpus(monkeypatch, cpus)
+    probe = WideNetProbe(width=96, n_networks=700, probe_inputs=PROBES3)
+    c = cfg(n_samples=30_000, nonlinearity=nonlinearity)
+    assert_report_equals_oracle(probe, c, 30, widths=(16, 300, 1500))
+
+
+def call_with_timeout(fn, seconds=60.0):
+    """fn() on a helper thread; returns (result, exception) once it ends."""
+    box = {}
+
+    def target():
+        try:
+            box["result"] = fn()
+        except Exception as exc:
+            box["error"] = exc
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(timeout=seconds)
+    assert not t.is_alive(), "call did not finish"
+    return box.get("result"), box.get("error")
+
+
+def test_report_under_thread_contention(monkeypatch):
+    """More workers than cores and frequent switches lose no result."""
+    fake_cpus(monkeypatch, 8)
+    probe = WideNetProbe(width=5, n_networks=60, probe_inputs=PROBES3)
+    c = cfg(n_samples=3000)
+    widths = tuple(range(1, 25))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _, error = call_with_timeout(
+            lambda: assert_report_equals_oracle(probe, c, 31, widths))
+    finally:
+        sys.setswitchinterval(interval)
+    assert error is None
+
+
+@pytest.mark.parametrize("failing", ["kernel_mc_matrix", "wide_net_covariance"])
+def test_task_error_reaches_caller_without_hang(monkeypatch, failing):
+    real = getattr(gpcheck, failing)
+
+    def planted(first, c, rng):
+        if failing == "kernel_mc_matrix" or first.width == 64:
+            raise RuntimeError(f"planted failure in {failing}")
+        return real(first, c, rng)
+
+    monkeypatch.setattr(gpcheck, failing, planted)
+    fake_cpus(monkeypatch, 4)
+    probe = WideNetProbe(width=16, n_networks=200, probe_inputs=PROBES3)
+    threads_before = threading.active_count()
+    _, error = call_with_timeout(lambda: correspondence_report(
+        probe, cfg(n_samples=5000), np.random.default_rng(32),
+        widths=(16, 64, 256)))
+    assert isinstance(error, RuntimeError)
+    assert str(error) == f"planted failure in {failing}"
+    assert threading.active_count() == threads_before
+
+
+def test_report_starts_the_largest_draw_first(monkeypatch):
+    fake_cpus(monkeypatch, 1)
+    started = []
+    for name in ("kernel_mc_matrix", "wide_net_covariance"):
+        def spy(first, c, rng, real=getattr(gpcheck, name), name=name):
+            started.append("kernel" if name == "kernel_mc_matrix"
+                           else first.width)
+            return real(first, c, rng)
+        monkeypatch.setattr(gpcheck, name, spy)
+    probe = WideNetProbe(width=16, n_networks=100, probe_inputs=PROBES3)
+    # numbers drawn: kernel 20000 * 3; width w: 100 * 4 * w
+    correspondence_report(probe, cfg(n_samples=20_000),
+                          np.random.default_rng(33), widths=(16, 64, 256))
+    assert started == [256, "kernel", 64, 16]
