@@ -44,6 +44,8 @@ from .experiments import (
     run_riskcov,
     run_toy,
 )
+from .gpcheck import NONLINEARITIES
+from .metrics import RISK_KINDS
 from .runio import manifest_digest, sha256_file, write_json
 
 EXIT_OK = 0
@@ -173,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--pred-file", help="CSV with pred,target columns")
     p.add_argument("--unc-file", help="CSV with an uncertainty column")
-    p.add_argument("--risk-kind", choices=("rmse", "error_rate", "accuracy"))
+    p.add_argument("--risk-kind", choices=RISK_KINDS)
 
     p = sub.add_parser("noise-sweep", help="entropy response to input corruption")
     common(p)
@@ -187,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gpcheck", help="wide-network vs kernel correspondence")
     common(p)
     p.add_argument("--seeds", help="comma-separated seed list")
-    p.add_argument("--nonlinearity", choices=("relu", "tanh", "identity"))
+    p.add_argument("--nonlinearity", choices=NONLINEARITIES)
     return parser
 
 

@@ -41,9 +41,6 @@ class Standardizer:
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (np.asarray(values, dtype=np.float64) - self.mean) / self.std
 
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values, dtype=np.float64) * self.std + self.mean
-
 
 @dataclass
 class Dataset:
@@ -53,8 +50,6 @@ class Dataset:
     Y: np.ndarray = field(repr=False)
     task: str = "regression"
     columns: list[str] | None = None
-    x_stats: Standardizer | None = None
-    y_stats: Standardizer | None = None
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -74,8 +69,7 @@ class Dataset:
 
     def subset(self, idx) -> "Dataset":
         return Dataset(X=self.X[idx], Y=self.Y[idx], task=self.task,
-                       columns=self.columns, x_stats=self.x_stats,
-                       y_stats=self.y_stats)
+                       columns=self.columns)
 
 
 def toy_mean(x):
@@ -218,9 +212,8 @@ def save_csv(dataset: Dataset, path) -> None:
 def standardize_fit_apply(train: Dataset, *others: Dataset):
     """Z-score features (and regression targets) using train statistics only.
 
-    Returns the transformed datasets in the same order, each carrying the
-    fitted Standardizers for later inversion. Constant columns keep std 1
-    and are flagged rather than dividing by zero.
+    Returns the transformed datasets in the same order. Constant columns
+    keep std 1 and are flagged rather than dividing by zero.
     """
     if len(train) == 0:
         raise DataError("cannot standardize an empty training set")
@@ -230,7 +223,7 @@ def standardize_fit_apply(train: Dataset, *others: Dataset):
     def transform(ds: Dataset) -> Dataset:
         y = y_stats.apply(ds.Y) if y_stats is not None else ds.Y
         return Dataset(X=x_stats.apply(ds.X), Y=y, task=ds.task,
-                       columns=ds.columns, x_stats=x_stats, y_stats=y_stats)
+                       columns=ds.columns)
 
     out = [transform(train)] + [transform(d) for d in others]
     return tuple(out)

@@ -31,11 +31,12 @@ from .data import DataError, gaussian_corrupt, gen_toy, load_csv, read_table, \
 from .gpcheck import NONLINEARITIES, KernelMCConfig, WideNetProbe, correspondence_report
 from .mc import PredictiveSamples, mc_predict, summarize_classification, \
     summarize_regression
-from .metrics import mpiw, msll, nll_gaussian, picp, risk_coverage, rmse
+from .metrics import RISK_KINDS, mpiw, msll, nll_gaussian, picp, risk_coverage, \
+    rmse
 from .models import FAMILIES, build_mlp
 from .nn import ACTIVATIONS, EVAL
 from .optim import TrainConfig, fit, grid_search
-from .runio import write_csv, write_json
+from .runio import jsonable, write_csv, write_json
 
 
 class ConfigError(ValueError):
@@ -73,7 +74,9 @@ def _command(driver):
     """The one driver skeleton: make a run_* command from a driver.
 
     The command validates the config, creates ``outdir``, times the run,
-    writes each named output and assembles the RunOutput.
+    writes each named output and assembles the RunOutput. Metrics that hold
+    a NaN or infinite float raise FloatingPointError before anything is
+    written.
     """
     @functools.wraps(driver)
     def run(cfg) -> RunOutput:
@@ -83,6 +86,10 @@ def _command(driver):
         outdir.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
         done = driver(cfg)
+        bad = _non_finite_paths(jsonable(done.metrics))
+        if bad:
+            raise FloatingPointError(f"{len(bad)} metrics not finite, first "
+                                     f"{bad[0]}; nothing written")
         files = {}
         for name, payload in done.outputs.items():
             files[name] = outdir / name
@@ -96,9 +103,25 @@ def _command(driver):
     return run
 
 
+def _non_finite_paths(value, path: str = "") -> list[str]:
+    """Where a JSON-ready metrics tree holds a NaN or infinite float."""
+    if isinstance(value, dict):
+        return [p for k, v in value.items()
+                for p in _non_finite_paths(v, f"{path}.{k}" if path else k)]
+    if isinstance(value, list):
+        return [p for i, v in enumerate(value)
+                for p in _non_finite_paths(v, f"{path}[{i}]")]
+    return [path] if isinstance(value, float) and not math.isfinite(value) else []
+
+
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ConfigError(msg)
+
+
+def _require_seeds(seeds: tuple[int, ...]) -> None:
+    _require(len(seeds) >= 1, "at least one seed required")
+    _require(len(set(seeds)) == len(seeds), f"seeds repeat: {list(seeds)}")
 
 
 def _require_net(hidden: tuple[int, ...], activation: str) -> None:
@@ -168,7 +191,7 @@ class ToyConfig:
         _require(0 <= self.dropout_p < 1, "dropout_p must be in [0, 1)")
         _require(self.noise_level >= 0, "noise_level must be >= 0")
         _require(self.alpha_penalty_lambda >= 0, "alpha_penalty_lambda must be >= 0")
-        _require(len(self.seeds) >= 1, "at least one seed required")
+        _require_seeds(self.seeds)
 
 
 TOY_MODELS = ("noise_fixed", "noise_learned", "mc_dropout")
@@ -188,7 +211,7 @@ def _toy_build(model: str, cfg: ToyConfig, rng) -> "object":
 
 @_command
 def run_toy(cfg: ToyConfig) -> Computed:
-    train_cfg = TrainConfig(optimizer="adam", lr=cfg.lr, max_epochs=cfg.epochs,
+    train_cfg = TrainConfig(lr=cfg.lr, max_epochs=cfg.epochs,
                             batch_size=cfg.batch_size, patience=0)
     have_var = cfg.passes >= 2
     pred_rows, int_rows = [], []
@@ -361,8 +384,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> Computed:
                                       task="regression", activation=cfg.activation,
                                       rng=build_rng, **kwargs))
                 train_cfgs.append(TrainConfig(
-                    optimizer="adam", lr=config["lr"],
-                    weight_decay=config["weight_decay"],
+                    lr=config["lr"], weight_decay=config["weight_decay"],
                     max_epochs=cfg.max_epochs, batch_size=cfg.batch_size,
                     patience=cfg.patience, val_passes=cfg.val_passes))
                 fit_rngs.append(fit_rng)
@@ -401,7 +423,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> Computed:
         det = metrics["families"]["deterministic"]["test_rmse"]
         fx = metrics["families"]["noise_fixed"]["test_rmse"]
         metrics["rmse_ratio_fixed_vs_deterministic"] = (
-            fx / det if det > 0 else float("inf"))
+            fx / det if det > 0 else None)
 
     return Computed({"leaderboard.csv": (LEADERBOARD_HEADER, rows),
                      "metrics.json": metrics}, metrics,
@@ -425,7 +447,7 @@ class RiskCovConfig:
     def validate(self) -> None:
         _require(bool(self.pred_file), "riskcov requires pred_file=...")
         _require(bool(self.unc_file), "riskcov requires unc_file=...")
-        _require(self.risk_kind in ("rmse", "error_rate", "accuracy"),
+        _require(self.risk_kind in RISK_KINDS,
                  f"unknown risk_kind {self.risk_kind!r}")
         _require(all(0 < c <= 1 for c in self.coverage_grid)
                  and 1.0 in self.coverage_grid,
@@ -498,7 +520,7 @@ class SweepConfig:
         _require(self.lr > 0, "lr must be > 0")
         _require(self.epochs >= 1, "epochs must be >= 1")
         _require(self.batch_size >= 1, "batch_size must be >= 1")
-        _require(len(self.seeds) >= 1, "at least one seed required")
+        _require_seeds(self.seeds)
 
 
 def gen_blobs(n: int, seed_key, spread: float = 0.7):
@@ -523,7 +545,7 @@ def corrupted_predict(net, X, sigma: float, T: int, rng) -> PredictiveSamples:
 
 @_command
 def run_noise_sweep(cfg: SweepConfig) -> Computed:
-    train_cfg = TrainConfig(optimizer="adam", lr=cfg.lr, max_epochs=cfg.epochs,
+    train_cfg = TrainConfig(lr=cfg.lr, max_epochs=cfg.epochs,
                             batch_size=cfg.batch_size, patience=0)
     rows = []
     per_seed: dict[str, dict] = {}
@@ -667,7 +689,7 @@ class GpCheckConfig:
         _require(len(dims) == 1, "probe inputs must share one dimension")
         _require(all(math.isfinite(v) for p in self.probes for v in p),
                  "probe coordinates must be finite")
-        _require(len(self.seeds) >= 1, "at least one seed required")
+        _require_seeds(self.seeds)
 
 
 @_command

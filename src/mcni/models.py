@@ -4,6 +4,8 @@ deterministic   plain MLP, no stochastic mechanism
 mc_dropout      dropout on every hidden activation, live at prediction time
 noise_fixed     weight noise with a constant level alpha on every dense layer
 noise_learned   weight noise with alpha trained by backprop
+
+Weight noise is scaled by sigma_l, the spread of each layer's live weights.
 """
 
 from __future__ import annotations
@@ -20,16 +22,15 @@ def build_mlp(family: str, input_dim: int, hidden, output_dim: int,
               task: str = "regression", activation: str = "relu",
               rng: np.random.Generator | None = None,
               dropout_p: float = 0.2, noise_level: float = 0.05,
-              granularity: str = "scalar", alpha_penalty_lambda: float = 0.0,
-              sigma_source: str = "current", sigma_value: float | None = None,
-              ) -> Network:
+              alpha_penalty_lambda: float = 0.0) -> Network:
     """Feed-forward net [input_dim] + hidden + [output_dim].
 
     Hidden layers use ``activation``; the output layer is linear (logits for
     classification). Weight noise, when present, is injected into every dense
-    layer including the output, never into biases. Dropout follows each
-    hidden activation; inputs are left alone so that a dropped unit perturbs
-    the output by one unit's share, not one raw feature's.
+    layer including the output, never into biases, with one noise level per
+    layer starting at ``noise_level``. Dropout follows each hidden
+    activation; inputs are left alone so that a dropped unit perturbs the
+    output by one unit's share, not one raw feature's.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown model family {family!r}")
@@ -43,11 +44,8 @@ def build_mlp(family: str, input_dim: int, hidden, output_dim: int,
     if noisy:
         spec = NoiseSpec(
             mode="fixed" if family == "noise_fixed" else "learned",
-            granularity=granularity,
             alpha_init=noise_level,
             alpha_penalty_lambda=alpha_penalty_lambda,
-            sigma_source=sigma_source,
-            sigma_value=sigma_value,
         )
 
     dims = [int(input_dim)] + hidden + [int(output_dim)]

@@ -2,9 +2,9 @@
 
 The noisy layer perturbs its weight matrix on every forward pass,
 w_eff = W + alpha * eps with eps ~ N(0, sigma_l^2), where sigma_l is the
-standard deviation of the layer's own weights. The noise level alpha is
-either a fixed constant or a trainable parameter (one scalar per layer or
-one entry per weight). Bias is never perturbed.
+population standard deviation of the layer's own live weights. The noise
+level alpha is one scalar per layer, either a fixed constant or trained by
+backprop. Bias is never perturbed.
 
 Both mechanisms stay active in TRAIN and EVAL mode; prediction-time
 stochasticity is the point. DETERMINISTIC mode switches them off.
@@ -29,50 +29,33 @@ import numpy as np
 from .nn import DenseLayer, DETERMINISTIC, ShapeError, _require_same
 
 NOISE_MODES = ("fixed", "learned")
-GRANULARITIES = ("scalar", "element")
-SIGMA_SOURCES = ("current", "init", "constant")
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """How a noisy layer draws and scales its weight noise.
+    """How a noisy layer scales its weight noise.
 
-    sigma_source picks the reference spread sigma_l: the live weights
-    ('current', the default; noise tracks the trained scale), the weights at
-    init time ('init'), or a fixed value ('constant', requires sigma_value).
+    mode 'fixed' keeps alpha at alpha_init; 'learned' trains it.
     alpha_penalty_lambda is the coefficient of the optional reward term
     -lambda * ||alpha||^2 added to the training loss; it is subtracted, so a
     positive lambda pushes alpha away from zero instead of collapsing it.
     """
 
     mode: str = "fixed"
-    granularity: str = "scalar"
     alpha_init: float = 0.05
     alpha_penalty_lambda: float = 0.0
-    sigma_source: str = "current"
-    sigma_value: float | None = None
 
     def __post_init__(self):
         if self.mode not in NOISE_MODES:
             raise ValueError(f"noise mode must be one of {NOISE_MODES}")
-        if self.granularity not in GRANULARITIES:
-            raise ValueError(f"granularity must be one of {GRANULARITIES}")
         if self.alpha_init < 0.0:
             raise ValueError("alpha_init must be non-negative")
         if self.alpha_penalty_lambda < 0.0:
             raise ValueError("alpha_penalty_lambda must be non-negative")
-        if self.sigma_source not in SIGMA_SOURCES:
-            raise ValueError(f"sigma_source must be one of {SIGMA_SOURCES}")
-        if self.sigma_source == "constant":
-            if self.sigma_value is None or self.sigma_value <= 0.0:
-                raise ValueError("constant sigma_source requires sigma_value > 0")
-        elif self.sigma_value is not None:
-            raise ValueError("sigma_value only applies to the constant source")
 
 
-def layer_weight_std(W: np.ndarray, spec: NoiseSpec,
-                     init_std: float | None = None) -> float:
-    """Reference noise scale sigma_l for a weight matrix.
+def layer_weight_std(W: np.ndarray) -> float:
+    """Reference noise scale sigma_l of a weight matrix.
 
     Population standard deviation (N in the denominator, not N-1): a
     constant-weight layer yields exactly 0, and [[-1, 1]] yields exactly 1.
@@ -84,12 +67,6 @@ def layer_weight_std(W: np.ndarray, spec: NoiseSpec,
     W = np.asarray(W, dtype=np.float64)
     if W.size == 0:
         raise ShapeError("weight matrix is empty")
-    if spec.sigma_source == "constant":
-        return float(spec.sigma_value)
-    if spec.sigma_source == "init":
-        if init_std is None:
-            raise ValueError("sigma_source 'init' needs the captured init std")
-        return init_std if np.ndim(init_std) else float(init_std)
     stacked, n = W.ndim == 3, W.shape[-2] * W.shape[-1]
     d = W - W.sum(axis=(-2, -1), keepdims=stacked) / n
     var = (d * d).sum(axis=(-2, -1), keepdims=stacked) / n
@@ -125,17 +102,14 @@ def sample_noise(layer: "NoisyDenseLayer", rng,
     return eps
 
 
-def alpha_gradient(weight_grad: np.ndarray, eps: np.ndarray,
-                   granularity: str) -> np.ndarray:
-    """Reparameterization gradient: dL/dalpha = eps * dL/dw_eff.
+def alpha_gradient(weight_grad: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Reparameterization gradient: dL/dalpha = sum(eps * dL/dw_eff).
 
     eps is treated as a constant of the pass; sigma_l is not differentiated
-    through. Scalar granularity sums over the matrix (per member in a stack).
+    through. The sum runs over the matrix, per member in a stack.
     """
     g = eps * weight_grad
-    if granularity == "scalar":
-        return np.asarray(g.sum(axis=(-2, -1), keepdims=g.ndim == 3))
-    return g
+    return np.asarray(g.sum(axis=(-2, -1), keepdims=g.ndim == 3))
 
 
 @dataclass
@@ -144,30 +118,24 @@ class NoisyDenseLayer(DenseLayer):
 
     spec: NoiseSpec = NoiseSpec()
     alpha: np.ndarray = None
-    init_std: float = 0.0
 
     def __post_init__(self):
         super().__post_init__()
-        # scalar alpha: () for a single net, (S, 1, 1) in a stack
-        expected = self.W.shape
-        if self.spec.granularity == "scalar":
-            expected = self.W.shape[:-2] + (1, 1) * (self.W.ndim - 2)
+        # one alpha per layer: () for a single net, (S, 1, 1) in a stack
+        expected = self.W.shape[:-2] + (1, 1) * (self.W.ndim - 2)
         if self.alpha is None:
             self.alpha = np.full(expected, self.spec.alpha_init, dtype=np.float64)
         else:
             self.alpha = np.asarray(self.alpha, dtype=np.float64)
         if self.alpha.shape != expected:
-            raise ShapeError(
-                f"alpha shape {self.alpha.shape} does not match "
-                f"granularity {self.spec.granularity!r}")
+            raise ShapeError(f"alpha shape {self.alpha.shape} is not the "
+                             f"layer's scalar shape {expected}")
 
     @classmethod
     def create(cls, fan_in, fan_out, activation="identity", rng=None,
                spec: NoiseSpec = NoiseSpec()):
         base = DenseLayer.create(fan_in, fan_out, activation, rng)
-        init_std = float(np.std(base.W))
-        return cls(W=base.W, b=base.b, activation=activation, spec=spec,
-                   alpha=None, init_std=init_std)
+        return cls(W=base.W, b=base.b, activation=activation, spec=spec)
 
     @classmethod
     def stack(cls, layers) -> "NoisyDenseLayer":
@@ -177,14 +145,12 @@ class NoisyDenseLayer(DenseLayer):
         if len(specs) != 1:
             raise ShapeError("stacked members differ in their noise spec")
         base = DenseLayer.stack(layers)
-        alpha_shape = layers[0].W.shape if layers[0].alpha.ndim else (1, 1)
         return cls(W=base.W, b=base.b, activation=base.activation,
                    spec=layers[0].spec,
-                   alpha=np.stack([l.alpha.reshape(alpha_shape) for l in layers]),
-                   init_std=np.array([l.init_std for l in layers]).reshape(-1, 1, 1))
+                   alpha=np.array([l.alpha for l in layers]).reshape(-1, 1, 1))
 
     def weight_std(self) -> float:
-        return layer_weight_std(self.W, self.spec, init_std=self.init_std)
+        return layer_weight_std(self.W)
 
     def buffers(self, batch: int, width: int) -> dict:
         """Dense buffers plus eps, w_eff and sigma_l of the frozen weights."""
@@ -219,8 +185,7 @@ class NoisyDenseLayer(DenseLayer):
                 # deterministic pass: no noise path, alpha has zero gradient
                 grads["alpha"] = np.zeros_like(self.alpha)
             else:
-                grads["alpha"] = alpha_gradient(grads["W"], eps,
-                                                self.spec.granularity)
+                grads["alpha"] = alpha_gradient(grads["W"], eps)
         return grad_in, grads
 
 

@@ -1,4 +1,4 @@
-"""Training: Adam, SGD with momentum, early stopping, and grid search.
+"""Training: Adam, early stopping, and grid search.
 
 The training loss is task loss + L2 weight decay + the optional noise-level
 reward (-lambda * ||alpha||^2, carried per layer by its NoiseSpec). Noise and
@@ -34,28 +34,18 @@ from .noise import NoisyDenseLayer
 
 @dataclass
 class TrainConfig:
-    optimizer: str = "adam"          # "adam" | "sgd"
+    """One fit's settings; the optimizer is Adam at its default betas and eps."""
+
     lr: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    momentum: float = 0.9
     weight_decay: float | Mapping[str, float] = 0.0
     max_epochs: int = 100
     batch_size: int = 32
     patience: int = 0                # 0 disables early stopping
     val_passes: int = 1
-    seed: int = 0
 
     def __post_init__(self):
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.lr <= 0.0:
             raise ValueError("learning rate must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("Adam betas must lie in [0, 1)")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must lie in [0, 1)")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
         if self.batch_size < 1:
@@ -127,12 +117,6 @@ class _FlatState:
         self._make_views()
 
 
-def _member_lr(lr):
-    """The learning rate as a column, one row per member; the member count."""
-    col = np.asarray(lr, dtype=np.float64).reshape(-1, 1)
-    return col, col.shape[0]
-
-
 class Adam:
     """Bias-corrected Adam. State is keyed by parameter name.
 
@@ -147,8 +131,9 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._lr, members = _member_lr(lr)
-        self._state = _FlatState(2, 3, members)
+        # the learning rate as a column, one row per member
+        self._lr = np.asarray(lr, dtype=np.float64).reshape(-1, 1)
+        self._state = _FlatState(2, 3, self._lr.shape[0])
         self._m, self._v = self._state.views
 
     def step(self, params: Mapping[str, np.ndarray],
@@ -177,37 +162,13 @@ class Adam:
         self._state.select(keep)
 
 
-class SGDMomentum:
-    """v <- mu*v + g; p <- p - lr*v. ``lr`` as for Adam."""
-
-    def __init__(self, lr, momentum: float = 0.9):
-        self.lr = lr
-        self.momentum = momentum
-        self._lr, members = _member_lr(lr)
-        self._state = _FlatState(1, 2, members)
-        self._v = self._state.views[0]
-
-    def step(self, params, grads) -> None:
-        g = self._state.gather(params, grads)
-        v = self._state.buffers[0]
-        v *= self.momentum
-        v += g
-        self._state.apply(params, np.multiply(self._lr, v, out=self._state.work[1]))
-
-    select = Adam.select
-
-
 # fields that every member of one stacked fit must share
-_SHARED_FIELDS = ("optimizer", "beta1", "beta2", "adam_eps", "momentum",
-                  "max_epochs", "batch_size", "patience", "val_passes")
+_SHARED_FIELDS = ("max_epochs", "batch_size", "patience", "val_passes")
 
 
-def make_optimizer(cfgs: Sequence[TrainConfig]):
-    """One optimizer for a stack, with each member's learning rate."""
-    cfg, lr = cfgs[0], np.array([c.lr for c in cfgs])
-    if cfg.optimizer == "adam":
-        return Adam(lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    return SGDMomentum(lr, cfg.momentum)
+def make_optimizer(cfgs: Sequence[TrainConfig]) -> Adam:
+    """One Adam for a stack, with each member's learning rate."""
+    return Adam(np.array([c.lr for c in cfgs]))
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +252,11 @@ def fit(net, train_x, train_y, cfg, val_x=None, val_y=None, rng=None):
 
     ``net`` is one Network, or a list of same-shape nets trained together as
     one member stack; ``cfg`` and ``rng`` are then one per net (or one
-    config for all). Members may differ in learning rate and weight decay;
-    the other TrainConfig fields must agree. Each member gets exactly the
-    result it would get alone, and the return value is one FitResult or a
-    list of them. A single net is a stack of one.
+    config for all). ``rng`` is required, one generator per net. Members
+    may differ in learning rate and weight decay; the other TrainConfig
+    fields must agree. Each member gets exactly the result it would get
+    alone, and the return value is one FitResult or a list of them. A
+    single net is a stack of one.
 
     When a validation set is given, each net is left holding the parameters
     of its best-validation epoch, whether or not early stopping triggered.
@@ -308,7 +270,9 @@ def fit(net, train_x, train_y, cfg, val_x=None, val_y=None, rng=None):
     single = isinstance(net, Network)
     nets = [net] if single else list(net)
     cfgs = list(cfg) if isinstance(cfg, Sequence) else [cfg] * len(nets)
-    rngs = [rng] if single else [None] * len(nets) if rng is None else list(rng)
+    rngs = [rng] if single or rng is None else list(rng)
+    if any(r is None for r in rngs):
+        raise ValueError("fit needs a generator for every net (rng=...)")
     if not (len(nets) == len(cfgs) == len(rngs)) or not nets:
         raise ValueError("fit needs one config and one generator per net")
     for name in _SHARED_FIELDS:
@@ -323,8 +287,7 @@ def fit(net, train_x, train_y, cfg, val_x=None, val_y=None, rng=None):
         raise ValueError("validation features and targets must come together")
     train_y = np.asarray(train_y)
 
-    streams = [(np.random.default_rng(c.seed) if r is None else r).spawn(2)
-               for c, r in zip(cfgs, rngs)]
+    streams = [r.spawn(2) for r in rngs]
     shuffle_rngs = [s[0] for s in streams]
     noise_rngs = [s[1] for s in streams]
     stack = stack_networks(nets)

@@ -152,14 +152,6 @@ def adam_steps_oracle(p0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return p
 
 
-def sgd_momentum_steps_oracle(p0, grads, lr, momentum=0.9):
-    p, vel = p0, 0.0
-    for g in grads:
-        vel = momentum * vel + g
-        p -= lr * vel
-    return p, vel
-
-
 def spearman_oracle(xs, ys):
     """Spearman rho via average ranks and a plain Pearson on the ranks."""
     def ranks(vals):

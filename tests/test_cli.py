@@ -156,11 +156,13 @@ CONFIG_ERRORS = [
     ("benchmark", "split_fractions=0.5,0.25,0.2"),
     ("toy", "activation=gelu"),
     ("toy", "alpha_penalty_lambda=-1"),
+    ("toy", "seeds=0,1,0"),
     ("noise-sweep", "activation=gelu"),
     ("noise-sweep", "hidden="),
     ("noise-sweep", "noise_level=-0.1"),
     ("noise-sweep", "lr=0"),
     ("noise-sweep", "batch_size=0"),
+    ("noise-sweep", "seeds=2,2"),
     ("riskcov", "coverage_grid=0.5,0.9"),
     ("riskcov", "coverage_grid=0,1.0"),
     ("riskcov", "coverage_grid=0.5,1.5"),
@@ -170,6 +172,7 @@ CONFIG_ERRORS = [
     ("bench-time", "noise_level=-0.1"),
     ("bench-time", "dropout_p=1.0"),
     ("gpcheck", "seeds="),
+    ("gpcheck", "seeds=0,0"),
     ("gpcheck", "widths="),
     ("gpcheck", "bias_std=inf"),
     ("gpcheck", "bias_std=nan"),
@@ -210,6 +213,27 @@ def test_gpcheck_overflow_exits_4_without_writing_results(tmp_path, capsys):
                  "--set", "width=8", "--set", "probes=1e308,1e308;1,1"])
     assert code == EXIT_RUNTIME
     assert "kernel or covariance not finite" in capsys.readouterr().err
+    assert list(outdir.iterdir()) == []
+
+
+DIVERGING_RUNS = {
+    "benchmark": ["--data", str(DATASETS / "synth_regression.csv"),
+                  "--set", "lr_grid=1e300", "--set", "max_epochs=2",
+                  "--set", "families=deterministic,noise_fixed",
+                  "--set", "noise_grid=0.01", "--set", "weight_decay_grid=0",
+                  "--passes", "5"],
+    "toy": ["--set", "lr=1e300", "--set", "epochs=2", "--seeds", "0",
+            "--passes", "3", "--set", "n_points=20"],
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", sorted(DIVERGING_RUNS))
+def test_non_finite_metrics_exit_4_without_writing(tmp_path, capsys, command):
+    outdir = tmp_path / "out"
+    code = main([command, "--outdir", str(outdir), *DIVERGING_RUNS[command]])
+    assert code == EXIT_RUNTIME
+    assert "metrics not finite" in capsys.readouterr().err
     assert list(outdir.iterdir()) == []
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import mcni.experiments
 from mcni.data import DataError, load_csv, split, standardize_fit_apply
 from mcni.experiments import (BenchmarkConfig, ConfigError, GpCheckConfig,
                               RiskCovConfig, SweepConfig, TimingConfig,
@@ -157,6 +158,17 @@ def test_benchmark_zero_noise_reduces_to_deterministic(tmp_path):
     assert out.metrics["rmse_ratio_fixed_vs_deterministic"] == pytest.approx(
         1.0, abs=1e-9)
     assert "msll_vs_mc_dropout" not in fams["deterministic"]
+
+
+def test_benchmark_ratio_is_none_at_zero_deterministic_rmse(tmp_path,
+                                                            monkeypatch):
+    monkeypatch.setattr(mcni.experiments, "rmse", lambda pred, target: 0.0)
+    out = run_benchmark(tiny_benchmark(
+        tmp_path, families=("deterministic", "noise_fixed")))
+    assert out.metrics["families"]["deterministic"]["test_rmse"] == 0.0
+    assert out.metrics["rmse_ratio_fixed_vs_deterministic"] is None
+    saved = json.loads(out.files["metrics.json"].read_text())
+    assert saved["rmse_ratio_fixed_vs_deterministic"] is None
 
 
 def test_benchmark_matches_per_config_oracle(tmp_path):

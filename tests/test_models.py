@@ -63,12 +63,6 @@ def test_geometry():
     assert out.shape == (2, 3)
 
 
-def test_element_granularity_propagates():
-    net = build_mlp("noise_learned", 2, [3], 1, granularity="element",
-                    rng=np.random.default_rng(3))
-    assert net.layers[0].alpha.shape == net.layers[0].W.shape
-
-
 def test_same_rng_same_init_across_families():
     """Noise wrapping must not change the weight draw sequence."""
     det = build_mlp("deterministic", 3, [5], 1, rng=np.random.default_rng(9))

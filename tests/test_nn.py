@@ -259,7 +259,7 @@ def test_l2_per_group_coefficients():
 
 def test_l2_terms_bit_identical_to_reference_sum_and_grads():
     rng = np.random.default_rng(11)
-    spec = NoiseSpec(mode="learned", granularity="element")
+    spec = NoiseSpec(mode="learned")
     net = Network([NoisyDenseLayer.create(3, 5, "relu", rng, spec=spec),
                    DenseLayer.create(5, 2, "identity", rng)])
     mapping = {"L0.W": 0.3, "L1.b": 1e-5, "L0.alpha": 7.0, "L9.W": 2.0}

@@ -25,12 +25,12 @@ def noisy_layer(W, alpha, spec=None, activation="identity"):
 # sigma_l
 
 def test_constant_weights_zero_std():
-    assert layer_weight_std(np.ones((2, 2)), NoiseSpec()) == 0.0
+    assert layer_weight_std(np.ones((2, 2))) == 0.0
 
 
 def test_symmetric_pair_unit_std():
     # population convention: N in the denominator
-    assert layer_weight_std(np.array([[-1.0, 1.0]]), NoiseSpec()) == 1.0
+    assert layer_weight_std(np.array([[-1.0, 1.0]])) == 1.0
 
 
 def test_std_matches_two_pass_loop():
@@ -38,7 +38,7 @@ def test_std_matches_two_pass_loop():
     W = rng.normal(size=(5, 7))
     mean = sum(W.ravel()) / W.size
     var = sum((v - mean) ** 2 for v in W.ravel()) / W.size
-    assert abs(layer_weight_std(W, NoiseSpec()) - np.sqrt(var)) < 1e-12
+    assert abs(layer_weight_std(W) - np.sqrt(var)) < 1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -51,21 +51,12 @@ def test_std_is_bit_identical_to_np_std(rows, cols, log_scale, offset,
     W = W * 10.0 ** log_scale + offset
     if transpose:
         W = W.T                  # non-contiguous input
-    assert layer_weight_std(W, NoiseSpec()) == float(np.std(W))
-
-
-def test_std_sources():
-    spec_const = NoiseSpec(sigma_source="constant", sigma_value=2.5)
-    assert layer_weight_std(np.ones((3, 3)), spec_const) == 2.5
-    spec_init = NoiseSpec(sigma_source="init")
-    assert layer_weight_std(np.ones((3, 3)), spec_init, init_std=0.7) == 0.7
-    with pytest.raises(ValueError):
-        layer_weight_std(np.ones((3, 3)), spec_init)    # init std not captured
+    assert layer_weight_std(W) == float(np.std(W))
 
 
 def test_empty_weight_matrix_rejected():
     with pytest.raises(ShapeError):
-        layer_weight_std(np.empty((0, 2)), NoiseSpec())
+        layer_weight_std(np.empty((0, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -78,18 +69,12 @@ def test_spec_rejects_bad_fields():
         NoiseSpec(alpha_init=-0.1)
     with pytest.raises(ValueError):
         NoiseSpec(alpha_penalty_lambda=-1.0)
-    with pytest.raises(ValueError):
-        NoiseSpec(sigma_source="constant")            # value required
-    with pytest.raises(ValueError):
-        NoiseSpec(sigma_source="constant", sigma_value=0.0)
-    with pytest.raises(ValueError):
-        NoiseSpec(sigma_source="current", sigma_value=1.0)
 
 
-def test_alpha_shape_follows_granularity():
-    spec = NoiseSpec(granularity="element", alpha_init=0.1)
+def test_alpha_is_one_scalar_per_layer():
+    spec = NoiseSpec(alpha_init=0.1)
     layer = NoisyDenseLayer(W=np.zeros((2, 3)), b=np.zeros(3), spec=spec)
-    assert layer.alpha.shape == (2, 3)
+    assert layer.alpha.shape == ()
     with pytest.raises(ShapeError):
         NoisyDenseLayer(W=np.zeros((2, 3)), b=np.zeros(3), spec=spec,
                         alpha=np.zeros(4))
@@ -104,9 +89,15 @@ def test_zero_sigma_gives_exact_zero_noise():
     assert np.all(z == 0.0)
 
 
+def plus_minus(shape, s):
+    """Weights alternating +s and -s, an even count: population std exactly s."""
+    signs = np.where(np.arange(np.prod(shape)) % 2 == 0, 1.0, -1.0)
+    return s * signs.reshape(shape)
+
+
 def test_noise_statistics_sigma_two():
-    spec = NoiseSpec(sigma_source="constant", sigma_value=2.0)
-    layer = noisy_layer(np.zeros((100, 100)), 1.0, spec)
+    layer = noisy_layer(plus_minus((100, 100), 2.0), 1.0)
+    assert layer.weight_std() == 2.0
     z = sample_noise(layer, np.random.default_rng(42))   # 1e4 draws
     draws = [z]
     rng = np.random.default_rng(43)
@@ -156,12 +147,13 @@ def test_degenerate_sigma_gives_zero_output():
 
 
 def test_injected_variance_constant_sigma():
-    """alpha=2, sigma=1, W=0, x=1: output variance approaches 4."""
-    spec = NoiseSpec(sigma_source="constant", sigma_value=1.0)
-    layer = noisy_layer(np.zeros((1, 1)), 2.0, spec)
+    """alpha=2, sigma=1, W=[[1], [-1]], x=(1, 0): the output is 1 + 2 * eps
+    with eps ~ N(0, 1), so its variance approaches 4."""
+    layer = noisy_layer(plus_minus((2, 1), 1.0), 2.0)
+    assert layer.weight_std() == 1.0
     net = Network([layer])
     rng = np.random.default_rng(10)
-    outs = np.array([net.forward(np.array([[1.0]]), TRAIN, rng)[0][0, 0]
+    outs = np.array([net.forward(np.array([[1.0, 0.0]]), TRAIN, rng)[0][0, 0]
                      for _ in range(100_000)])
     assert abs(outs.var() - 4.0) / 4.0 < 0.05
 
@@ -203,21 +195,18 @@ def test_alpha_zero_network_bit_deterministic():
 def test_alpha_gradient_hand_case():
     g = np.ones((2, 3))
     eps = np.full((2, 3), 0.3)
-    out = alpha_gradient(g, eps, "element")
-    assert np.array_equal(out, np.full((2, 3), 0.3))
-    assert float(alpha_gradient(g, eps, "scalar")) == pytest.approx(1.8)
+    assert float(alpha_gradient(g, eps)) == pytest.approx(1.8)
 
 
 def test_alpha_gradient_zero_eps():
-    out = alpha_gradient(np.ones((2, 2)), np.zeros((2, 2)), "element")
+    out = alpha_gradient(np.ones((2, 2)), np.zeros((2, 2)))
     assert np.all(out == 0.0)
 
 
-@pytest.mark.parametrize("granularity", ["scalar", "element"])
-def test_alpha_gradient_matches_finite_difference(granularity):
+def test_alpha_gradient_matches_finite_difference():
     """FD on alpha with the same frozen eps, h=1e-6."""
     rng = np.random.default_rng(13)
-    spec = NoiseSpec(mode="learned", granularity=granularity, alpha_init=0.3)
+    spec = NoiseSpec(mode="learned", alpha_init=0.3)
     layer = NoisyDenseLayer.create(3, 2, "identity", rng, spec=spec)
     net = Network([layer])
     x = rng.normal(size=(4, 3))
@@ -263,19 +252,17 @@ def test_deterministic_pass_zero_alpha_gradient():
 # alpha penalty, through the training loss
 
 def penalty_loss_and_grad(alpha, lam):
-    """Training loss and alpha gradient of one learned element-alpha layer
-    whose weights, input, target and frozen noise are all zero: the data
-    term and its alpha gradient are exactly zero, leaving the penalty."""
-    alpha = np.asarray(alpha, float).reshape(1, -1)
-    spec = NoiseSpec(mode="learned", granularity="element",
-                     alpha_penalty_lambda=lam)
-    net = Network([NoisyDenseLayer(W=np.zeros(alpha.shape),
-                                   b=np.zeros(alpha.shape[1]), spec=spec,
-                                   alpha=alpha)])
+    """Training loss and alpha gradients of a chain of learned 1x1 layers,
+    one per entry of ``alpha``, whose weights, input, target and frozen
+    noise are all zero: the data term and its alpha gradients are exactly
+    zero, leaving the penalty."""
+    spec = NoiseSpec(mode="learned", alpha_penalty_lambda=lam)
+    net = Network([NoisyDenseLayer(W=np.zeros((1, 1)), b=np.zeros(1),
+                                   spec=spec, alpha=a) for a in alpha])
     loss, grads = training_loss_and_grads(
-        net, np.zeros((1, 1)), np.zeros((1, alpha.shape[1])),
-        frozen_noise=[np.zeros(alpha.shape)])
-    return loss, grads["L0.alpha"].ravel()
+        net, np.zeros((1, 1)), np.zeros((1, 1)),
+        frozen_noise=[np.zeros((1, 1))] * len(alpha))
+    return loss, np.array([grads[f"L{i}.alpha"] for i in range(len(alpha))])
 
 
 def test_alpha_penalty_disabled():

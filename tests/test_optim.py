@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+import mcni.optim
 from mcni.nn import EVAL, TRAIN, DenseLayer, Network, l2_penalty, loss_mse
 from mcni.noise import NoiseSpec, NoisyDenseLayer, sample_noise
 from mcni.models import FAMILIES, build_mlp
-from mcni.optim import (Adam, FitResult, SGDMomentum, TrainConfig, fit,
-                        grid_search, task_loss, training_loss_and_grads)
+from mcni.optim import (Adam, FitResult, TrainConfig, fit, grid_search,
+                        task_loss, training_loss_and_grads)
 
-from oracles import adam_steps_oracle, sgd_momentum_steps_oracle
+from oracles import adam_steps_oracle
 
 
 def linear_net(w0=0.0):
@@ -78,41 +79,21 @@ def _per_name_adam(lr, beta1, beta2, eps):
     return step, state
 
 
-def _per_name_sgd(lr, momentum):
-    vel = {}
-
-    def step(params, grads):
-        for name, p in params.items():
-            if name not in grads:
-                continue
-            v = vel.setdefault(name, np.zeros_like(p))
-            v *= momentum
-            v += grads[name]
-            p -= lr * v
-    return step, vel
-
-
 def _learned_noise_net(seed):
     rng = np.random.default_rng(seed)
-    scalar = NoiseSpec(mode="learned", alpha_init=0.1, alpha_penalty_lambda=0.05)
-    element = NoiseSpec(mode="learned", granularity="element", alpha_init=0.2)
-    return Network([NoisyDenseLayer.create(3, 6, "tanh", rng, spec=scalar),
-                    NoisyDenseLayer.create(6, 2, "identity", rng, spec=element)])
+    penalized = NoiseSpec(mode="learned", alpha_init=0.1,
+                          alpha_penalty_lambda=0.05)
+    plain = NoiseSpec(mode="learned", alpha_init=0.2)
+    return Network([NoisyDenseLayer.create(3, 6, "tanh", rng, spec=penalized),
+                    NoisyDenseLayer.create(6, 2, "identity", rng, spec=plain)])
 
 
-@pytest.mark.parametrize("kind", ["adam", "sgd"])
-def test_flat_state_is_bit_identical_to_per_name_loop(kind):
+def test_flat_state_is_bit_identical_to_per_name_loop():
     net, twin = _learned_noise_net(8), _learned_noise_net(8)
     assert net.layers[0].alpha.shape == ()              # 0-d scalar alpha
-    assert net.layers[1].alpha.shape == (6, 2)          # element alpha
-    if kind == "adam":
-        opt = Adam(lr=0.01, beta1=0.85, beta2=0.99, eps=1e-8)
-        ref_step, ref_state = _per_name_adam(0.01, 0.85, 0.99, 1e-8)
-        moments = [(opt._m, ref_state["m"]), (opt._v, ref_state["v"])]
-    else:
-        opt = SGDMomentum(lr=0.01, momentum=0.8)
-        ref_step, ref_vel = _per_name_sgd(0.01, 0.8)
-        moments = [(opt._v, ref_vel)]
+    opt = Adam(lr=0.01, beta1=0.85, beta2=0.99, eps=1e-8)
+    ref_step, ref_state = _per_name_adam(0.01, 0.85, 0.99, 1e-8)
+    moments = [(opt._m, ref_state["m"]), (opt._v, ref_state["v"])]
     params, ref_params = net.parameters(), twin.parameters()
     data = np.random.default_rng(9)
     x, y = data.normal(size=(7, 3)), data.normal(size=(7, 2))
@@ -131,8 +112,8 @@ def test_flat_state_is_bit_identical_to_per_name_loop(kind):
                 assert np.array_equal(flat[name], ref[name]), name
 
 
-@pytest.mark.parametrize("opt", [Adam(lr=0.1), SGDMomentum(lr=0.1)])
-def test_flat_state_rejects_a_changed_parameter_set(opt):
+def test_flat_state_rejects_a_changed_parameter_set():
+    opt = Adam(lr=0.1)
     params = {"w": np.zeros(2), "b": np.zeros(1)}
     opt.step(params, {"w": np.ones(2), "b": np.ones(1)})
     before = {k: p.copy() for k, p in params.items()}
@@ -145,53 +126,12 @@ def test_flat_state_rejects_a_changed_parameter_set(opt):
         assert np.array_equal(p, before[k])
 
 
-# ---------------------------------------------------------------------------
-# SGD with momentum
-
-def test_sgd_without_momentum_is_plain_step():
-    p = {"w": np.array([1.0])}
-    SGDMomentum(lr=0.1, momentum=0.0).step(p, {"w": np.array([2.0])})
-    assert p["w"][0] == pytest.approx(1.0 - 0.2, abs=1e-15)
-
-
-def test_sgd_velocity_geometric_series():
-    p = {"w": np.array([0.0])}
-    opt = SGDMomentum(lr=0.01, momentum=0.9)
-    g = np.array([2.0])
-    k = 7
-    for _ in range(k):
-        opt.step(p, {"w": g})
-    expected = 2.0 * (1.0 - 0.9 ** k) / (1.0 - 0.9)
-    assert abs(opt._v["w"][0] - expected) < 1e-12
-
-
-def test_sgd_zero_gradient_still_moves_on_velocity():
-    p = {"w": np.array([0.0])}
-    opt = SGDMomentum(lr=0.1, momentum=0.5)
-    opt.step(p, {"w": np.array([1.0])})
-    before = p["w"][0]
-    opt.step(p, {"w": np.array([0.0])})
-    assert p["w"][0] == pytest.approx(before - 0.1 * 0.5 * 1.0, abs=1e-15)
-
-
-def test_sgd_matches_scalar_loop_oracle():
-    rng = np.random.default_rng(1)
-    grads = rng.normal(size=10)
-    p = {"w": np.array([0.3])}
-    opt = SGDMomentum(lr=0.05, momentum=0.8)
-    for g in grads:
-        opt.step(p, {"w": np.array([g])})
-    ref, _ = sgd_momentum_steps_oracle(0.3, grads.tolist(), lr=0.05, momentum=0.8)
-    assert abs(p["w"][0] - ref) < 1e-12
-
-
 def test_one_step_decreases_quadratic_probe():
-    """L = ||p||^2 at lr 1e-3, both optimizers."""
-    for opt in (Adam(lr=1e-3), SGDMomentum(lr=1e-3)):
-        p = {"w": np.array([0.7, -1.3, 0.2])}
-        before = float(p["w"] @ p["w"])
-        opt.step(p, {"w": 2.0 * p["w"]})
-        assert float(p["w"] @ p["w"]) < before
+    """L = ||p||^2 at lr 1e-3."""
+    p = {"w": np.array([0.7, -1.3, 0.2])}
+    before = float(p["w"] @ p["w"])
+    Adam(lr=1e-3).step(p, {"w": 2.0 * p["w"]})
+    assert float(p["w"] @ p["w"]) < before
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +266,28 @@ def test_best_validation_snapshot_restored():
 def test_fit_input_validation():
     net = linear_net()
     cfg = TrainConfig()
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="empty training set"):
+        fit(net, np.empty((0, 1)), np.empty((0, 1)), cfg, rng=rng)
     with pytest.raises(ValueError):
-        fit(net, np.empty((0, 1)), np.empty((0, 1)), cfg)
-    with pytest.raises(ValueError):
-        fit(net, np.ones((2, 1)), np.ones((2, 1)), cfg, np.ones((1, 1)), None)
+        fit(net, np.ones((2, 1)), np.ones((2, 1)), cfg, np.ones((1, 1)), None,
+            rng=rng)
+
+
+def test_fit_requires_a_generator():
+    x, y = np.ones((2, 1)), np.ones((2, 1))
+    with pytest.raises(ValueError, match="generator"):
+        fit(linear_net(), x, y, TrainConfig())
+    with pytest.raises(ValueError, match="generator"):
+        fit([linear_net(), linear_net()], x, y, TrainConfig())
+    with pytest.raises(ValueError, match="generator"):
+        fit([linear_net(), linear_net()], x, y, TrainConfig(),
+            rng=[np.random.default_rng(0), None])
 
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(optimizer="rmsprop")
-    with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(beta1=1.0)
     with pytest.raises(ValueError):
         TrainConfig(patience=-1)
     with pytest.raises(ValueError):
@@ -366,10 +315,7 @@ def reference_fit(net, train_x, train_y, cfg, val_x, val_y, rng):
     net (no member axis), its own optimizer, a Python list of batch losses."""
     n = train_x.shape[0]
     shuffle_rng, noise_rng = rng.spawn(2)
-    if cfg.optimizer == "adam":
-        optimizer = Adam(cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    else:
-        optimizer = SGDMomentum(cfg.lr, cfg.momentum)
+    optimizer = Adam(cfg.lr)
     params = net.parameters()
     history = {"train_loss": [], "val_loss": []}
     best_val, best_epoch, best_params, bad_epochs = np.inf, -1, None, 0
@@ -423,10 +369,10 @@ STACK_MEMBERS = [(0.3, 1e-3, 0.2), (0.02, 0.0, 0.05), (0.005, {"L0.W": 1e-2}, 0.
                  (0.05, 1e-4, 0.1)]
 
 
-def build_member(family, task, knob, seed, granularity="scalar"):
+def build_member(family, task, knob, seed):
     out_dim = 2 if task == "regression" else 3
     kwargs = {"dropout_p": knob} if family == "mc_dropout" else {
-        "noise_level": knob, "granularity": granularity}
+        "noise_level": knob}
     return build_mlp(family, 3, [5, 4], out_dim, task=task, activation="tanh",
                      rng=np.random.default_rng([seed, 1]), **kwargs)
 
@@ -442,20 +388,15 @@ def assert_same_fit(net, result, ref_net, ref):
     assert not result.diverged
 
 
-STACK_CASES = [(family, task, "scalar") for family in FAMILIES
-               for task in ("regression", "classification")]
-STACK_CASES += [("noise_learned", task, "element")
-                for task in ("regression", "classification")]
-
-
-@pytest.mark.parametrize("family,task,granularity", STACK_CASES)
-def test_stacked_fit_equals_each_member_fitted_alone(family, task, granularity):
+@pytest.mark.parametrize("task", ["regression", "classification"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stacked_fit_equals_each_member_fitted_alone(family, task):
     x, y, xv, yv = stack_data(task)
     cfgs = [TrainConfig(lr=lr, weight_decay=wd, max_epochs=25, batch_size=8,
                         patience=2, val_passes=2)
             for lr, wd, _ in STACK_MEMBERS]
     seeds = range(30, 30 + len(STACK_MEMBERS))
-    nets = [build_member(family, task, knob, seed, granularity)
+    nets = [build_member(family, task, knob, seed)
             for (_, _, knob), seed in zip(STACK_MEMBERS, seeds)]
     results = fit(nets, x, y, cfgs, xv, yv,
                   rng=[np.random.default_rng([seed, 2]) for seed in seeds])
@@ -464,34 +405,40 @@ def test_stacked_fit_equals_each_member_fitted_alone(family, task, granularity):
     assert any(r.stopped_early for r in results)
     for (_, _, knob), seed, c, net, result in zip(STACK_MEMBERS, seeds, cfgs,
                                                   nets, results):
-        ref_net = build_member(family, task, knob, seed, granularity)
+        ref_net = build_member(family, task, knob, seed)
         ref = reference_fit(ref_net, x, y, c, xv, yv,
                             np.random.default_rng([seed, 2]))
         assert_same_fit(net, result, ref_net, ref)
-        alone = build_member(family, task, knob, seed, granularity)
+        alone = build_member(family, task, knob, seed)
         solo = fit(alone, x, y, c, xv, yv, rng=np.random.default_rng([seed, 2]))
         assert_same_fit(alone, solo, ref_net, ref)
 
 
-def test_stacked_sgd_equals_reference():
-    x, y, xv, yv = stack_data("regression", seed=21)
-    cfgs = [TrainConfig(optimizer="sgd", lr=lr, momentum=0.8, weight_decay=wd,
-                        max_epochs=12, batch_size=8, patience=3)
-            for lr, wd, _ in STACK_MEMBERS]
-    nets = [build_member("noise_fixed", "regression", knob, 40 + i)
-            for i, (_, _, knob) in enumerate(STACK_MEMBERS)]
-    results = fit(nets, x, y, cfgs, xv, yv,
-                  rng=[np.random.default_rng(i) for i in range(len(nets))])
-    for i, ((_, _, knob), c) in enumerate(zip(STACK_MEMBERS, cfgs)):
-        ref_net = build_member("noise_fixed", "regression", knob, 40 + i)
-        ref = reference_fit(ref_net, x, y, c, xv, yv, np.random.default_rng(i))
-        assert_same_fit(nets[i], results[i], ref_net, ref)
+class PlainStep:
+    """p <- p - lr * g with one rate per stacked member. Adam's steps are
+    bounded by lr, so only a plain step at a huge rate drives a fit to
+    overflow within a few epochs."""
+
+    def __init__(self, cfgs):
+        self.lr = np.array([c.lr for c in cfgs])
+
+    def step(self, params, grads):
+        for name, g in grads.items():
+            params[name] -= self.lr.reshape((-1,) + (1,) * (g.ndim - 1)) * g
+
+    def select(self, keep):
+        self.lr = self.lr[keep]
 
 
-def test_diverged_member_stops_and_healthy_member_is_unaffected():
+@pytest.fixture
+def plain_step(monkeypatch):
+    monkeypatch.setattr(mcni.optim, "make_optimizer", PlainStep)
+
+
+def test_diverged_member_stops_and_healthy_member_is_unaffected(plain_step):
     x, y, xv, yv = stack_data("regression", seed=22)
-    wild = TrainConfig(optimizer="sgd", lr=50.0, max_epochs=30, batch_size=8)
-    calm = TrainConfig(optimizer="sgd", lr=0.01, max_epochs=30, batch_size=8)
+    wild = TrainConfig(lr=50.0, max_epochs=30, batch_size=8)
+    calm = TrainConfig(lr=0.01, max_epochs=30, batch_size=8)
     nets = [build_member("noise_fixed", "regression", 0.05, s) for s in (50, 51)]
     with np.errstate(all="ignore"):
         wild_result, calm_result = fit(
@@ -512,10 +459,10 @@ def test_diverged_member_stops_and_healthy_member_is_unaffected():
     assert_same_fit(nets[1], calm_result, alone, solo)
 
 
-def test_non_finite_train_loss_stops_without_validation():
+def test_non_finite_train_loss_stops_without_validation(plain_step):
     x, y, _, _ = stack_data("regression", seed=23)
     net = build_member("deterministic", "regression", 0.0, 60)
-    cfg = TrainConfig(optimizer="sgd", lr=50.0, max_epochs=40, batch_size=8)
+    cfg = TrainConfig(lr=50.0, max_epochs=40, batch_size=8)
     with np.errstate(all="ignore"):
         result = fit(net, x, y, cfg, rng=np.random.default_rng(60))
     assert result.diverged and result.epochs_run < cfg.max_epochs
@@ -536,16 +483,14 @@ def test_stacked_fit_rejects_mismatched_members():
             rng=[np.random.default_rng(0), np.random.default_rng(1)])
 
 
-@pytest.mark.parametrize("kind", ["adam", "sgd"])
-def test_stacked_optimizer_rows_equal_separate_optimizers(kind):
+def test_stacked_optimizer_rows_equal_separate_optimizers():
     """Per-member learning rates, and rows dropped by select mid-run."""
     rng = np.random.default_rng(24)
     lrs = [0.1, 0.01, 0.003]
-    make = (lambda lr: Adam(lr)) if kind == "adam" else (lambda lr: SGDMomentum(lr))
     stacked = {"w": rng.normal(size=(3, 2, 2)), "a": rng.normal(size=(3, 1, 1))}
     singles = [{"w": stacked["w"][s].copy(), "a": stacked["a"][s].reshape(())}
                for s in range(3)]
-    opt, refs = make(np.array(lrs)), [make(lr) for lr in lrs]
+    opt, refs = Adam(np.array(lrs)), [Adam(lr) for lr in lrs]
     members = [0, 1, 2]
     for step in range(6):
         if step == 3:                      # member 1 leaves the stack
@@ -559,8 +504,7 @@ def test_stacked_optimizer_rows_equal_separate_optimizers(kind):
             refs[s].step(singles[s], {"w": g["w"][row], "a": g["a"][row].reshape(())})
             assert np.array_equal(stacked["w"][row], singles[s]["w"])
             assert stacked["a"][row, 0, 0] == singles[s]["a"]
-            moments = (opt._m, refs[s]._m) if kind == "adam" else (opt._v, refs[s]._v)
-            assert np.array_equal(moments[0]["w"][row], moments[1]["w"])
+            assert np.array_equal(opt._m["w"][row], refs[s]._m["w"])
     assert opt._state.buffers[0].shape[0] == 2
 
 
