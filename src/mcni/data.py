@@ -26,17 +26,14 @@ class Standardizer:
     """Per-column z-score transform fitted on one array, applied to others."""
 
     mean: np.ndarray
-    std: np.ndarray
-    constant_columns: np.ndarray     # flags: std was 0, forced to 1
+    std: np.ndarray                  # a constant column's 0 is forced to 1
 
     @classmethod
     def fit(cls, values: np.ndarray) -> "Standardizer":
         values = np.asarray(values, dtype=np.float64)
         mean = values.mean(axis=0)
         std = values.std(axis=0)
-        constant = std == 0.0
-        std = np.where(constant, 1.0, std)
-        return cls(mean=mean, std=std, constant_columns=constant)
+        return cls(mean=mean, std=np.where(std == 0.0, 1.0, std))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (np.asarray(values, dtype=np.float64) - self.mean) / self.std

@@ -2,9 +2,11 @@
 
 Two estimates of the same object are compared on a small probe set:
 
-* kernel_mc_matrix: Monte Carlo evaluation, on every probe pair, of
-  K(x, y) = E[ sigma(w.x + b) sigma(w.y + b) ] with w standard normal and
-  b ~ N(0, s^2), the kernel of the limiting GP.
+* the kernel of the limiting GP, K(x, y) = E[ sigma(w.x + b) sigma(w.y + b) ]
+  with w standard normal and b ~ N(0, s^2). It is known in closed form for
+  ReLU (the arc-cosine kernel of Cho & Saul 2009, on the augmented inputs
+  [x, s]) and for the identity (x.y + s^2); for tanh, kernel_mc_matrix
+  estimates it by Monte Carlo on every probe pair.
 * wide_net_covariance: the empirical output covariance of many single-hidden-
   layer networks sampled from the matching prior (hidden weights N(0,1),
   hidden bias N(0, s^2), output weights N(0, 1/width), no output bias).
@@ -14,28 +16,25 @@ the network-output covariance equals the kernel in expectation at every
 width, not only in the limit. At a fixed number of sampled networks the
 convergence table therefore reports sampling deviation; width changes only
 the higher moments of the outputs, i.e. how Gaussian they are, and so moves
-the spread of that deviation only slightly. For the identity nonlinearity
-the kernel is known in closed form (x.y + s^2), which gives an exact
-reference.
+the spread of that deviation only slightly.
 
-Execution. correspondence_report's estimates are independent: the MC kernel
-and one covariance per table width, each drawing from its own spawned
-sub-stream. They run on a small thread pool, one thread per usable CPU
-(``os.sched_getaffinity``) and no more than there are estimates, largest
-draw first; numpy releases the GIL while it draws and computes, so the
-estimates overlap. Every estimate consumes its stream in a fixed order and
-reduces in a fixed order, so the report is bit-for-bit the same at any
-thread count.
+Execution. wide_net_covariance cuts its networks into chunks whose size
+depends only on the probe shape, the width and ``_NETWORK_BUDGET``, and
+draws each chunk's w1, b1 and v from its own sub-stream (``rng.spawn``, one
+per chunk). The chunks run on one thread per usable CPU
+(``os.sched_getaffinity``), the calling thread included; numpy releases the
+GIL while it draws and computes, so they overlap. Each chunk writes its own
+rows of the output matrix and the covariance is reduced from that matrix in
+a fixed order, so the result is bit-for-bit the same at any thread count.
+correspondence_report runs the widths one after another.
 
-Each estimate draws in chunks of at most ``_CHUNK_BUDGET`` doubles into
-buffers allocated once per call, in the same order and at the same chunk
-sizes as allocating fresh arrays per chunk would. wide_net_covariance then
-computes its hidden layer and outputs a few networks at a time, in a block
-of about ``_BLOCK_BUDGET`` doubles. So one worker holds at most about 32 MB
-of arrays: with 3 two-dimensional probes, the kernel of 1e6 samples peaks
-at 27 MB and a width-4096 covariance at 18 MB, and a whole report on two
-workers at 44 MB (tracemalloc), against 57 MB when run one estimate at a
-time on fresh arrays.
+Each worker thread draws into its own buffers, allocated on its first chunk
+of a call, and computes the hidden layer a few networks at a time, in a
+block of about ``_BLOCK_BUDGET`` doubles. So one worker holds at most about
+8 MB of arrays; at width 4096 with 3 two-dimensional probes a chunk is 34
+networks, 4.5 MB of draws. The tanh kernel draws on the calling thread in
+chunks of at most ``_CHUNK_BUDGET`` doubles (about 27 MB for 1e6 samples
+and 3 two-dimensional probes).
 """
 
 from __future__ import annotations
@@ -52,9 +51,13 @@ from .nn import apply_activation
 
 NONLINEARITIES = ("relu", "tanh", "identity")
 
-# chunk draws so no chunk's arrays exceed ~4e6 doubles (~32 MB); the chunk
+# kernel_mc_matrix draws in chunks of at most ~4e6 doubles (~32 MB); the chunk
 # sizes fix which samples share an accumulation, so they are part of the result
 _CHUNK_BUDGET = 4_000_000
+# wide_net_covariance draws in chunks of at most ~1e6 doubles (~8 MB), counted
+# at (q + p + 2) per network and hidden unit: the draws and a hidden layer; the
+# chunk sizes fix the sub-streams, so they are part of the result
+_NETWORK_BUDGET = 1_000_000
 # hidden activations of one sub-block of networks: ~256 KB, cache-sized
 _BLOCK_BUDGET = 32_768
 
@@ -149,13 +152,56 @@ def analytic_kernel_identity(probes, bias_std: float) -> np.ndarray:
     return probes @ probes.T + bias_std ** 2
 
 
+def analytic_kernel_relu(probes, bias_std: float) -> np.ndarray:
+    """Closed form for ReLU, the arc-cosine kernel (Cho & Saul 2009).
+
+    w.x + b = [w, b/s].[x, s] with [w, b/s] standard normal, so on the
+    augmented inputs x~ = [x, s]:
+    K(x, y) = |x~| |y~| (sin t + (pi - t) cos t) / (2 pi), t the angle
+    between x~ and y~. A zero-norm x~ gives exactly 0.
+    """
+    probes = np.asarray(probes, dtype=np.float64)
+    aug = np.column_stack([probes, np.full(len(probes), float(bias_std))])
+    norms = np.linalg.norm(aug, axis=1)
+    scale = np.outer(norms, norms)
+    cos = np.divide(aug @ aug.T, scale, out=np.zeros_like(scale),
+                    where=scale > 0.0)
+    theta = np.arccos(np.clip(cos, -1.0, 1.0, out=cos))
+    return scale * (np.sin(theta) + (math.pi - theta) * cos) / (2.0 * math.pi)
+
+
+def _chunk_outputs(X: np.ndarray, width: int, cfg: KernelMCConfig,
+                   rng: np.random.Generator, out: np.ndarray, buffers) -> None:
+    """Draw len(out) networks from rng and write their outputs on X to out.
+
+    ``buffers()`` returns the calling thread's (w1, b1, v, hidden) buffers.
+    """
+    w1_buf, b1_buf, v_buf, h_buf = buffers()
+    (c, p), q, k = out.shape, X.shape[1], width
+    w1 = rng.standard_normal(out=_view(w1_buf, c, q, k))
+    b1 = rng.standard_normal(out=_view(b1_buf, c, 1, k))
+    b1 *= cfg.bias_std
+    v = rng.standard_normal(out=_view(v_buf, c, k))
+    v /= np.sqrt(k)
+    block = len(h_buf) // (p * k)
+    for s in range(0, c, block):
+        e = min(c, s + block)
+        hidden = np.einsum("pq,cqk->cpk", X, w1[s:e],
+                           out=_view(h_buf, e - s, p, k))
+        hidden += b1[s:e]
+        apply_activation(cfg.nonlinearity, hidden, out=hidden)
+        np.einsum("cpk,ck->cp", hidden, v[s:e], out=out[s:e])
+
+
 def wide_net_covariance(probe: WideNetProbe, cfg: KernelMCConfig,
                         rng: np.random.Generator) -> np.ndarray:
     """Empirical output covariance across prior-sampled finite networks.
 
     Output weights are N(0, 1/width) so the hidden sum carries the same
     1/width normalization as the kernel's MC average; the scalar outputs
-    across networks then estimate the kernel on the probe set.
+    across networks then estimate the kernel on the probe set. The networks
+    are drawn in chunks, each from its own sub-stream of rng, on all usable
+    CPUs (see the module docstring).
     """
     if probe.n_networks < 2:
         raise ValueError("covariance estimation needs at least 2 networks")
@@ -164,29 +210,22 @@ def wide_net_covariance(probe: WideNetProbe, cfg: KernelMCConfig,
         raise ValueError(f"probe inputs must be (P, {cfg.input_dim})")
     p, q = X.shape
     k = probe.width
-    chunk = max(1, _CHUNK_BUDGET // (q * k + p * k + 2 * k))
+    chunk = max(1, _NETWORK_BUDGET // ((q + p + 2) * k))
     size = min(chunk, probe.n_networks)
     block = max(1, min(size, _BLOCK_BUDGET // (p * k)))
-    w1_buf = np.empty(size * q * k)
-    b1_buf, v_buf = np.empty(size * k), np.empty(size * k)
-    h_buf = np.empty(block * p * k)
+    local = threading.local()
+
+    def buffers():
+        if not hasattr(local, "bufs"):
+            local.bufs = (np.empty(size * q * k), np.empty(size * k),
+                          np.empty(size * k), np.empty(block * p * k))
+        return local.bufs
+
     outputs = np.empty((probe.n_networks, p), dtype=np.float64)
-    done = 0
-    for c in _chunks(probe.n_networks, chunk):
-        w1 = rng.standard_normal(out=_view(w1_buf, c, q, k))
-        b1 = rng.standard_normal(out=_view(b1_buf, c, 1, k))
-        b1 *= cfg.bias_std
-        v = rng.standard_normal(out=_view(v_buf, c, k))
-        v /= np.sqrt(k)
-        for s in range(0, c, block):
-            e = min(c, s + block)
-            hidden = np.einsum("pq,cqk->cpk", X, w1[s:e],
-                               out=_view(h_buf, e - s, p, k))
-            hidden += b1[s:e]
-            apply_activation(cfg.nonlinearity, hidden, out=hidden)
-            np.einsum("cpk,ck->cp", hidden, v[s:e],
-                      out=outputs[done + s:done + e])
-        done += c
+    starts = range(0, probe.n_networks, chunk)
+    _run_concurrently([
+        partial(_chunk_outputs, X, k, cfg, stream, outputs[s:s + chunk], buffers)
+        for s, stream in zip(starts, rng.spawn(len(starts)))])
     centered = outputs - outputs.mean(axis=0)
     cov = np.empty((p, p), dtype=np.float64)
     for i in range(p):
@@ -202,27 +241,27 @@ def relative_deviation(covariance: np.ndarray, kernel: np.ndarray) -> np.ndarray
     return np.abs(covariance - kernel) / (np.abs(kernel) + 1e-9)
 
 
-def _run_concurrently(tasks: list[tuple]) -> list:
-    """Call the function of each (size, function) task; results in list order.
+def _run_concurrently(tasks: list) -> None:
+    """Call every task, starting them in list order, on min(usable CPUs,
+    len(tasks)) threads, the calling thread being one of them.
 
-    Tasks start largest size first on min(usable CPUs, len(tasks)) threads,
-    the calling thread being one of them: on the gp_check benchmark a
-    ThreadPoolExecutor, which runs every task off the calling thread, peaked
-    3-8 MB higher. The first exception a task raises is re-raised once every
-    thread has stopped; tasks not yet started then never start.
+    On the gp_check benchmark a ThreadPoolExecutor, which runs every task off
+    the calling thread, peaked 3-8 MB higher. The first exception a task
+    raises is re-raised once every thread has stopped; tasks not yet started
+    then never start.
     """
-    pending = iter(sorted(range(len(tasks)), key=lambda i: -tasks[i][0]))
-    results, errors = [None] * len(tasks), []
+    pending = iter(tasks)
+    errors = []
     lock = threading.Lock()
 
     def work():
         while not errors:
             with lock:
-                i = next(pending, None)
-            if i is None:
+                task = next(pending, None)
+            if task is None:
                 return
             try:
-                results[i] = tasks[i][1]()
+                task()
             except BaseException as exc:  # re-raised in the calling thread
                 errors.append(exc)
 
@@ -236,7 +275,6 @@ def _run_concurrently(tasks: list[tuple]) -> list:
         t.join()
     if errors:
         raise errors[0]
-    return results
 
 
 @dataclass
@@ -246,6 +284,7 @@ class CorrespondenceReport:
     deviation: np.ndarray = field(repr=False)
     max_rel_deviation: float = 0.0
     convergence: list[dict] = field(default_factory=list)
+    kernel_source: str = "closed_form"     # or "monte_carlo"
 
 
 def correspondence_report(probe: WideNetProbe, cfg: KernelMCConfig,
@@ -253,38 +292,30 @@ def correspondence_report(probe: WideNetProbe, cfg: KernelMCConfig,
                           widths=(64, 512, 4096)) -> CorrespondenceReport:
     """Compare wide-net covariance against the kernel across widths.
 
-    The reference kernel is analytic for the identity nonlinearity and a
-    shared-draw MC estimate otherwise. The headline numbers are taken at
+    The reference kernel is in closed form for ReLU and identity and a
+    shared-draw MC estimate for tanh. The headline numbers are taken at
     probe.width; the convergence table covers ``widths`` (plus probe.width
-    if absent), each width on its own sub-stream. Every width estimates the
-    same kernel without bias, so each table entry measures the sampling
-    deviation of probe.n_networks networks (plus the kernel estimate's own
-    error), not a distance that shrinks with width. The estimates run
-    concurrently (see the module docstring); the result does not depend on
-    the number of threads.
+    if absent), each width on its own sub-stream, one width after another.
+    Every width estimates the same kernel without bias, so each table entry
+    measures the sampling deviation of probe.n_networks networks (plus, for
+    tanh, the kernel estimate's own error), not a distance that shrinks with
+    width. The result does not depend on the number of threads.
     """
     X = probe.inputs()
-    q = X.shape[1]
-    # (numbers drawn, task); the kernel's stream is spawned before the widths'
-    tasks = []
+    source = "closed_form"
     if cfg.nonlinearity == "identity":
         kernel = analytic_kernel_identity(X, cfg.bias_std)
-    else:
-        tasks.append((cfg.n_samples * (cfg.input_dim + 1),
-                      partial(kernel_mc_matrix, X, cfg, rng.spawn(1)[0])))
+    elif cfg.nonlinearity == "relu":
+        kernel = analytic_kernel_relu(X, cfg.bias_std)
+    else:   # the kernel's stream is spawned before the widths'
+        kernel = kernel_mc_matrix(X, cfg, rng.spawn(1)[0])
+        source = "monte_carlo"
 
     table_widths = sorted(set(int(w) for w in widths) | {probe.width})
-    for width, stream in zip(table_widths, rng.spawn(len(table_widths))):
-        tasks.append((probe.n_networks * (q + 2) * width,
-                      partial(wide_net_covariance, replace(probe, width=width),
-                              cfg, stream)))
-    covs = _run_concurrently(tasks)
-    if cfg.nonlinearity != "identity":
-        kernel = covs.pop(0)
-
     convergence = []
     headline = None
-    for width, cov in zip(table_widths, covs):
+    for width, stream in zip(table_widths, rng.spawn(len(table_widths))):
+        cov = wide_net_covariance(replace(probe, width=width), cfg, stream)
         dev = relative_deviation(cov, kernel)
         convergence.append({
             "width": width,
@@ -296,4 +327,4 @@ def correspondence_report(probe: WideNetProbe, cfg: KernelMCConfig,
     cov, dev = headline
     return CorrespondenceReport(kernel=kernel, covariance=cov, deviation=dev,
                                 max_rel_deviation=float(dev.max()),
-                                convergence=convergence)
+                                convergence=convergence, kernel_source=source)

@@ -57,26 +57,27 @@ class TrainConfig:
 
 
 class _FlatState:
-    """Optimizer buffers for all parameters: one float64 array per buffer,
-    one row per member and each parameter's entries contiguous in a row.
+    """Adam's state for all parameters: its two moment buffers and three work
+    arrays, each one float64 array with one row per member and each
+    parameter's entries contiguous in a row.
 
     ``members`` is the length of the leading member axis that stacked
     parameters carry; a single net's parameters have none and use one row.
     The first gather fixes the layout: the parameters that have a gradient,
     in ``params`` order, each owning a column slice. A later step with other
     names raises rather than silently starting fresh moments. ``views``
-    holds, per buffer, name -> a view shaped like the parameter. ``work``
-    holds arrays of the same shape that a step may overwrite; the first is
-    the gathered gradient.
+    holds, per moment buffer, name -> a view shaped like the parameter.
+    ``work`` holds arrays of the same shape that a step may overwrite; the
+    first is the gathered gradient.
     """
 
-    def __init__(self, n_buffers: int, n_work: int, members: int):
+    def __init__(self, members: int):
         self.members = members
         self.names = None
         self.slots = []
         self.buffers = []
-        self.work = [None] * n_work
-        self.views = [{} for _ in range(n_buffers)]
+        self.work = [None] * 3
+        self.views = [{}, {}]
 
     def gather(self, params, grads) -> np.ndarray:
         names = [n for n in params if n in grads]
@@ -133,7 +134,7 @@ class Adam:
         self.t = 0
         # the learning rate as a column, one row per member
         self._lr = np.asarray(lr, dtype=np.float64).reshape(-1, 1)
-        self._state = _FlatState(2, 3, self._lr.shape[0])
+        self._state = _FlatState(self._lr.shape[0])
         self._m, self._v = self._state.views
 
     def step(self, params: Mapping[str, np.ndarray],

@@ -236,12 +236,13 @@ def benchmark_oracle(family_grids, seed, make_rng, evaluate_one):
 
 
 # ---------------------------------------------------------------------------
-# GP check: the sequential, allocate-per-chunk estimates, kept as references
-# for the buffered and concurrent library code. ``cfg`` and ``probe`` are
-# read by attribute (n_samples, nonlinearity, bias_std, input_dim; width,
-# n_networks, probe_inputs).
+# GP check: sequential, allocate-per-chunk estimates, kept as references for
+# the buffered and concurrent library code. ``cfg`` and ``probe`` are read by
+# attribute (n_samples, nonlinearity, bias_std, input_dim; width, n_networks,
+# probe_inputs).
 
-GP_CHUNK_BUDGET = 4_000_000
+GP_CHUNK_BUDGET = 4_000_000      # doubles per kernel chunk
+GP_NETWORK_BUDGET = 1_000_000    # doubles per covariance chunk
 
 
 def _gp_activation(name, z):
@@ -278,19 +279,35 @@ def kernel_mc_matrix_oracle(probes, cfg, rng):
     return acc / cfg.n_samples
 
 
+def arccos_kernel_oracle(probes, bias_std):
+    """Degree-1 arc-cosine kernel on [x, s] (Cho & Saul 2009), 0 at a zero norm."""
+    probes = np.asarray(probes, dtype=np.float64)
+    aug = np.column_stack([probes, np.full(len(probes), float(bias_std))])
+    norms = np.linalg.norm(aug, axis=1)
+    outer = np.outer(norms, norms)
+    K = np.zeros_like(outer)
+    nz = outer > 0.0
+    cos = np.clip((aug @ aug.T)[nz] / outer[nz], -1.0, 1.0)
+    theta = np.arccos(cos)
+    K[nz] = outer[nz] * (np.sin(theta) + (math.pi - theta) * cos) / (2.0 * math.pi)
+    return K
+
+
 def wide_net_covariance_oracle(probe, cfg, rng):
+    """One network chunk at a time, each drawn from its own spawned stream."""
     X = np.asarray(probe.probe_inputs, dtype=np.float64)
     p, q = X.shape
     k = probe.width
-    chunk = max(1, GP_CHUNK_BUDGET // (q * k + p * k + 2 * k))
+    chunk = max(1, GP_NETWORK_BUDGET // ((q + p + 2) * k))
+    sizes = list(_gp_chunks(probe.n_networks, chunk))
     outputs = np.empty((probe.n_networks, p), dtype=np.float64)
     done = 0
-    for c in _gp_chunks(probe.n_networks, chunk):
-        w1 = rng.standard_normal((c, q, k))
-        b1 = cfg.bias_std * rng.standard_normal((c, 1, k))
+    for c, stream in zip(sizes, rng.spawn(len(sizes))):
+        w1 = stream.standard_normal((c, q, k))
+        b1 = cfg.bias_std * stream.standard_normal((c, 1, k))
+        v = stream.standard_normal((c, k)) / np.sqrt(k)
         hidden = _gp_activation(cfg.nonlinearity,
                                 np.einsum("pq,cqk->cpk", X, w1) + b1)
-        v = rng.standard_normal((c, k)) / np.sqrt(k)
         outputs[done:done + c] = np.einsum("cpk,ck->cp", hidden, v)
         done += c
     centered = outputs - outputs.mean(axis=0)
@@ -306,12 +323,15 @@ def wide_net_covariance_oracle(probe, cfg, rng):
 def correspondence_oracle(probe, cfg, rng, widths):
     """(kernel, headline covariance, convergence rows), one estimate at a time.
 
-    The kernel's stream is spawned first, then one stream per table width
-    in ascending width order.
+    The kernel is in closed form for relu and identity. For tanh it is
+    estimated from a stream spawned first; then one stream per table width
+    is spawned, in ascending width order.
     """
     X = np.asarray(probe.probe_inputs, dtype=np.float64)
     if cfg.nonlinearity == "identity":
         kernel = X @ X.T + cfg.bias_std ** 2
+    elif cfg.nonlinearity == "relu":
+        kernel = arccos_kernel_oracle(probe.probe_inputs, cfg.bias_std)
     else:
         kernel = kernel_mc_matrix_oracle(X, cfg, rng.spawn(1)[0])
     table_widths = sorted(set(int(w) for w in widths) | {probe.width})

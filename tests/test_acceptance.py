@@ -4,8 +4,8 @@ One clause is known-red and fails with an analysis message rather than a
 weakened assertion: the toy-protocol coverage comparison (criterion 3).
 Details are in its failure message.
 
-Criterion 5 checks the ReLU wide-network covariance against the Monte Carlo
-kernel at every width of the convergence table, within a bound derived from
+Criterion 5 checks the ReLU wide-network covariance against the closed-form
+(arc-cosine) kernel at every width of the convergence table, within a bound derived from
 the estimator's sampling error. It no longer asserts that the widest net
 lands closer than the narrowest on most seeds: under the sampled prior the
 covariance equals the kernel at every width, so that ordering is close to a
@@ -194,7 +194,7 @@ def test_criterion_05_gp_correspondence(tmp_path):
     """Identity activation at width 4096 matches the analytic kernel within
     3%; the zero-input ReLU kernel lands at 0.5; and every width of the ReLU
     convergence table (64, 512, 4096) stays within RELU_DEV_BOUND of the
-    Monte Carlo kernel on every seed.
+    closed-form arc-cosine kernel on every seed.
 
     Bound derivation. The sampled output is f(x) = sum_k v_k h_k(x) with
     v_k ~ N(0, 1/k) independent of the hidden features h, so
@@ -206,9 +206,10 @@ def test_criterion_05_gp_correspondence(tmp_path):
     0.0141-0.0148. Width enters only through a fourth-moment term,
     (Cov(h_i^2, h_j^2) + 2 Var(h_i h_j)) / k, added to the numerator
     variance, which raises the worst entry to about 0.0156 at width 64.
-    The 1e6-draw kernel estimate adds a relative error of about 0.0023 in
-    quadrature. RELU_DEV_BOUND = 0.06 is about four standard errors of the
-    worst entry (3.8 at width 64), so a correct estimator crosses it with
+    The kernel is exact, so it adds no error of its own (the 1e6-draw
+    Monte Carlo kernel it replaced added about 0.0023 in quadrature).
+    RELU_DEV_BOUND = 0.06 is about four standard errors of the worst entry
+    (3.8 at width 64), so a correct estimator crosses it with
     negligible probability, while a wrong prior (a dropped hidden bias, a
     misscaled output layer) misses the kernel by far more.
 

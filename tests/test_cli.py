@@ -403,7 +403,7 @@ GOLDEN_DIGESTS = {
     "noise-sweep": "8b2b9f24c3525526a452a69a9a0ecb1ca2a8f9a3eb392b0b552cf2baab59145d",
     "riskcov": "200a8b791f26f211740e8ea2dc9e1f4e1ba2aa8ecfff145417bbc211fc6b595e",
     "bench-time": "74607196c7b612f5481fb3614fe96ef84d61e43b7305dbc3efd3dec35141d21f",
-    "gpcheck": "05599b22ade47b1c41ffad6171344c5833be26f6ca1db53847109a6520c07642",
+    "gpcheck": "19e1ad8f2bfff4a80763024ab7f2455dde9ab693e170d8650fcecf2ef0ead551",
 }
 GOLDEN_LEADERBOARD = "6d3bec1dbd3c4ee5b67ebc4353c18f110570a0261332a0a19248c400c26eaeb3"
 

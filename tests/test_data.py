@@ -251,10 +251,9 @@ def test_standardize_uses_train_statistics_only():
     assert np.max(np.abs(s_val.X - expected)) < 1e-12
 
 
-def test_constant_column_flagged_not_divided():
+def test_constant_column_not_divided():
     v = np.column_stack([np.ones(10), np.arange(10, dtype=float)])
     s = Standardizer.fit(v)
-    assert s.constant_columns.tolist() == [True, False]
     assert s.std[0] == 1.0
     out = s.apply(v)
     assert np.all(out[:, 0] == 0.0)

@@ -464,12 +464,25 @@ def test_gpcheck_run_schema(tmp_path):
         assert int(r[1]) == 50
         assert float(r[2]) >= 0.0
 
+    assert out.metrics["kernel"] == "closed_form"
     for seed in ("0", "1"):
         entry = out.metrics["per_seed"][seed]
         assert entry["max_rel_deviation"] >= 0.0
         for conv in entry["convergence"]:
             assert isinstance(conv["width"], int)
             assert isinstance(conv["max_rel_deviation"], float)
+
+
+@pytest.mark.parametrize("nonlinearity,kernel", [
+    ("relu", "closed_form"), ("identity", "closed_form"),
+    ("tanh", "monte_carlo")])
+def test_gpcheck_metrics_name_the_kernel(tmp_path, nonlinearity, kernel):
+    cfg = GpCheckConfig(outdir=str(tmp_path / "gp"), nonlinearity=nonlinearity,
+                        n_samples=500, n_networks=20, width=4, widths=(4,))
+    out = run_gpcheck(cfg)
+    assert out.metrics["kernel"] == kernel
+    written = json.loads(out.files["metrics.json"].read_text())
+    assert written["kernel"] == kernel
 
 
 def test_gpcheck_config_validation():

@@ -1,16 +1,20 @@
-"""Kernel Monte Carlo vs wide-network covariance checks."""
+"""GP kernels (closed form and Monte Carlo) vs wide-network covariance checks."""
 
+import math
 import sys
 import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 
+import oracles
 from mcni import gpcheck
 from mcni.gpcheck import (NONLINEARITIES, KernelMCConfig, WideNetProbe,
-                          analytic_kernel_identity, correspondence_report,
-                          kernel_mc_matrix, relative_deviation,
-                          wide_net_covariance)
+                          analytic_kernel_identity, analytic_kernel_relu,
+                          correspondence_report, kernel_mc_matrix,
+                          relative_deviation, wide_net_covariance)
 from oracles import (correspondence_oracle, kernel_mc_matrix_oracle,
                      wide_net_covariance_oracle)
 
@@ -141,6 +145,58 @@ def test_probe_validation():
 
 
 # ---------------------------------------------------------------------------
+# closed-form ReLU kernel
+
+PROBES3 = ((1.0, 0.5), (0.8, 0.6), (0.6, 1.0))
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+def test_relu_kernel_at_origin_is_half_the_bias_variance(s):
+    K = analytic_kernel_relu([[0.0, 0.0], [1.0, 2.0]], s)
+    assert K[0, 0] == pytest.approx(s * s / 2.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.7, 2.0])
+def test_relu_kernel_diagonal_is_half_the_augmented_norm(s):
+    probes = np.array([[1.0, 2.0], [0.5, -1.0], [-3.0, 0.25]])
+    K = analytic_kernel_relu(probes, s)
+    want = ((probes ** 2).sum(axis=1) + s * s) / 2.0
+    assert np.allclose(np.diag(K), want, rtol=1e-14, atol=0.0)
+    assert np.array_equal(K, K.T)
+
+
+def test_relu_kernel_zero_norm_input_gives_exact_zero():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        K = analytic_kernel_relu([[0.0, 0.0], [0.0, 0.0]], 0.0)
+        mixed = analytic_kernel_relu([[0.0, 0.0], [1.0, 2.0]], 0.0)
+    assert np.all(K == 0.0)
+    assert mixed[0, 0] == mixed[0, 1] == mixed[1, 0] == 0.0
+    assert mixed[1, 1] == pytest.approx(2.5, rel=1e-14)
+    assert np.isfinite(mixed).all()
+
+
+def arccos_degree2(probes, s):
+    """E[relu(u)^2 relu(v)^2] (Cho & Saul 2009, degree 2), for the MC spread."""
+    aug = np.column_stack([np.asarray(probes), np.full(len(probes), s)])
+    n = np.linalg.norm(aug, axis=1)
+    cos = np.clip(aug @ aug.T / np.outer(n, n), -1.0, 1.0)
+    t = np.arccos(cos)
+    J = 3.0 * np.sin(t) * cos + (math.pi - t) * (1.0 + 2.0 * cos ** 2)
+    return np.outer(n ** 2, n ** 2) * J / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+def test_relu_kernel_agrees_with_monte_carlo(s):
+    n = 1_000_000
+    K = analytic_kernel_relu(PROBES3, s)
+    mc = kernel_mc_matrix(PROBES3, cfg(n_samples=n, bias_std=s),
+                          np.random.default_rng([40, int(10 * s)]))
+    se = np.sqrt((arccos_degree2(PROBES3, s) - K ** 2) / n)
+    assert np.all(np.abs(mc - K) <= 6.0 * se), np.abs(mc - K) / se
+
+
+# ---------------------------------------------------------------------------
 # correspondence report
 
 def test_zero_probes_zero_bias_deviation_zero():
@@ -176,6 +232,18 @@ def test_report_identity_uses_analytic_reference():
     assert report.max_rel_deviation < 0.1
 
 
+def test_report_relu_uses_closed_form_reference():
+    probe = WideNetProbe(width=32, n_networks=400, probe_inputs=PROBES3)
+    c = cfg(bias_std=0.7)
+    report = correspondence_report(probe, c, np.random.default_rng(12),
+                                   widths=(32,))
+    assert np.array_equal(report.kernel, analytic_kernel_relu(PROBES3, 0.7))
+    assert report.kernel_source == "closed_form"
+    tanh = correspondence_report(probe, cfg(nonlinearity="tanh"),
+                                 np.random.default_rng(12), widths=(32,))
+    assert tanh.kernel_source == "monte_carlo"
+
+
 def test_report_is_seed_reproducible():
     probe = WideNetProbe(width=16, n_networks=300,
                          probe_inputs=((1.0, 0.5), (0.8, 0.6)))
@@ -187,8 +255,6 @@ def test_report_is_seed_reproducible():
 
 # ---------------------------------------------------------------------------
 # bit-identity with the sequential estimates in tests/oracles.py
-
-PROBES3 = ((1.0, 0.5), (0.8, 0.6), (0.6, 1.0))
 
 
 @pytest.mark.parametrize("nonlinearity", NONLINEARITIES)
@@ -203,13 +269,13 @@ def test_kernel_equals_sequential_oracle(nonlinearity, n_samples):
     assert np.array_equal(got, want)
 
 
-# (width, n_networks) at 3 probes of dimension 2: chunk = 4e6 // (7 width),
+# (width, n_networks) at 3 probes of dimension 2: chunk = 1e6 // (7 width),
 # sub-block = 32768 // (3 width)
 WIDE_CASES = [
-    (7, 301),       # below one chunk (81,632); one sub-block of 301
-    (100, 5000),    # below one chunk (5,714); sub-blocks of 109, last partial
-    (1500, 1000),   # chunks 380, 380, 240; sub-blocks of 7 do not divide 380
-    (4096, 300),    # chunks 139, 139, 22; sub-blocks of 2 do not divide 139
+    (7, 301),       # below one chunk (20,408); one sub-block of 301
+    (100, 5000),    # chunks of 1,428, last 716; sub-blocks of 109, last partial
+    (1500, 1000),   # 10 chunks of 95, last 50; sub-blocks of 7 do not divide 95
+    (4096, 300),    # 8 chunks of 34, last 28; sub-blocks of 2 do not divide 34
 ]
 
 
@@ -225,7 +291,8 @@ def test_covariance_equals_sequential_oracle(nonlinearity, width, n_networks):
 
 
 def test_covariance_equals_oracle_with_three_input_dims():
-    # more than two terms per hidden pre-activation, so summation order shows
+    # more than two terms per hidden pre-activation, so summation order
+    # shows; chunks of 1e6 // (7 * 333) = 429 and 71
     probe = WideNetProbe(width=333, n_networks=500,
                          probe_inputs=((1.0, 0.5, -0.3), (0.8, 0.6, 0.1)))
     c = cfg(input_dim=3, bias_std=0.7)
@@ -280,51 +347,100 @@ def call_with_timeout(fn, seconds=60.0):
 def test_report_under_thread_contention(monkeypatch):
     """More workers than cores and frequent switches lose no result."""
     fake_cpus(monkeypatch, 8)
+    # small chunks, so that each width runs many of them concurrently
+    monkeypatch.setattr(gpcheck, "_NETWORK_BUDGET", 2000)
+    monkeypatch.setattr(oracles, "GP_NETWORK_BUDGET", 2000)
     probe = WideNetProbe(width=5, n_networks=60, probe_inputs=PROBES3)
-    c = cfg(n_samples=3000)
     widths = tuple(range(1, 25))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        _, error = call_with_timeout(
-            lambda: assert_report_equals_oracle(probe, c, 31, widths))
+        for nonlinearity in ("relu", "tanh"):
+            c = cfg(n_samples=3000, nonlinearity=nonlinearity)
+            _, error = call_with_timeout(
+                lambda: assert_report_equals_oracle(probe, c, 31, widths))
+            assert error is None
     finally:
         sys.setswitchinterval(interval)
-    assert error is None
 
 
 @pytest.mark.parametrize("failing", ["kernel_mc_matrix", "wide_net_covariance"])
 def test_task_error_reaches_caller_without_hang(monkeypatch, failing):
-    real = getattr(gpcheck, failing)
+    """A failure in the tanh kernel, or in one covariance chunk on a helper
+    thread, reaches the caller, and no thread outlives the call."""
+    real_chunk = gpcheck._chunk_outputs
+    calling, failed_on = [], []
 
-    def planted(first, c, rng):
-        if failing == "kernel_mc_matrix" or first.width == 64:
-            raise RuntimeError(f"planted failure in {failing}")
-        return real(first, c, rng)
+    def planted_kernel(*args):
+        raise RuntimeError("planted failure in kernel_mc_matrix")
 
-    monkeypatch.setattr(gpcheck, failing, planted)
+    def planted_chunk(*args):
+        if threading.current_thread() is not calling[0]:
+            failed_on.append(threading.current_thread())
+            raise RuntimeError("planted failure in wide_net_covariance")
+        time.sleep(0.01)    # leave chunks for the helper threads
+        return real_chunk(*args)
+
+    if failing == "kernel_mc_matrix":
+        monkeypatch.setattr(gpcheck, "kernel_mc_matrix", planted_kernel)
+        probe = WideNetProbe(width=16, n_networks=200, probe_inputs=PROBES3)
+        c, widths = cfg(n_samples=5000, nonlinearity="tanh"), (16, 64, 256)
+    else:
+        monkeypatch.setattr(gpcheck, "_chunk_outputs", planted_chunk)
+        # 10 chunks of 95 networks and one of 50
+        probe = WideNetProbe(width=1500, n_networks=1000, probe_inputs=PROBES3)
+        c, widths = cfg(), (1500,)
     fake_cpus(monkeypatch, 4)
-    probe = WideNetProbe(width=16, n_networks=200, probe_inputs=PROBES3)
     threads_before = threading.active_count()
-    _, error = call_with_timeout(lambda: correspondence_report(
-        probe, cfg(n_samples=5000), np.random.default_rng(32),
-        widths=(16, 64, 256)))
+
+    def call():
+        calling.append(threading.current_thread())
+        return correspondence_report(probe, c, np.random.default_rng(32),
+                                     widths=widths)
+
+    _, error = call_with_timeout(call)
     assert isinstance(error, RuntimeError)
     assert str(error) == f"planted failure in {failing}"
+    if failing == "wide_net_covariance":
+        assert failed_on and calling[0] not in failed_on
     assert threading.active_count() == threads_before
 
 
-def test_report_starts_the_largest_draw_first(monkeypatch):
+def spy_chunks(monkeypatch, delay=0.0):
+    """Record (thread, rows, buffers) for every covariance chunk run."""
+    real = gpcheck._chunk_outputs
+    runs = []
+
+    def spy(X, width, c, rng, out, buffers):
+        runs.append((threading.current_thread(), len(out), buffers()))
+        time.sleep(delay)
+        return real(X, width, c, rng, out, buffers)
+
+    monkeypatch.setattr(gpcheck, "_chunk_outputs", spy)
+    return runs
+
+
+def test_covariance_chunks_start_in_stream_order_partial_last(monkeypatch):
     fake_cpus(monkeypatch, 1)
-    started = []
-    for name in ("kernel_mc_matrix", "wide_net_covariance"):
-        def spy(first, c, rng, real=getattr(gpcheck, name), name=name):
-            started.append("kernel" if name == "kernel_mc_matrix"
-                           else first.width)
-            return real(first, c, rng)
-        monkeypatch.setattr(gpcheck, name, spy)
-    probe = WideNetProbe(width=16, n_networks=100, probe_inputs=PROBES3)
-    # numbers drawn: kernel 20000 * 3; width w: 100 * 4 * w
-    correspondence_report(probe, cfg(n_samples=20_000),
-                          np.random.default_rng(33), widths=(16, 64, 256))
-    assert started == [256, "kernel", 64, 16]
+    runs = spy_chunks(monkeypatch)
+    probe = WideNetProbe(width=4096, n_networks=300, probe_inputs=PROBES3)
+    wide_net_covariance(probe, cfg(), np.random.default_rng(33))
+    # chunk = 1e6 // (7 * 4096) = 34 networks
+    assert [rows for _, rows, _ in runs] == [34] * 8 + [28]
+    assert {t for t, _, _ in runs} == {threading.current_thread()}
+
+
+def test_each_worker_thread_draws_into_its_own_buffers(monkeypatch):
+    fake_cpus(monkeypatch, 2)
+    runs = spy_chunks(monkeypatch, delay=0.01)
+    probe = WideNetProbe(width=4096, n_networks=300, probe_inputs=PROBES3)
+    got = wide_net_covariance(probe, cfg(), np.random.default_rng(34))
+    want = wide_net_covariance_oracle(probe, cfg(), np.random.default_rng(34))
+    assert np.array_equal(got, want)
+    by_thread = {}
+    for thread, _, bufs in runs:
+        by_thread.setdefault(thread, set()).add(tuple(id(b) for b in bufs))
+    assert len(by_thread) == 2
+    assert all(len(ids) == 1 for ids in by_thread.values())
+    first, second = (next(iter(ids)) for ids in by_thread.values())
+    assert not set(first) & set(second)
