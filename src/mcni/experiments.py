@@ -197,18 +197,6 @@ class ToyConfig:
 TOY_MODELS = ("noise_fixed", "noise_learned", "mc_dropout")
 
 
-def _toy_build(model: str, cfg: ToyConfig, rng) -> "object":
-    kwargs = {}
-    if model == "mc_dropout":
-        kwargs["dropout_p"] = cfg.dropout_p
-    else:
-        kwargs["noise_level"] = cfg.noise_level
-    if model == "noise_learned":
-        kwargs["alpha_penalty_lambda"] = cfg.alpha_penalty_lambda
-    return build_mlp(model, 1, [cfg.hidden], 1, task="regression",
-                     activation=cfg.activation, rng=rng, **kwargs)
-
-
 @_command
 def run_toy(cfg: ToyConfig) -> Computed:
     train_cfg = TrainConfig(lr=cfg.lr, max_epochs=cfg.epochs,
@@ -221,7 +209,11 @@ def run_toy(cfg: ToyConfig) -> Computed:
         ds = gen_toy(cfg.n_points, seed=seed, random_x=cfg.random_x)
         for tag, model in enumerate(TOY_MODELS):
             build_rng, fit_rng, mc_rng = np.random.default_rng([seed, tag]).spawn(3)
-            net = _toy_build(model, cfg, build_rng)
+            # build_mlp uses only the knobs that apply to the model
+            net = build_mlp(model, 1, [cfg.hidden], 1, task="regression",
+                            activation=cfg.activation, rng=build_rng,
+                            dropout_p=cfg.dropout_p, noise_level=cfg.noise_level,
+                            alpha_penalty_lambda=cfg.alpha_penalty_lambda)
             fit(net, ds.X, ds.Y, train_cfg, rng=fit_rng)
             samples = mc_predict(net, ds.X, cfg.passes, mc_rng)
             if have_var:
@@ -333,14 +325,18 @@ LEADERBOARD_HEADER = ["family", "lr", "weight_decay", "dropout_p", "noise_level"
                       "test_picp", "test_mpiw"]
 
 
+# each family's knob: (leaderboard column, BenchmarkConfig grid, build_mlp
+# keyword); the deterministic family has none
+_FAMILY_KNOBS = {"mc_dropout": ("dropout_p", "dropout_grid", "dropout_p"),
+                "noise_fixed": ("noise_level", "noise_grid", "noise_level"),
+                "noise_learned": ("alpha_init", "alpha_init_grid", "noise_level")}
+
+
 def _family_grid(cfg: BenchmarkConfig, family: str) -> dict:
     grid = {"lr": list(cfg.lr_grid), "weight_decay": list(cfg.weight_decay_grid)}
-    if family == "mc_dropout":
-        grid["dropout_p"] = list(cfg.dropout_grid)
-    elif family == "noise_fixed":
-        grid["noise_level"] = list(cfg.noise_grid)
-    elif family == "noise_learned":
-        grid["alpha_init"] = list(cfg.alpha_init_grid)
+    if family in _FAMILY_KNOBS:
+        column, grid_field, _ = _FAMILY_KNOBS[family]
+        grid[column] = list(getattr(cfg, grid_field))
     return grid
 
 
@@ -374,12 +370,9 @@ def run_benchmark(cfg: BenchmarkConfig) -> Computed:
             for config, rng in zip(configs, rngs):
                 build_rng, fit_rng, mc_rng = rng.spawn(3)
                 kwargs = {}
-                if family == "mc_dropout":
-                    kwargs["dropout_p"] = config["dropout_p"]
-                elif family == "noise_fixed":
-                    kwargs["noise_level"] = config["noise_level"]
-                elif family == "noise_learned":
-                    kwargs["noise_level"] = config["alpha_init"]
+                if family in _FAMILY_KNOBS:
+                    column, _, keyword = _FAMILY_KNOBS[family]
+                    kwargs[keyword] = config[column]
                 nets.append(build_mlp(family, in_dim, list(cfg.hidden), 1,
                                       task="regression", activation=cfg.activation,
                                       rng=build_rng, **kwargs))

@@ -281,7 +281,6 @@ def _run_concurrently(tasks: list) -> None:
 class CorrespondenceReport:
     kernel: np.ndarray = field(repr=False)
     covariance: np.ndarray = field(repr=False)
-    deviation: np.ndarray = field(repr=False)
     max_rel_deviation: float = 0.0
     convergence: list[dict] = field(default_factory=list)
     kernel_source: str = "closed_form"     # or "monte_carlo"
@@ -325,6 +324,6 @@ def correspondence_report(probe: WideNetProbe, cfg: KernelMCConfig,
         if width == probe.width:
             headline = (cov, dev)
     cov, dev = headline
-    return CorrespondenceReport(kernel=kernel, covariance=cov, deviation=dev,
+    return CorrespondenceReport(kernel=kernel, covariance=cov,
                                 max_rel_deviation=float(dev.max()),
                                 convergence=convergence, kernel_source=source)

@@ -32,10 +32,6 @@ class PredictiveSamples:
     task: str
     lineage: tuple = ()      # spawn keys of the per-pass sub-streams
 
-    @property
-    def n_passes(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass
 class PredictiveSummary:

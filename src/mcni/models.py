@@ -19,8 +19,8 @@ FAMILIES = ("deterministic", "mc_dropout", "noise_fixed", "noise_learned")
 
 
 def build_mlp(family: str, input_dim: int, hidden, output_dim: int,
-              task: str = "regression", activation: str = "relu",
-              rng: np.random.Generator | None = None,
+              task: str = "regression", activation: str = "relu", *,
+              rng: np.random.Generator,
               dropout_p: float = 0.2, noise_level: float = 0.05,
               alpha_penalty_lambda: float = 0.0) -> Network:
     """Feed-forward net [input_dim] + hidden + [output_dim].
@@ -37,7 +37,6 @@ def build_mlp(family: str, input_dim: int, hidden, output_dim: int,
     hidden = [int(h) for h in np.atleast_1d(hidden)]
     if not hidden:
         raise ValueError("at least one hidden layer required")
-    rng = np.random.default_rng() if rng is None else rng
 
     noisy = family in ("noise_fixed", "noise_learned")
     spec = None

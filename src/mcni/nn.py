@@ -126,10 +126,9 @@ class DenseLayer:
             raise ValueError(f"unknown activation {self.activation!r}")
 
     @classmethod
-    def create(cls, fan_in: int, fan_out: int, activation: str = "identity",
-               rng: np.random.Generator | None = None) -> "DenseLayer":
+    def create(cls, fan_in: int, fan_out: int, activation: str,
+               rng: np.random.Generator) -> "DenseLayer":
         """Fan-in-scaled uniform init U(-1/sqrt(fan_in), +1/sqrt(fan_in))."""
-        rng = np.random.default_rng() if rng is None else rng
         bound = 1.0 / np.sqrt(fan_in)
         W = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         return cls(W=W, b=np.zeros(fan_out), activation=activation)
@@ -208,8 +207,6 @@ class ForwardTrace:
     """Per-layer intermediates from one forward call, consumed by backward."""
 
     net: "Network"
-    x: np.ndarray
-    mode: str
     caches: list = field(repr=False)
     output: np.ndarray = field(repr=False)
     buffered: bool = False   # made in a Workspace; its arrays get overwritten
@@ -334,7 +331,7 @@ class Network:
             h, cache = layer.forward_pass(h, mode, rng, frozen=frozen,
                                           buffers=buffers)
             caches.append(cache)
-        return h, ForwardTrace(net=self, x=x, mode=mode, caches=caches, output=h,
+        return h, ForwardTrace(net=self, caches=caches, output=h,
                                buffered=workspace is not None)
 
     def backward(self, trace: ForwardTrace, output_grad: np.ndarray) -> dict[str, np.ndarray]:
@@ -375,11 +372,6 @@ def stack_networks(nets) -> Network:
     return Network([type(group[0]).stack(group)
                     for group in zip(*(n.layers for n in nets))],
                    task=nets[0].task)
-
-
-def _member_sum(a: np.ndarray, stacked: bool) -> np.ndarray:
-    """Sum over all axes but the member axis; over every axis when unstacked."""
-    return a.sum(axis=tuple(range(1, a.ndim)) if stacked else None)
 
 
 # ---------------------------------------------------------------------------
@@ -442,75 +434,3 @@ def loss_cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarra
     g = softmax(logits)
     g[index] -= 1.0
     return g / logits.shape[-2]
-
-
-# ---------------------------------------------------------------------------
-# L2 penalty (weight decay) with per-parameter-group coefficients
-
-class WeightDecay:
-    """L2 coefficients resolved once for the parameter groups of one net.
-
-    ``lambdas`` is a scalar applied to every group, or a mapping from
-    parameter name ('L0.W', 'L0.b', ...) to its coefficient. A member stack
-    may take a list with one such value per member; the penalty is then one
-    value per member, and a member whose coefficient for a group is zero
-    gets -0.0 in the penalty and the gradient, the exact additive identity,
-    so adding the terms leaves its values as they would be without decay.
-    Noise levels (alpha) are never decayed: shrinking them would silently
-    cancel the mechanism the model is built around.
-    """
-
-    def __init__(self, net: Network, lambdas):
-        def coefficient(decay, name):
-            if isinstance(decay, Mapping):
-                return decay.get(name, 0.0)
-            return decay
-
-        per_member = isinstance(lambdas, (list, tuple))
-        self.stacked = net.members is not None
-        self.groups = []     # (name, lambda, 2 lambda shaped like p, mixed)
-        for name, p in net.parameters().items():
-            if name.endswith(".alpha"):
-                continue
-            lam = np.asarray([coefficient(d, name) for d in lambdas] if per_member
-                             else coefficient(lambdas, name), dtype=np.float64)
-            if (lam < 0.0).any():
-                raise ValueError(f"negative weight decay for {name}")
-            on = lam != 0.0
-            if not on.any():
-                continue
-            wide = lam.reshape(lam.shape + (1,) * (p.ndim - lam.ndim))
-            mixed = None if on.all() else (on, wide != 0.0)
-            self.groups.append((name, lam, 2.0 * wide, mixed))
-
-    def terms(self, net: Network) -> tuple[float, dict[str, np.ndarray]]:
-        """The penalty sum_g lambda_g ||param_g||^2 and its gradients."""
-        params = net.parameters()
-        total = 0.0
-        grads: dict[str, np.ndarray] = {}
-        for name, lam, two_lam, mixed in self.groups:
-            p = params[name]
-            term = lam * _member_sum(p * p, self.stacked)
-            grad = two_lam * p
-            if mixed is not None:
-                term = np.where(mixed[0], term, -0.0)
-                grad = np.where(mixed[1], grad, -0.0)
-            total += term
-            grads[name] = grad
-        return total, grads
-
-
-def _l2_terms(net: Network, lambdas) -> tuple[float, dict[str, np.ndarray]]:
-    """The L2 penalty and its gradients {name: 2 lambda_g param_g}, one pass.
-
-    ``lambdas`` is anything WeightDecay takes, or a WeightDecay already
-    resolved for this net (a training loop resolves it once).
-    """
-    if not isinstance(lambdas, WeightDecay):
-        lambdas = WeightDecay(net, lambdas)
-    return lambdas.terms(net)
-
-
-def l2_penalty(net: Network, lambdas) -> float:
-    """sum_g lambda_g * ||param_g||^2 over W and b groups (see _l2_terms)."""
-    return _l2_terms(net, lambdas)[0]

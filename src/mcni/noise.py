@@ -37,8 +37,10 @@ class NoiseSpec:
 
     mode 'fixed' keeps alpha at alpha_init; 'learned' trains it.
     alpha_penalty_lambda is the coefficient of the optional reward term
-    -lambda * ||alpha||^2 added to the training loss; it is subtracted, so a
-    positive lambda pushes alpha away from zero instead of collapsing it.
+    -lambda * ||alpha||^2 that the training loss adds for a learned alpha
+    (see ``optim.Penalty``); it is subtracted, so a positive lambda pushes
+    alpha away from zero instead of collapsing it. A fixed alpha is not a
+    parameter, so its lambda has no effect.
     """
 
     mode: str = "fixed"
@@ -132,7 +134,7 @@ class NoisyDenseLayer(DenseLayer):
                              f"layer's scalar shape {expected}")
 
     @classmethod
-    def create(cls, fan_in, fan_out, activation="identity", rng=None,
+    def create(cls, fan_in, fan_out, activation, rng,
                spec: NoiseSpec = NoiseSpec()):
         base = DenseLayer.create(fan_in, fan_out, activation, rng)
         return cls(W=base.W, b=base.b, activation=activation, spec=spec)

@@ -1,9 +1,11 @@
 """Training: Adam, early stopping, and grid search.
 
-The training loss is task loss + L2 weight decay + the optional noise-level
-reward (-lambda * ||alpha||^2, carried per layer by its NoiseSpec). Noise and
-dropout draws are live during training; validation is scored with a noisy
-EVAL pass because stochastic prediction is the model being selected.
+The training loss is task loss + one quadratic penalty (``Penalty``): L2
+weight decay on every W and b, and the optional noise-level reward
+-lambda * ||alpha||^2 on every trained alpha (lambda is carried per layer by
+its NoiseSpec; a fixed alpha moves no parameter, so it gets no term). Noise
+and dropout draws are live during training; validation is scored with a
+noisy EVAL pass because stochastic prediction is the model being selected.
 
 ``fit`` trains a list of same-shape nets as one member stack (see
 ``nn.stack_networks``): one forward, backward and optimizer step per batch
@@ -26,10 +28,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .nn import (EVAL, TRAIN, Network, WeightDecay, _l2_terms,
-                 loss_cross_entropy, loss_cross_entropy_grad, loss_mse,
-                 loss_mse_grad, _member_sum, stack_networks)
-from .noise import NoisyDenseLayer
+from .nn import (EVAL, TRAIN, Network, loss_cross_entropy,
+                 loss_cross_entropy_grad, loss_mse, loss_mse_grad,
+                 stack_networks)
 
 
 @dataclass
@@ -37,7 +38,7 @@ class TrainConfig:
     """One fit's settings; the optimizer is Adam at its default betas and eps."""
 
     lr: float = 0.001
-    weight_decay: float | Mapping[str, float] = 0.0
+    weight_decay: float = 0.0
     max_epochs: int = 100
     batch_size: int = 32
     patience: int = 0                # 0 disables early stopping
@@ -186,45 +187,82 @@ def _forward_loss(net: Network, X, Y, mode, rng, frozen_noise=None):
     return _TASK_LOSSES[net.task][0](out, Y), out, trace
 
 
-def _alpha_penalty_value(net: Network):
-    stacked = net.members is not None
-    total = 0.0
-    for layer in net.layers:
-        if isinstance(layer, NoisyDenseLayer):
-            lam = layer.spec.alpha_penalty_lambda
-            if lam > 0.0:
-                total -= lam * _member_sum(layer.alpha * layer.alpha, stacked)
-    return total
-
-
 def task_loss(net: Network, X, Y, mode: str = EVAL,
               rng: np.random.Generator | None = None) -> float:
     """Plain predictive loss (MSE or cross-entropy), no penalty terms."""
     return _forward_loss(net, X, Y, mode, rng)[0]
 
 
+class Penalty:
+    """The quadratic penalty of one net's training loss, resolved once.
+
+    Every group is c_g * ||p_g||^2. For each W and b, c_g is the weight
+    decay: one float, or in a member stack a list with one float per
+    member. For each trained alpha, c_g is -alpha_penalty_lambda, a reward
+    that pushes the noise level away from zero; weight decay never reaches
+    alpha, since shrinking it would cancel the mechanism the model is built
+    around. The penalty is one value per member; a member whose
+    coefficient for a group is zero gets -0.0 in the value and the
+    gradient, the exact additive identity, so adding the terms leaves its
+    values as they would be without them.
+    """
+
+    def __init__(self, net: Network, weight_decay):
+        decay = np.asarray(weight_decay, dtype=np.float64)
+        if not (decay >= 0.0).all():
+            raise ValueError("weight decay must be non-negative")
+        self.groups = []     # (name, c, 2 c shaped like p, summed axes, mixed)
+        for i, layer in enumerate(net.layers):
+            if not hasattr(layer, "parameters"):
+                continue
+            for key, p in layer.parameters().items():
+                c = (np.asarray(-layer.spec.alpha_penalty_lambda)
+                     if key == "alpha" else decay)
+                on = c != 0.0
+                if not on.any():
+                    continue
+                wide = c.reshape(c.shape + (1,) * (p.ndim - c.ndim))
+                axes = None if net.members is None else tuple(range(1, p.ndim))
+                mixed = None if on.all() else (on, wide != 0.0)
+                self.groups.append((f"L{i}.{key}", c, 2.0 * wide, axes, mixed))
+
+    def terms(self, net: Network) -> tuple[float, dict[str, np.ndarray]]:
+        """The penalty sum_g c_g ||p_g||^2 and its gradients 2 c_g p_g."""
+        params = net.parameters()
+        total = 0.0
+        grads: dict[str, np.ndarray] = {}
+        for name, c, two_c, axes, mixed in self.groups:
+            p = params[name]
+            term = c * (p * p).sum(axis=axes)
+            grad = two_c * p
+            if mixed is not None:
+                term = np.where(mixed[0], term, -0.0)
+                grad = np.where(mixed[1], grad, -0.0)
+            total += term
+            grads[name] = grad
+        return total, grads
+
+
 def training_loss_and_grads(net: Network, X, Y, weight_decay=0.0,
                             mode: str = TRAIN,
                             rng: np.random.Generator | None = None,
                             frozen_noise=None):
-    """Task loss + L2 decay + noise-level reward, and its gradients.
+    """Task loss + the quadratic penalty, and its gradients.
 
     One fresh draw per noisy layer (or ``frozen_noise``). For a member stack
     the loss is one value per member and ``weight_decay`` may hold one
-    coefficient, or one mapping, per member (see ``nn.WeightDecay``).
+    coefficient per member; it may also be a Penalty already resolved for
+    ``net`` (a training loop resolves it once).
     """
     loss, out, trace = _forward_loss(net, X, Y, mode, rng, frozen_noise)
     grads = net.backward(trace, _TASK_LOSSES[net.task][1](out, Y))
-    l2, l2_grads = _l2_terms(net, weight_decay)
-    loss += l2 + _alpha_penalty_value(net)
+    penalty = (weight_decay if isinstance(weight_decay, Penalty)
+               else Penalty(net, weight_decay))
+    value, penalty_grads = penalty.terms(net)
+    loss += value
     # the backward pass made every gradient array afresh: add in place
-    for name, g in l2_grads.items():
+    for name, g in penalty_grads.items():
         grads[name] += g
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, NoisyDenseLayer) and layer.spec.mode == "learned":
-            lam = layer.spec.alpha_penalty_lambda
-            if lam > 0.0:
-                grads[f"L{i}.alpha"] -= 2.0 * lam * layer.alpha
     return loss, grads
 
 
@@ -293,7 +331,7 @@ def fit(net, train_x, train_y, cfg, val_x=None, val_y=None, rng=None):
     noise_rngs = [s[1] for s in streams]
     stack = stack_networks(nets)
     params = stack.parameters()
-    decay = WeightDecay(stack, [c.weight_decay for c in cfgs])
+    penalty = Penalty(stack, [c.weight_decay for c in cfgs])
     optimizer = make_optimizer(cfgs)
     cfg = cfgs[0]
     starts = range(0, n, cfg.batch_size)
@@ -316,7 +354,7 @@ def fit(net, train_x, train_y, cfg, val_x=None, val_y=None, rng=None):
         for k, start in enumerate(starts):
             idx = order[:, start:start + cfg.batch_size]
             loss, grads = training_loss_and_grads(
-                stack, train_x[idx], train_y[idx], decay, TRAIN, noise)
+                stack, train_x[idx], train_y[idx], penalty, TRAIN, noise)
             optimizer.step(params, grads)
             batch_losses[:, k] = loss
         train_loss = batch_losses.mean(axis=1)
@@ -359,7 +397,7 @@ def fit(net, train_x, train_y, cfg, val_x=None, val_y=None, rng=None):
             stack = stack.take(keep)
             params = stack.parameters()
             optimizer.select(keep)
-            decay = WeightDecay(stack, [cfgs[m].weight_decay for m in live])
+            penalty = Penalty(stack, [cfgs[m].weight_decay for m in live])
     return results[0] if single else results
 
 

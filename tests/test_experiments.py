@@ -1,6 +1,8 @@
 """Experiment drivers: file layout, metrics schema, reproducibility."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -498,3 +500,29 @@ def test_config_to_dict_converts_tuples():
     d = config_to_dict(SweepConfig())
     assert d["sigmas"] == [0.0, 0.05, 0.1, 0.2, 0.4]
     assert d["passes"] == 100
+
+
+# ---------------------------------------------------------------------------
+# determinism contract: every generator in the package is seeded by a caller
+
+def unseeded_generators(package: Path) -> list[str]:
+    """file:line of each default_rng() call with no seed, or a None seed."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            seeds = node.args + [k.value for k in node.keywords]
+            if name == "default_rng" and (
+                    not seeds or all(isinstance(a, ast.Constant) and a.value is None
+                                     for a in seeds)):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_unseeded_generator_in_package():
+    package = Path(mcni.experiments.__file__).parent
+    assert sorted(package.glob("*.py"))
+    assert unseeded_generators(package) == []
+

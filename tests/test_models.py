@@ -74,9 +74,9 @@ def test_same_rng_same_init_across_families():
 
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
-        build_mlp("ensemble", 2, [4], 1)
+        build_mlp("ensemble", 2, [4], 1, rng=np.random.default_rng(0))
 
 
 def test_empty_hidden_rejected():
     with pytest.raises(ValueError):
-        build_mlp("deterministic", 2, [], 1)
+        build_mlp("deterministic", 2, [], 1, rng=np.random.default_rng(0))

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from mcni.nn import (DETERMINISTIC, ContractError, DenseLayer, Network,
-                     ShapeError, _l2_terms, l2_penalty,
-                     loss_cross_entropy, loss_cross_entropy_grad, loss_mse,
-                     loss_mse_grad, softmax)
+                     ShapeError, loss_cross_entropy, loss_cross_entropy_grad,
+                     loss_mse, loss_mse_grad, softmax, stack_networks)
 from mcni.noise import NoiseSpec, NoisyDenseLayer
+from mcni.optim import Penalty
 
 from oracles import fd_gradient
 
@@ -224,17 +224,22 @@ def test_softmax_rows_sum_to_one():
 
 
 # ---------------------------------------------------------------------------
-# l2 penalty
+# l2 penalty: weight decay through optim.Penalty
+
+def penalty_value(net, decay):
+    return Penalty(net, decay).terms(net)[0]
+
 
 def test_l2_zero_lambda_zero():
     net = single_layer(np.full((2, 2), 3.0), [1.0, 1.0])
-    assert l2_penalty(net, 0.0) == 0.0
+    assert penalty_value(net, 0.0) == 0.0
+    assert Penalty(net, 0.0).terms(net) == (0.0, {})
 
 
 def test_l2_hand_value():
     # 0.5 * 2^2, bias zero
     net = single_layer([[2.0]], [0.0])
-    assert l2_penalty(net, 0.5) == 2.0
+    assert penalty_value(net, 0.5) == 2.0
 
 
 def test_l2_matches_loop_oracle():
@@ -245,46 +250,73 @@ def test_l2_matches_loop_oracle():
     total = 0.0
     for p in net.parameters().values():
         total += lam * sum(v * v for v in p.ravel())
-    assert abs(l2_penalty(net, lam) - total) < 1e-12
+    assert abs(penalty_value(net, lam) - total) < 1e-12
 
 
 def test_l2_per_group_coefficients():
-    net = single_layer([[2.0]], [3.0])
-    lambdas = {"L0.W": 1.0, "L0.b": 0.5}
-    assert l2_penalty(net, lambdas) == 4.0 + 0.5 * 9.0
-    grads = _l2_terms(net, lambdas)[1]
+    # W and b take the weight decay, a learned alpha -lambda:
+    # 1 * 2^2 + 1 * 3^2 - 0.5 * 0.5^2
+    spec = NoiseSpec(mode="learned", alpha_penalty_lambda=0.5)
+    net = Network([NoisyDenseLayer(W=np.array([[2.0]]), b=np.array([3.0]),
+                                   spec=spec, alpha=0.5)])
+    total, grads = Penalty(net, 1.0).terms(net)
+    assert total == 4.0 + 9.0 - 0.125
     assert grads["L0.W"][0, 0] == 4.0
-    assert grads["L0.b"][0] == 3.0
+    assert grads["L0.b"][0] == 6.0
+    assert grads["L0.alpha"] == -0.5
+
+
+def learned_noise_net(seed, lam=0.2):
+    rng = np.random.default_rng(seed)
+    spec = NoiseSpec(mode="learned", alpha_init=0.3, alpha_penalty_lambda=lam)
+    return Network([NoisyDenseLayer.create(3, 5, "relu", rng, spec=spec),
+                    DenseLayer.create(5, 2, "identity", rng)])
 
 
 def test_l2_terms_bit_identical_to_reference_sum_and_grads():
-    rng = np.random.default_rng(11)
-    spec = NoiseSpec(mode="learned")
-    net = Network([NoisyDenseLayer.create(3, 5, "relu", rng, spec=spec),
-                   DenseLayer.create(5, 2, "identity", rng)])
-    mapping = {"L0.W": 0.3, "L1.b": 1e-5, "L0.alpha": 7.0, "L9.W": 2.0}
-    for lambdas in (0.037, mapping):
-        total, grads = _l2_terms(net, lambdas)
+    net = learned_noise_net(11)
+    for decay in (0.037, 0.0):
+        total, grads = Penalty(net, decay).terms(net)
         ref_total, ref_grads = 0.0, {}
         for name, p in net.parameters().items():
-            lam = (lambdas.get(name, 0.0) if isinstance(lambdas, dict)
-                   else lambdas)
-            if name.endswith(".alpha") or lam == 0.0:
+            c = -0.2 if name.endswith(".alpha") else decay
+            if c == 0.0:
                 continue
-            ref_total += lam * float(np.sum(p * p))
-            ref_grads[name] = 2.0 * lam * p
+            ref_total += c * float(np.sum(p * p))
+            ref_grads[name] = 2.0 * c * p
         assert total == ref_total
         assert grads.keys() == ref_grads.keys()
         for name, g in ref_grads.items():
             assert np.array_equal(grads[name], g)
-        assert l2_penalty(net, lambdas) == total
-    assert set(_l2_terms(net, mapping)[1]) == {"L0.W", "L1.b"}
-    assert _l2_terms(net, 0.0) == (0.0, {})
+    assert set(Penalty(net, 0.0).terms(net)[1]) == {"L0.alpha"}
+    plain = learned_noise_net(11, lam=0.0)
+    assert Penalty(plain, 0.0).terms(plain) == (0.0, {})
+
+
+def test_l2_stacked_members_equal_lone_values():
+    """A member whose decay is zero gets -0.0, the additive identity, in
+    the value and in every W and b gradient of the stack."""
+    decays = [0.037, 0.0, 1e-5]
+    nets = [learned_noise_net(s) for s in (12, 13, 14)]
+    stack = stack_networks(nets)
+    total, grads = Penalty(stack, decays).terms(stack)
+    for m, (net, decay) in enumerate(zip(nets, decays)):
+        lone_total, lone_grads = Penalty(net, decay).terms(net)
+        assert total[m] == lone_total
+        for name, g in grads.items():
+            if name in lone_grads:
+                assert np.array_equal(g[m].reshape(lone_grads[name].shape),
+                                      lone_grads[name]), name
+            else:
+                assert decay == 0.0 and np.all(g[m] == 0.0)
+                assert np.all(np.signbit(g[m])), name
 
 
 def test_l2_negative_lambda_rejected():
     net = single_layer([[1.0]], [0.0])
-    with pytest.raises(ValueError):
-        l2_penalty(net, -0.1)
-    with pytest.raises(ValueError, match="L0.b"):
-        _l2_terms(net, {"L0.b": -1.0})
+    with pytest.raises(ValueError, match="non-negative"):
+        penalty_value(net, -0.1)
+    with pytest.raises(ValueError, match="non-negative"):
+        penalty_value(net, float("nan"))
+    with pytest.raises(ValueError, match="non-negative"):
+        Penalty(stack_networks([net, net]), [0.1, -1.0])

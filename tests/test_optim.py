@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import mcni.optim
-from mcni.nn import EVAL, TRAIN, DenseLayer, Network, l2_penalty, loss_mse
+from mcni.nn import EVAL, TRAIN, DenseLayer, Network, loss_mse
 from mcni.noise import NoiseSpec, NoisyDenseLayer, sample_noise
 from mcni.models import FAMILIES, build_mlp
-from mcni.optim import (Adam, FitResult, TrainConfig, fit, grid_search,
-                        task_loss, training_loss_and_grads)
+from mcni.optim import (Adam, FitResult, Penalty, TrainConfig, fit,
+                        grid_search, task_loss, training_loss_and_grads)
 
 from oracles import adam_steps_oracle
 
@@ -169,9 +169,40 @@ def test_training_loss_is_sum_of_parts():
     total, _ = training_loss_and_grads(net, x, y, weight_decay=wd,
                                        frozen_noise=frozen)
     out, _ = net.forward(x, "train", frozen_noise=frozen)
+    l2 = sum(float(np.sum(l.W ** 2) + np.sum(l.b ** 2)) for l in net.layers)
     alpha_sq = sum(float(l.alpha ** 2) for l in net.layers)
-    parts = loss_mse(out, y) + l2_penalty(net, wd) - 0.05 * alpha_sq
+    parts = loss_mse(out, y) + wd * l2 - 0.05 * alpha_sq
     assert abs(total - parts) < 1e-12
+
+
+def test_fixed_alpha_reward_adds_nothing():
+    """A fixed alpha is not a parameter: its lambda moves no loss or grad."""
+    rewarded, plain = (build_mlp("noise_fixed", 3, [4], 1, noise_level=0.3,
+                                 alpha_penalty_lambda=lam,
+                                 rng=np.random.default_rng(15))
+                       for lam in (0.5, 0.0))
+    rng = np.random.default_rng(16)
+    x, y = rng.normal(size=(5, 3)), rng.normal(size=(5, 1))
+    frozen = [sample_noise(l, rng) for l in plain.layers]
+    loss, grads = training_loss_and_grads(rewarded, x, y, 0.01,
+                                          frozen_noise=frozen)
+    ref_loss, ref_grads = training_loss_and_grads(plain, x, y, 0.01,
+                                                  frozen_noise=frozen)
+    assert loss == ref_loss
+    assert grads.keys() == ref_grads.keys()
+    for name, g in ref_grads.items():
+        assert np.array_equal(grads[name], g), name
+    assert Penalty(rewarded, 0.0).groups == []
+
+
+def test_weight_decay_is_one_float_per_member():
+    net = linear_net(1.0)
+    x = np.ones((2, 1))
+    with pytest.raises(TypeError):
+        training_loss_and_grads(net, x, x, {"L0.W": 0.1})
+    with pytest.raises(TypeError):
+        fit(net, x, x, TrainConfig(weight_decay={"L0.W": 0.1}),
+            rng=np.random.default_rng(0))
 
 
 def test_weight_decay_never_reaches_alpha():
@@ -184,9 +215,9 @@ def test_weight_decay_never_reaches_alpha():
     _, plain = training_loss_and_grads(net, x, y, 0.0, frozen_noise=frozen)
     assert np.array_equal(decayed["L0.alpha"], plain["L0.alpha"])
     assert not np.array_equal(decayed["L0.W"], plain["L0.W"])
-    with_alpha = l2_penalty(net, 10.0)
+    with_alpha = Penalty(net, 10.0).terms(net)[0]
     net.layers[0].alpha = np.asarray(123.0)
-    assert l2_penalty(net, 10.0) == with_alpha
+    assert Penalty(net, 10.0).terms(net)[0] == with_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +395,19 @@ def stack_data(task, seed=20):
     return (x, rng.integers(0, 3, size=70), xv, rng.integers(0, 3, size=11))
 
 
-# per member: learning rate, weight decay, family knob
-STACK_MEMBERS = [(0.3, 1e-3, 0.2), (0.02, 0.0, 0.05), (0.005, {"L0.W": 1e-2}, 0.0),
+# per member: learning rate, weight decay, family knob; the member without
+# decay takes the -0.0 path of a stack with mixed decays
+STACK_MEMBERS = [(0.3, 1e-3, 0.2), (0.02, 0.0, 0.05), (0.005, 1e-2, 0.0),
                  (0.05, 1e-4, 0.1)]
 
 
-def build_member(family, task, knob, seed):
+def build_member(family, task, knob, seed, reward=0.0):
     out_dim = 2 if task == "regression" else 3
     kwargs = {"dropout_p": knob} if family == "mc_dropout" else {
         "noise_level": knob}
     return build_mlp(family, 3, [5, 4], out_dim, task=task, activation="tanh",
-                     rng=np.random.default_rng([seed, 1]), **kwargs)
+                     rng=np.random.default_rng([seed, 1]),
+                     alpha_penalty_lambda=reward, **kwargs)
 
 
 def assert_same_fit(net, result, ref_net, ref):
@@ -388,15 +421,15 @@ def assert_same_fit(net, result, ref_net, ref):
     assert not result.diverged
 
 
-@pytest.mark.parametrize("task", ["regression", "classification"])
-@pytest.mark.parametrize("family", FAMILIES)
-def test_stacked_fit_equals_each_member_fitted_alone(family, task):
+def check_stacked_fit(family, task, reward=0.0):
+    """Fit STACK_MEMBERS as one stack; each member must equal its lone fit
+    and reference_fit."""
     x, y, xv, yv = stack_data(task)
     cfgs = [TrainConfig(lr=lr, weight_decay=wd, max_epochs=25, batch_size=8,
                         patience=2, val_passes=2)
             for lr, wd, _ in STACK_MEMBERS]
     seeds = range(30, 30 + len(STACK_MEMBERS))
-    nets = [build_member(family, task, knob, seed)
+    nets = [build_member(family, task, knob, seed, reward)
             for (_, _, knob), seed in zip(STACK_MEMBERS, seeds)]
     results = fit(nets, x, y, cfgs, xv, yv,
                   rng=[np.random.default_rng([seed, 2]) for seed in seeds])
@@ -405,13 +438,24 @@ def test_stacked_fit_equals_each_member_fitted_alone(family, task):
     assert any(r.stopped_early for r in results)
     for (_, _, knob), seed, c, net, result in zip(STACK_MEMBERS, seeds, cfgs,
                                                   nets, results):
-        ref_net = build_member(family, task, knob, seed)
+        ref_net = build_member(family, task, knob, seed, reward)
         ref = reference_fit(ref_net, x, y, c, xv, yv,
                             np.random.default_rng([seed, 2]))
         assert_same_fit(net, result, ref_net, ref)
-        alone = build_member(family, task, knob, seed)
+        alone = build_member(family, task, knob, seed, reward)
         solo = fit(alone, x, y, c, xv, yv, rng=np.random.default_rng([seed, 2]))
         assert_same_fit(alone, solo, ref_net, ref)
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stacked_fit_equals_each_member_fitted_alone(family, task):
+    check_stacked_fit(family, task)
+
+
+def test_stacked_learned_noise_with_reward_equals_lone_fits():
+    """Mixed decays and the alpha reward, both in the one penalty."""
+    check_stacked_fit("noise_learned", "regression", reward=0.05)
 
 
 class PlainStep:
