@@ -34,7 +34,7 @@ from .mc import PredictiveSamples, mc_predict, summarize_classification, \
 from .metrics import RISK_KINDS, mpiw, msll, nll_gaussian, picp, risk_coverage, \
     rmse
 from .models import FAMILIES, build_mlp
-from .nn import ACTIVATIONS, EVAL
+from .nn import ACTIVATIONS
 from .optim import TrainConfig, fit, grid_search
 from .runio import jsonable, write_csv, write_json
 
@@ -332,6 +332,11 @@ _FAMILY_KNOBS = {"mc_dropout": ("dropout_p", "dropout_grid", "dropout_p"),
                 "noise_learned": ("alpha_init", "alpha_init_grid", "noise_level")}
 
 
+# the most configs one stacked fit trains at once: a family's grid is fitted
+# in sub-stacks of this size, one after another, which bounds peak memory
+_STACK_MEMBERS = 32
+
+
 def _family_grid(cfg: BenchmarkConfig, family: str) -> dict:
     grid = {"lr": list(cfg.lr_grid), "weight_decay": list(cfg.weight_decay_grid)}
     if family in _FAMILY_KNOBS:
@@ -362,30 +367,36 @@ def run_benchmark(cfg: BenchmarkConfig) -> Computed:
                 "test_mpiw": mpiw(summ.lower[:, 0], summ.upper[:, 0]),
                 "_nll_per_point": nll.per_point}
 
+    def fit_stack(family: str, configs: list[dict], rngs: list) -> list[dict]:
+        # configs of one family share an architecture: train them as one
+        # stack, each with its own build, fit and prediction streams
+        nets, train_cfgs, fit_rngs, mc_rngs = [], [], [], []
+        for config, rng in zip(configs, rngs):
+            build_rng, fit_rng, mc_rng = rng.spawn(3)
+            kwargs = {}
+            if family in _FAMILY_KNOBS:
+                column, _, keyword = _FAMILY_KNOBS[family]
+                kwargs[keyword] = config[column]
+            nets.append(build_mlp(family, in_dim, list(cfg.hidden), 1,
+                                  task="regression", activation=cfg.activation,
+                                  rng=build_rng, **kwargs))
+            train_cfgs.append(TrainConfig(
+                lr=config["lr"], weight_decay=config["weight_decay"],
+                max_epochs=cfg.max_epochs, batch_size=cfg.batch_size,
+                patience=cfg.patience, val_passes=cfg.val_passes))
+            fit_rngs.append(fit_rng)
+            mc_rngs.append(mc_rng)
+        results = fit(nets, train.X, train.Y, train_cfgs, val.X, val.Y,
+                      rng=fit_rngs)
+        return [score(net, result, mc_rng)
+                for net, result, mc_rng in zip(nets, results, mc_rngs)]
+
     for family in cfg.families:
         def evaluate(configs: list[dict], rngs: list, family=family) -> list[dict]:
-            # the family's configs share an architecture: train them as one
-            # stack, each with its own build, fit and prediction streams
-            nets, train_cfgs, fit_rngs, mc_rngs = [], [], [], []
-            for config, rng in zip(configs, rngs):
-                build_rng, fit_rng, mc_rng = rng.spawn(3)
-                kwargs = {}
-                if family in _FAMILY_KNOBS:
-                    column, _, keyword = _FAMILY_KNOBS[family]
-                    kwargs[keyword] = config[column]
-                nets.append(build_mlp(family, in_dim, list(cfg.hidden), 1,
-                                      task="regression", activation=cfg.activation,
-                                      rng=build_rng, **kwargs))
-                train_cfgs.append(TrainConfig(
-                    lr=config["lr"], weight_decay=config["weight_decay"],
-                    max_epochs=cfg.max_epochs, batch_size=cfg.batch_size,
-                    patience=cfg.patience, val_passes=cfg.val_passes))
-                fit_rngs.append(fit_rng)
-                mc_rngs.append(mc_rng)
-            results = fit(nets, train.X, train.Y, train_cfgs, val.X, val.Y,
-                          rng=fit_rngs)
-            return [score(net, result, mc_rng)
-                    for net, result, mc_rng in zip(nets, results, mc_rngs)]
+            step = _STACK_MEMBERS
+            return [row for lo in range(0, len(configs), step)
+                    for row in fit_stack(family, configs[lo:lo + step],
+                                         rngs[lo:lo + step])]
 
         result = grid_search(evaluate, _family_grid(cfg, family), seed=cfg.seed)
         for row in result.rows:
@@ -532,7 +543,7 @@ def corrupted_predict(net, X, sigma: float, T: int, rng) -> PredictiveSamples:
     over input corruption and weight noise together. At sigma=0 every pass
     sees X bit-exactly, reducing to a clean prediction.
     """
-    return mc_predict(net, X, T, rng, EVAL,
+    return mc_predict(net, X, T, rng,
                       transform=lambda X, r: gaussian_corrupt(X, sigma, r))
 
 

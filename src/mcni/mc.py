@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import EVAL, Network, softmax
+from .nn import Network, softmax
 
 PROB_TOLERANCE = 1e-6
 
@@ -30,7 +30,6 @@ class PredictiveSamples:
 
     values: np.ndarray = field(repr=False)
     task: str
-    lineage: tuple = ()      # spawn keys of the per-pass sub-streams
 
 
 @dataclass
@@ -51,10 +50,11 @@ class ClassificationSummary:
     class_variance: np.ndarray
 
 
-def mc_predict(net: Network, X, T: int, rng: np.random.Generator,
-               mode: str = EVAL, transform=None) -> PredictiveSamples:
-    """Run T independent noisy passes; stochastic mechanisms stay live in EVAL.
+def mc_predict(net: Network, X, T: int, rng: np.random.Generator, *,
+               transform=None) -> PredictiveSamples:
+    """Run T independent noisy passes, with every stochastic layer live.
 
+    A classification net's logits become probability rows by softmax.
     ``transform(X, rng)`` optionally gives each pass its own input. A pass
     with a transform splits its stream in two, the first for the transform
     and the second for the network.
@@ -63,7 +63,7 @@ def mc_predict(net: Network, X, T: int, rng: np.random.Generator,
         raise ValueError("need at least one Monte Carlo pass")
     X = np.asarray(X, dtype=np.float64)
     streams = rng.spawn(T)
-    needs_softmax = net.task == "classification" and not net.outputs_probabilities
+    needs_softmax = net.task == "classification"
     outs = np.empty((T,) + (X.shape[0], net.fan_out), dtype=np.float64)
     workspace = net.workspace(X.shape[0])
     for t, stream in enumerate(streams):
@@ -71,13 +71,12 @@ def mc_predict(net: Network, X, T: int, rng: np.random.Generator,
         if transform is not None:
             input_rng, stream = stream.spawn(2)
             x = transform(X, input_rng)
-        out, _ = net.forward(x, mode, stream, workspace=workspace)
+        out, _ = net.forward(x, stream, workspace=workspace)
         if needs_softmax:
             softmax(out, out=outs[t])
         else:
             outs[t] = out
-    lineage = tuple(s.bit_generator.seed_seq.spawn_key for s in streams)
-    return PredictiveSamples(values=outs, task=net.task, lineage=lineage)
+    return PredictiveSamples(values=outs, task=net.task)
 
 
 def welford_mean_var(values: np.ndarray):

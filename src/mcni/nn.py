@@ -6,9 +6,10 @@ returns a flat name -> gradient dict. There is no general autodiff tape: each
 layer knows how to push gradients through itself, and that is all the models
 here need.
 
-Modes: TRAIN and EVAL both keep stochastic mechanisms live (weight noise and
-dropout are part of the model at prediction time, not a training trick);
-DETERMINISTIC switches them off for debugging and baselines.
+Stochastic layers (weight noise, dropout) are live on every pass, in
+training and at prediction time alike: they are part of the model, not a
+training trick. A noise-free pass is an alpha = 0 or p = 0 twin of the net,
+or a pass with ``frozen_noise``.
 
 Member stacks: several same-shape networks can run as one network whose
 parameters carry a leading member axis (``stack_networks``): weights
@@ -29,14 +30,9 @@ bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
-
-TRAIN = "train"
-EVAL = "eval"
-DETERMINISTIC = "deterministic"
-MODES = (TRAIN, EVAL, DETERMINISTIC)
 
 
 class ShapeError(ValueError):
@@ -50,7 +46,7 @@ class ContractError(RuntimeError):
 # ---------------------------------------------------------------------------
 # activations
 
-ACTIVATIONS = ("relu", "tanh", "sigmoid", "identity", "softmax")
+ACTIVATIONS = ("relu", "tanh", "sigmoid", "identity")
 
 def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row-wise softmax, shift-stabilized so large logits cannot overflow."""
@@ -77,8 +73,6 @@ def apply_activation(name: str, z: np.ndarray,
         return out
     if name == "identity":
         return z
-    if name == "softmax":
-        return softmax(z, out=out)
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -93,10 +87,6 @@ def activation_backward(name: str, grad_out: np.ndarray, z: np.ndarray,
         return grad_out * a * (1.0 - a)
     if name == "identity":
         return grad_out
-    if name == "softmax":
-        # Jacobian-vector product: a * (g - <g, a>), row-wise.
-        inner = (grad_out * a).sum(axis=-1, keepdims=True)
-        return a * (grad_out - inner)
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -157,13 +147,13 @@ class DenseLayer:
         return {"z": np.empty((batch, self.fan_out)),
                 "a": np.empty((batch, self.fan_out))}
 
-    def effective_weight(self, mode: str, rng, frozen=None, buffers=None):
+    def effective_weight(self, rng, frozen=None, buffers=None):
         """The weight actually multiplied into the input. Hook for noise."""
         return self.W, None
 
-    def forward_pass(self, x, mode, rng, frozen=None, buffers=None):
+    def forward_pass(self, x, rng, frozen=None, buffers=None):
         buf = buffers or {}
-        w_eff, eps = self.effective_weight(mode, rng, frozen, buffers)
+        w_eff, eps = self.effective_weight(rng, frozen, buffers)
         z = np.matmul(x, w_eff, out=buf.get("z"))
         z += self.b
         a = apply_activation(self.activation, z, out=buf.get("a"))
@@ -216,8 +206,8 @@ class Network:
     """A stack of layers with a task tag ('regression' or 'classification').
 
     Classification networks emit logits; softmax is applied by the inference
-    helpers, not baked into the last layer (keeps the cross-entropy path
-    numerically stable).
+    helpers, never by a layer (keeps the cross-entropy path numerically
+    stable).
     """
 
     def __init__(self, layers, task: str = "regression"):
@@ -249,11 +239,6 @@ class Network:
     def fan_out(self) -> int:
         return self._dense[-1][1].fan_out
 
-    @property
-    def outputs_probabilities(self) -> bool:
-        """True when the last dense layer already applies softmax."""
-        return self._dense[-1][1].activation == "softmax"
-
     def parameters(self) -> dict[str, np.ndarray]:
         """Live parameter arrays keyed 'L{index}.{name}'."""
         out: dict[str, np.ndarray] = {}
@@ -271,9 +256,6 @@ class Network:
                                       if np.ndim(getattr(l, f.name)) == 3})
                         for l in self.layers], self.task)
 
-    def copy_parameters(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.parameters().items()}
-
     def load_parameters(self, params: Mapping[str, np.ndarray]) -> None:
         live = self.parameters()
         if set(params) != set(live):
@@ -289,18 +271,22 @@ class Network:
             width = getattr(layer, "fan_out", width)
         return Workspace(net=self, batch=batch, layers=layers)
 
-    def forward(self, x, mode: str = TRAIN, rng: np.random.Generator | None = None,
+    def forward(self, x, rng: np.random.Generator | None = None, *,
                 frozen_noise=None, workspace: Workspace | None = None):
         """Run the stack; returns (output, ForwardTrace).
 
+        Noise and dropout draw from ``rng``; a member stack takes one
+        generator per member. A net without stochastic layers needs none.
         ``frozen_noise`` is a per-layer list of pre-drawn noise (weight noise
         eps or dropout masks); used by gradient checks so finite differences
         see a smooth deterministic function. With a ``workspace`` every
         intermediate, the output included, is written into its buffers.
-        A member stack takes one generator per member in ``rng``.
         """
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
+        if not (rng is None or isinstance(rng, np.random.Generator)
+                or isinstance(rng, Sequence) and not isinstance(rng, str)
+                and all(isinstance(g, np.random.Generator) for g in rng)):
+            raise TypeError(f"rng must be a numpy Generator or a sequence of "
+                            f"them, got {type(rng).__name__}")
         x = np.asarray(x, dtype=np.float64)
         if self.members is not None and x.ndim == 3:
             if x.shape[0] != self.members:
@@ -328,8 +314,7 @@ class Network:
         for i, layer in enumerate(self.layers):
             frozen = None if frozen_noise is None else frozen_noise[i]
             buffers = None if workspace is None else workspace.layers[i]
-            h, cache = layer.forward_pass(h, mode, rng, frozen=frozen,
-                                          buffers=buffers)
+            h, cache = layer.forward_pass(h, rng, frozen=frozen, buffers=buffers)
             caches.append(cache)
         return h, ForwardTrace(net=self, caches=caches, output=h,
                                buffered=workspace is not None)

@@ -6,8 +6,10 @@ population standard deviation of the layer's own live weights. The noise
 level alpha is one scalar per layer, either a fixed constant or trained by
 backprop. Bias is never perturbed.
 
-Both mechanisms stay active in TRAIN and EVAL mode; prediction-time
-stochasticity is the point. DETERMINISTIC mode switches them off.
+Both mechanisms are live on every pass, in training and at prediction
+time; prediction-time stochasticity is the point. A noise-free pass is a
+twin at alpha = 0 or p = 0, which computes the plain net bit for bit, or a
+pass with frozen noise.
 
 In a workspace (repeated passes over frozen weights), a noisy layer computes
 sigma_l once, when its buffers are built, and draws eps into a reused buffer.
@@ -26,9 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .nn import DenseLayer, DETERMINISTIC, ShapeError, _require_same
-
-NOISE_MODES = ("fixed", "learned")
+from .nn import DenseLayer, ShapeError, _require_same
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,12 @@ class NoiseSpec:
     alpha_penalty_lambda: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in NOISE_MODES:
-            raise ValueError(f"noise mode must be one of {NOISE_MODES}")
-        if self.alpha_init < 0.0:
+        if self.mode not in ("fixed", "learned"):
+            raise ValueError("noise mode must be 'fixed' or 'learned'")
+        # written so that NaN fails too
+        if not self.alpha_init >= 0.0:
             raise ValueError("alpha_init must be non-negative")
-        if self.alpha_penalty_lambda < 0.0:
+        if not self.alpha_penalty_lambda >= 0.0:
             raise ValueError("alpha_penalty_lambda must be non-negative")
 
 
@@ -116,7 +117,7 @@ def alpha_gradient(weight_grad: np.ndarray, eps: np.ndarray) -> np.ndarray:
 
 @dataclass
 class NoisyDenseLayer(DenseLayer):
-    """Dense layer whose weights are perturbed on every live forward pass."""
+    """Dense layer whose weights are perturbed on every forward pass."""
 
     spec: NoiseSpec = NoiseSpec()
     alpha: np.ndarray = None
@@ -167,14 +168,12 @@ class NoisyDenseLayer(DenseLayer):
             params["alpha"] = self.alpha
         return params
 
-    def effective_weight(self, mode, rng, frozen=None, buffers=None):
+    def effective_weight(self, rng, frozen=None, buffers=None):
         if frozen is not None:
             eps = frozen
-        elif mode == DETERMINISTIC:
-            return self.W, None
+        elif rng is None:
+            raise ValueError("noisy forward needs an rng (or frozen noise)")
         else:
-            if rng is None:
-                raise ValueError("noisy forward needs an rng (or frozen noise)")
             eps = sample_noise(self, rng, buffers)
         w_eff = np.multiply(self.alpha, eps, out=(buffers or {}).get("w_eff"))
         return np.add(self.W, w_eff, out=w_eff), eps
@@ -182,12 +181,7 @@ class NoisyDenseLayer(DenseLayer):
     def backward_pass(self, cache, grad_out):
         grad_in, grads = super().backward_pass(cache, grad_out)
         if self.spec.mode == "learned":
-            eps = cache["eps"]
-            if eps is None:
-                # deterministic pass: no noise path, alpha has zero gradient
-                grads["alpha"] = np.zeros_like(self.alpha)
-            else:
-                grads["alpha"] = alpha_gradient(grads["W"], eps)
+            grads["alpha"] = alpha_gradient(grads["W"], cache["eps"])
         return grad_in, grads
 
 
@@ -195,9 +189,9 @@ class NoisyDenseLayer(DenseLayer):
 class DropoutLayer:
     """Inverted dropout on activations: keep with prob 1-p, scale by 1/(1-p).
 
-    Live in TRAIN and EVAL (the MC-dropout baseline predicts with dropout
-    on); identity in DETERMINISTIC mode or at p = 0, bit-exactly. In a stack
-    p is (S, 1, 1); a member with p = 0 draws nothing and keeps every unit.
+    Live on every pass (the MC-dropout baseline predicts with dropout on);
+    identity at p = 0, bit-exactly. In a stack p is (S, 1, 1); a member with
+    p = 0 draws nothing and keeps every unit.
     """
 
     p: float
@@ -216,12 +210,12 @@ class DropoutLayer:
         return {"u": np.empty(shape), "keep": np.empty(shape, dtype=bool),
                 "mask": np.empty(shape), "y": np.empty(shape)}
 
-    def forward_pass(self, x, mode, rng, frozen=None, buffers=None):
+    def forward_pass(self, x, rng, frozen=None, buffers=None):
         buf = buffers or {}
         if frozen is not None:
             mask = frozen
             return np.multiply(x, mask, out=buf.get("y")), {"mask": mask}
-        if mode == DETERMINISTIC or not np.any(self.p):
+        if not np.any(self.p):
             return x, {"mask": None}
         if rng is None:
             raise ValueError("dropout forward needs an rng (or a frozen mask)")

@@ -4,8 +4,8 @@ The training loss is task loss + one quadratic penalty (``Penalty``): L2
 weight decay on every W and b, and the optional noise-level reward
 -lambda * ||alpha||^2 on every trained alpha (lambda is carried per layer by
 its NoiseSpec; a fixed alpha moves no parameter, so it gets no term). Noise
-and dropout draws are live during training; validation is scored with a
-noisy EVAL pass because stochastic prediction is the model being selected.
+and dropout draws are live on every pass; validation is scored with a noisy
+pass too, because stochastic prediction is the model being selected.
 
 ``fit`` trains a list of same-shape nets as one member stack (see
 ``nn.stack_networks``): one forward, backward and optimizer step per batch
@@ -28,9 +28,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .nn import (EVAL, TRAIN, Network, loss_cross_entropy,
-                 loss_cross_entropy_grad, loss_mse, loss_mse_grad,
-                 stack_networks)
+from .nn import (Network, loss_cross_entropy, loss_cross_entropy_grad,
+                 loss_mse, loss_mse_grad, stack_networks)
 
 
 @dataclass
@@ -65,11 +64,10 @@ class _FlatState:
     ``members`` is the length of the leading member axis that stacked
     parameters carry; a single net's parameters have none and use one row.
     The first gather fixes the layout: the parameters that have a gradient,
-    in ``params`` order, each owning a column slice. A later step with other
-    names raises rather than silently starting fresh moments. ``views``
-    holds, per moment buffer, name -> a view shaped like the parameter.
-    ``work`` holds arrays of the same shape that a step may overwrite; the
-    first is the gathered gradient.
+    in ``params`` order, each owning a column slice of every array: ``slots``
+    lists (name, columns, parameter shape). A later step with other names
+    raises rather than silently starting fresh moments. ``work`` holds
+    arrays that a step may overwrite; the first is the gathered gradient.
     """
 
     def __init__(self, members: int):
@@ -78,7 +76,6 @@ class _FlatState:
         self.slots = []
         self.buffers = []
         self.work = [None] * 3
-        self.views = [{}, {}]
 
     def gather(self, params, grads) -> np.ndarray:
         names = [n for n in params if n in grads]
@@ -89,20 +86,13 @@ class _FlatState:
                 size = int(np.prod(shape)) // self.members
                 self.slots.append((name, slice(offset, offset + size), shape))
                 offset += size
-            self.buffers = [np.zeros((self.members, offset)) for _ in self.views]
+            self.buffers = [np.zeros((self.members, offset)) for _ in range(2)]
             self.work = [np.empty((self.members, offset)) for _ in self.work]
-            self._make_views()
         elif names != self.names:
             raise ValueError(f"parameters with a gradient changed from "
                              f"{self.names} to {names}")
         return np.concatenate([grads[n].reshape(self.members, -1) for n in names],
                               axis=1, out=self.work[0])
-
-    def _make_views(self) -> None:
-        for view, buf in zip(self.views, self.buffers):
-            view.clear()
-            view.update((name, buf[:, sl].reshape(shape))
-                        for name, sl, shape in self.slots)
 
     def apply(self, params, update: np.ndarray) -> None:
         for name, sl, shape in self.slots:
@@ -116,7 +106,6 @@ class _FlatState:
         self.work = [w[:self.members] for w in self.work]
         self.slots = [(name, sl, (self.members,) + shape[1:])
                       for name, sl, shape in self.slots]
-        self._make_views()
 
 
 class Adam:
@@ -128,7 +117,6 @@ class Adam:
 
     def __init__(self, lr, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
-        self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
@@ -136,7 +124,6 @@ class Adam:
         # the learning rate as a column, one row per member
         self._lr = np.asarray(lr, dtype=np.float64).reshape(-1, 1)
         self._state = _FlatState(self._lr.shape[0])
-        self._m, self._v = self._state.views
 
     def step(self, params: Mapping[str, np.ndarray],
              grads: Mapping[str, np.ndarray]) -> None:
@@ -159,7 +146,6 @@ class Adam:
 
     def select(self, keep) -> None:
         """Keep the state of the stacked members ``keep`` only."""
-        self.lr = np.asarray(self.lr)[keep]
         self._lr = self._lr[keep]
         self._state.select(keep)
 
@@ -180,17 +166,18 @@ _TASK_LOSSES = {"regression": (loss_mse, loss_mse_grad),
                 "classification": (loss_cross_entropy, loss_cross_entropy_grad)}
 
 
-def _forward_loss(net: Network, X, Y, mode, rng, frozen_noise=None):
+def _forward_loss(net: Network, X, Y, rng, frozen_noise=None):
     """One forward pass and its task loss (MSE or cross-entropy by the net's
     task), one value per member. Returns (loss, output, trace)."""
-    out, trace = net.forward(X, mode, rng, frozen_noise=frozen_noise)
+    out, trace = net.forward(X, rng, frozen_noise=frozen_noise)
     return _TASK_LOSSES[net.task][0](out, Y), out, trace
 
 
-def task_loss(net: Network, X, Y, mode: str = EVAL,
+def task_loss(net: Network, X, Y,
               rng: np.random.Generator | None = None) -> float:
-    """Plain predictive loss (MSE or cross-entropy), no penalty terms."""
-    return _forward_loss(net, X, Y, mode, rng)[0]
+    """Plain predictive loss (MSE or cross-entropy) of one live pass, no
+    penalty terms."""
+    return _forward_loss(net, X, Y, rng)[0]
 
 
 class Penalty:
@@ -244,8 +231,7 @@ class Penalty:
 
 
 def training_loss_and_grads(net: Network, X, Y, weight_decay=0.0,
-                            mode: str = TRAIN,
-                            rng: np.random.Generator | None = None,
+                            rng: np.random.Generator | None = None, *,
                             frozen_noise=None):
     """Task loss + the quadratic penalty, and its gradients.
 
@@ -254,7 +240,7 @@ def training_loss_and_grads(net: Network, X, Y, weight_decay=0.0,
     coefficient per member; it may also be a Penalty already resolved for
     ``net`` (a training loop resolves it once).
     """
-    loss, out, trace = _forward_loss(net, X, Y, mode, rng, frozen_noise)
+    loss, out, trace = _forward_loss(net, X, Y, rng, frozen_noise)
     grads = net.backward(trace, _TASK_LOSSES[net.task][1](out, Y))
     penalty = (weight_decay if isinstance(weight_decay, Penalty)
                else Penalty(net, weight_decay))
@@ -354,14 +340,14 @@ def fit(net, train_x, train_y, cfg, val_x=None, val_y=None, rng=None):
         for k, start in enumerate(starts):
             idx = order[:, start:start + cfg.batch_size]
             loss, grads = training_loss_and_grads(
-                stack, train_x[idx], train_y[idx], penalty, TRAIN, noise)
+                stack, train_x[idx], train_y[idx], penalty, noise)
             optimizer.step(params, grads)
             batch_losses[:, k] = loss
         train_loss = batch_losses.mean(axis=1)
         if has_val:
             vals = np.empty((len(live), cfg.val_passes))
             for k in range(cfg.val_passes):
-                vals[:, k] = task_loss(stack, val_x, val_y, EVAL, noise)
+                vals[:, k] = task_loss(stack, val_x, val_y, noise)
             val_loss = vals.mean(axis=1)
 
         done = []

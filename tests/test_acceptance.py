@@ -30,7 +30,7 @@ from mcni.mc import mc_predict, summarize_regression
 from mcni.metrics import (brier, ece, mpiw, msll, nll_gaussian, picp,
                           risk_coverage, rmse)
 from mcni.models import build_mlp
-from mcni.nn import TRAIN, loss_mse, loss_mse_grad
+from mcni.nn import loss_mse, loss_mse_grad
 from mcni.runio import manifest_digest
 
 from oracles import (brier_oracle, ece_oracle, mpiw_oracle, msll_oracle,
@@ -52,7 +52,7 @@ def test_criterion_01_gradient_exactness():
                         activation="relu", rng=rng, noise_level=0.05)
         x = rng.normal(size=(8, 5))
         y = rng.normal(size=(8, 3))
-        out, trace = net.forward(x, TRAIN, np.random.default_rng([seed, 1]))
+        out, trace = net.forward(x, np.random.default_rng([seed, 1]))
         eps = [c["eps"] for c in trace.caches]
         analytic = net.backward(trace, loss_mse_grad(out, y))
 
@@ -62,11 +62,9 @@ def test_criterion_01_gradient_exactness():
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                up = loss_mse(net.forward(x, TRAIN, rng=None,
-                                          frozen_noise=eps)[0], y)
+                up = loss_mse(net.forward(x, frozen_noise=eps)[0], y)
                 flat[i] = orig - h
-                down = loss_mse(net.forward(x, TRAIN, rng=None,
-                                            frozen_noise=eps)[0], y)
+                down = loss_mse(net.forward(x, frozen_noise=eps)[0], y)
                 flat[i] = orig
                 fd = (up - down) / (2.0 * h)
                 denom = max(abs(fd), abs(grad[i]), 1e-8)
@@ -316,7 +314,7 @@ def test_criterion_09_injected_noise_scale():
         draws = []
         noise_rng = np.random.default_rng([91, idx])
         for _ in range(50):  # 50 x (50*40) = 1e5 values
-            w_eff, _ = layer.effective_weight(TRAIN, noise_rng)
+            w_eff, _ = layer.effective_weight(noise_rng)
             draws.append((w_eff - layer.W).ravel())
         measured = float(np.std(np.concatenate(draws)))
         expected = abs(alpha) * sigma_l

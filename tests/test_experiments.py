@@ -18,7 +18,7 @@ from mcni.experiments import (BenchmarkConfig, ConfigError, GpCheckConfig,
 from mcni.mc import mc_predict, summarize_regression
 from mcni.metrics import mpiw, msll, nll_gaussian, picp, rmse
 from mcni.models import build_mlp
-from mcni.nn import EVAL, softmax
+from mcni.nn import softmax
 from mcni.optim import TrainConfig, fit
 
 from oracles import benchmark_oracle, spearman_oracle
@@ -240,6 +240,34 @@ def test_benchmark_matches_per_config_oracle(tmp_path):
         assert families[family] == want, family
 
 
+def test_benchmark_sub_stacks_equal_one_stack(tmp_path, monkeypatch):
+    """A family's grid is fitted in sub-stacks of bounded size; the files
+    are byte-identical to one stack per family."""
+    kw = dict(hidden=(5,), lr_grid=(0.05, 0.01, 0.02),
+              weight_decay_grid=(1e-6,), dropout_grid=(0.1,),
+              noise_grid=(0.05,), alpha_init_grid=(0.05,), max_epochs=8,
+              patience=2, passes=5, seed=4)
+    for side in ("whole", "split"):
+        (tmp_path / side).mkdir()
+    whole = run_benchmark(tiny_benchmark(tmp_path / "whole", **kw))
+
+    sizes = []
+    fit_stack = mcni.experiments.fit
+
+    def counting_fit(nets, *args, **kwargs):
+        sizes.append(len(nets))
+        return fit_stack(nets, *args, **kwargs)
+
+    monkeypatch.setattr(mcni.experiments, "fit", counting_fit)
+    monkeypatch.setattr(mcni.experiments, "_STACK_MEMBERS", 2)
+    split_run = run_benchmark(tiny_benchmark(tmp_path / "split", **kw))
+    assert sizes == [2, 1] * 4                  # three configs per family
+    for name in ("leaderboard.csv", "metrics.json"):
+        a = whole.files[name].read_text().replace(str(tmp_path / "whole"), "")
+        b = split_run.files[name].read_text().replace(str(tmp_path / "split"), "")
+        assert a == b, name
+
+
 def test_benchmark_config_validation(tmp_path):
     with pytest.raises(ConfigError):
         BenchmarkConfig(data="").validate()
@@ -360,7 +388,7 @@ def test_corrupted_predict_sigma_zero_matches_clean_passes():
     expected = []
     for stream in np.random.default_rng(42).spawn(4):
         _, pass_rng = stream.spawn(2)
-        out, _ = net.forward(X, mode=EVAL, rng=pass_rng)
+        out, _ = net.forward(X, rng=pass_rng)
         expected.append(softmax(out))
     assert np.array_equal(got.values, np.asarray(expected))
 

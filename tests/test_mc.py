@@ -7,8 +7,7 @@ from mcni.mc import (PredictiveSamples, mc_predict, summarize_classification,
                      summarize_regression, welford_mean_var)
 from mcni.models import build_mlp
 from mcni.noise import NoiseSpec, NoisyDenseLayer
-from mcni.nn import (DETERMINISTIC, EVAL, TRAIN, ContractError, Network,
-                     ShapeError)
+from mcni.nn import ContractError, Network, ShapeError
 
 from oracles import entropy_oracle, welford_scalar
 
@@ -103,8 +102,6 @@ def test_pass_block_is_seed_reproducible():
     a = mc_predict(net, x, 16, np.random.default_rng(55))
     b = mc_predict(net, x, 16, np.random.default_rng(55))
     assert np.array_equal(a.values, b.values)
-    assert a.lineage == b.lineage
-    assert len(a.lineage) == 16
 
 
 def test_passes_differ_from_each_other():
@@ -121,6 +118,14 @@ def test_classifier_passes_are_probability_rows():
     samples = mc_predict(net, np.zeros((4, 2)), 10, np.random.default_rng(8))
     sums = samples.values.sum(axis=-1)
     assert np.max(np.abs(sums - 1.0)) < 1e-12
+
+
+def test_stale_mode_argument_rejected():
+    """mc_predict once took a mode after the generator; it now takes only
+    the keyword ``transform`` there."""
+    net = build_mlp("noise_fixed", 2, [4], 1, rng=np.random.default_rng(9))
+    with pytest.raises(TypeError):
+        mc_predict(net, np.zeros((1, 2)), 2, np.random.default_rng(0), "eval")
 
 
 def test_at_least_one_pass_required():
@@ -183,12 +188,12 @@ def test_non_probability_rows_rejected():
 # ---------------------------------------------------------------------------
 # workspace path: bit-exact against plain allocating forward passes
 
-def reference_passes(net, X, T, rng, mode):
+def reference_passes(net, X, T, rng):
     """mc_predict as a loop of plain net.forward calls, no workspace."""
     outs = []
     for stream in rng.spawn(T):
-        out, _ = net.forward(X, mode, stream)
-        if net.task == "classification" and not net.outputs_probabilities:
+        out, _ = net.forward(X, stream)
+        if net.task == "classification":
             e = np.exp(out - out.max(axis=-1, keepdims=True))
             out = e / e.sum(axis=-1, keepdims=True)
         outs.append(out)
@@ -196,12 +201,17 @@ def reference_passes(net, X, T, rng, mode):
 
 
 def head_net(family, activation, head, seed):
+    """A regression net, or a classifier whose logits are turned into
+    probability rows by mc_predict. Under the "probabilities" head the
+    classifier's logits lie hundreds apart, so that its probabilities
+    saturate at exactly 0 and 1 and only the shift-stabilized softmax keeps
+    the rows finite."""
     task = "regression" if head == "regression" else "classification"
     net = build_mlp(family, 3, [6, 5], 1 if task == "regression" else 4,
                     task=task, activation=activation, noise_level=0.2,
                     rng=np.random.default_rng(seed))
     if head == "probabilities":
-        net.layers[-1].activation = "softmax"
+        net.layers[-1].b[:] = [0.0, 300.0, 600.0, 900.0]
     return net
 
 
@@ -212,12 +222,15 @@ def head_net(family, activation, head, seed):
 def test_workspace_passes_equal_plain_forward(family, activation, head):
     net = head_net(family, activation, head, 20)
     X = np.random.default_rng(21).normal(size=(9, 3)) * 2.0
-    for mode in (EVAL, DETERMINISTIC):
-        for T in (1, 6):
-            got = mc_predict(net, X, T, np.random.default_rng([22, T]), mode)
-            ref = reference_passes(net, X, T, np.random.default_rng([22, T]),
-                                   mode)
-            assert np.array_equal(got.values, ref), (mode, T)
+    for T in (1, 6):
+        got = mc_predict(net, X, T, np.random.default_rng([22, T]))
+        ref = reference_passes(net, X, T, np.random.default_rng([22, T]))
+        assert np.array_equal(got.values, ref), T
+        if head != "regression":
+            assert np.max(np.abs(got.values.sum(axis=-1) - 1.0)) < 1e-12
+        if head == "probabilities":
+            assert np.all(got.values[..., 0] == 0.0)
+            assert np.all(got.values[..., 3] == 1.0)
 
 
 def test_sigma_l_computed_once_per_noisy_layer_per_call(monkeypatch):
@@ -250,7 +263,7 @@ def test_second_call_leaves_first_values_unchanged():
 def test_workspace_trace_cannot_be_replayed_backward():
     net = build_mlp("noise_learned", 3, [6], 1, rng=np.random.default_rng(33))
     X = np.ones((4, 3))
-    out, trace = net.forward(X, TRAIN, np.random.default_rng(34),
+    out, trace = net.forward(X, np.random.default_rng(34),
                              workspace=net.workspace(4))
     with pytest.raises(ContractError):
         net.backward(trace, np.ones_like(out))
@@ -260,8 +273,8 @@ def test_workspace_must_fit_network_and_batch():
     net = build_mlp("noise_fixed", 3, [6], 1, rng=np.random.default_rng(35))
     other = build_mlp("noise_fixed", 3, [6], 1, rng=np.random.default_rng(35))
     with pytest.raises(ContractError):
-        net.forward(np.ones((4, 3)), EVAL, np.random.default_rng(0),
+        net.forward(np.ones((4, 3)), np.random.default_rng(0),
                     workspace=other.workspace(4))
     with pytest.raises(ShapeError):
-        net.forward(np.ones((5, 3)), EVAL, np.random.default_rng(0),
+        net.forward(np.ones((5, 3)), np.random.default_rng(0),
                     workspace=net.workspace(4))

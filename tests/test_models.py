@@ -52,14 +52,13 @@ def test_output_layer_is_linear():
                         activation="tanh", rng=np.random.default_rng(1))
         assert net.layers[-1].activation == "identity"
         assert net.layers[0].activation == "tanh"
-        assert not net.outputs_probabilities
 
 
 def test_geometry():
     net = build_mlp("deterministic", 5, [16], 3, rng=np.random.default_rng(2))
     assert net.fan_in == 5
     assert net.fan_out == 3
-    out, _ = net.forward(np.zeros((2, 5)), "deterministic")
+    out, _ = net.forward(np.zeros((2, 5)))
     assert out.shape == (2, 3)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mcni.nn import (DETERMINISTIC, ContractError, DenseLayer, Network,
+from mcni.nn import (ContractError, DenseLayer, Network,
                      ShapeError, loss_cross_entropy, loss_cross_entropy_grad,
                      loss_mse, loss_mse_grad, softmax, stack_networks)
 from mcni.noise import NoiseSpec, NoisyDenseLayer
@@ -23,13 +23,13 @@ def single_layer(W, b, activation="identity", task="regression"):
 
 def test_identity_layer_passes_input_through():
     net = single_layer(np.eye(2), [0.0, 0.0])
-    out, _ = net.forward(np.array([[1.0, 2.0]]), DETERMINISTIC)
+    out, _ = net.forward(np.array([[1.0, 2.0]]))
     assert np.array_equal(out, [[1.0, 2.0]])
 
 
 def test_relu_layer_clamps_negative():
     net = single_layer(np.eye(2), [0.0, 0.0], activation="relu")
-    out, _ = net.forward(np.array([[-1.0, 2.0]]), DETERMINISTIC)
+    out, _ = net.forward(np.array([[-1.0, 2.0]]))
     assert np.array_equal(out, [[0.0, 2.0]])
 
 
@@ -41,7 +41,7 @@ def test_forward_matches_hand_rolled_matmul():
     net = Network([DenseLayer(W=W1, b=b1, activation="tanh"),
                    DenseLayer(W=W2, b=b2)])
     x = rng.normal(size=(5, 3))
-    out, _ = net.forward(x, DETERMINISTIC)
+    out, _ = net.forward(x)
 
     for n in range(5):
         h = [np.tanh(sum(x[n, i] * W1[i, j] for i in range(3)) + b1[j])
@@ -54,7 +54,27 @@ def test_forward_matches_hand_rolled_matmul():
 def test_forward_rejects_wrong_feature_count():
     net = single_layer(np.eye(2), [0.0, 0.0])
     with pytest.raises(ShapeError, match="layer 0"):
-        net.forward(np.ones((1, 3)), DETERMINISTIC)
+        net.forward(np.ones((1, 3)))
+
+
+def test_forward_rejects_a_stale_call():
+    """Forward once took a mode before the generator: such a call fails
+    loudly instead of passing the generators on as frozen noise."""
+    net = single_layer(np.eye(2), [0.0, 0.0])
+    x, rng = np.ones((1, 2)), np.random.default_rng(0)
+    with pytest.raises(TypeError):
+        net.forward(x, "train")
+    with pytest.raises(TypeError):
+        net.forward(x, "train", rng)
+    with pytest.raises(TypeError):
+        net.forward(x, [rng, "eval"])
+    net.forward(x, rng)
+    net.forward(x, [rng])
+
+
+def test_softmax_is_not_a_layer_activation():
+    with pytest.raises(ValueError, match="unknown activation"):
+        DenseLayer(W=np.eye(2), b=np.zeros(2), activation="softmax")
 
 
 def test_mismatched_stack_names_layer_index():
@@ -66,8 +86,8 @@ def test_mismatched_stack_names_layer_index():
 def test_deterministic_forward_is_pure():
     net = single_layer(np.eye(3) * 0.5, [1.0, 2.0, 3.0], activation="sigmoid")
     x = np.random.default_rng(0).normal(size=(4, 3))
-    a, _ = net.forward(x, DETERMINISTIC)
-    b, _ = net.forward(x, DETERMINISTIC)
+    a, _ = net.forward(x)
+    b, _ = net.forward(x)
     assert np.array_equal(a, b)
 
 
@@ -78,7 +98,7 @@ def test_zero_output_grad_gives_zero_gradients():
     rng = np.random.default_rng(2)
     net = Network([DenseLayer.create(3, 5, "tanh", rng),
                    DenseLayer.create(5, 2, "identity", rng)])
-    out, trace = net.forward(rng.normal(size=(6, 3)), DETERMINISTIC)
+    out, trace = net.forward(rng.normal(size=(6, 3)))
     grads = net.backward(trace, np.zeros_like(out))
     assert all(np.all(g == 0.0) for g in grads.values())
 
@@ -90,7 +110,7 @@ def test_linear_mse_gradient_closed_form():
     net = single_layer(W, b)
     x = rng.normal(size=(1, 4))
     y = rng.normal(size=(1, 2))
-    pred, trace = net.forward(x, DETERMINISTIC)
+    pred, trace = net.forward(x)
     grads = net.backward(trace, loss_mse_grad(pred, y))
     expected = x.T @ (pred - y) * 2.0 / pred.size
     assert np.max(np.abs(grads["L0.W"] - expected)) < 1e-12
@@ -123,7 +143,7 @@ def test_backward_matches_finite_differences(activation, task, seed):
         y = rng.integers(0, 2, size=4)
         loss_fn, grad_fn = loss_cross_entropy, loss_cross_entropy_grad
 
-    out, trace = net.forward(x, DETERMINISTIC)
+    out, trace = net.forward(x)
     analytic = net.backward(trace, grad_fn(out, y))
 
     params = net.parameters()
@@ -131,7 +151,7 @@ def test_backward_matches_finite_differences(activation, task, seed):
 
     def f(vec):
         _load_flat(params, np.asarray(vec), layout)
-        o, _ = net.forward(x, DETERMINISTIC)
+        o, _ = net.forward(x)
         return loss_fn(o, y)
 
     fd = np.asarray(fd_gradient(f, list(flat), h=1e-5))
@@ -146,14 +166,14 @@ def test_stale_trace_is_rejected():
     rng = np.random.default_rng(4)
     net_a = Network([DenseLayer.create(2, 2, "tanh", rng)])
     net_b = Network([DenseLayer.create(2, 2, "tanh", rng)])
-    out, trace = net_a.forward(rng.normal(size=(1, 2)), DETERMINISTIC)
+    out, trace = net_a.forward(rng.normal(size=(1, 2)))
     with pytest.raises(ContractError):
         net_b.backward(trace, np.zeros_like(out))
 
 
 def test_output_grad_shape_checked():
     net = single_layer(np.eye(2), [0.0, 0.0])
-    out, trace = net.forward(np.ones((3, 2)), DETERMINISTIC)
+    out, trace = net.forward(np.ones((3, 2)))
     with pytest.raises(ShapeError):
         net.backward(trace, np.zeros((2, 2)))
 

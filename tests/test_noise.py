@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcni.mc import welford_mean_var
-from mcni.nn import DETERMINISTIC, EVAL, TRAIN, Network, ShapeError
+from mcni.nn import Network, ShapeError
 from mcni.noise import (DropoutLayer, NoiseSpec, NoisyDenseLayer,
                         alpha_gradient, layer_weight_std, sample_noise)
 from mcni.optim import training_loss_and_grads
@@ -120,8 +120,8 @@ def test_consecutive_draws_differ():
     rng = np.random.default_rng(8)
     net = Network([layer])
     x = np.ones((1, 4))
-    a, _ = net.forward(x, TRAIN, rng)
-    b, _ = net.forward(x, TRAIN, rng)
+    a, _ = net.forward(x, rng)
+    b, _ = net.forward(x, rng)
     assert not np.array_equal(a, b)
 
 
@@ -134,7 +134,7 @@ def test_alpha_zero_reduces_to_plain_dense():
     layer = noisy_layer(W, 0.0)
     net = Network([layer])
     x = rng.normal(size=(5, 3))
-    noisy, _ = net.forward(x, EVAL, np.random.default_rng(9))
+    noisy, _ = net.forward(x, np.random.default_rng(9))
     assert np.array_equal(noisy, x @ W)
 
 
@@ -142,7 +142,7 @@ def test_degenerate_sigma_gives_zero_output():
     # W constant zero, so sigma_l = 0 and the injected term vanishes
     layer = noisy_layer(np.zeros((1, 1)), 1.0)
     net = Network([layer])
-    out, _ = net.forward(np.array([[1.0]]), TRAIN, np.random.default_rng(0))
+    out, _ = net.forward(np.array([[1.0]]), np.random.default_rng(0))
     assert out[0, 0] == 0.0
 
 
@@ -153,24 +153,26 @@ def test_injected_variance_constant_sigma():
     assert layer.weight_std() == 1.0
     net = Network([layer])
     rng = np.random.default_rng(10)
-    outs = np.array([net.forward(np.array([[1.0, 0.0]]), TRAIN, rng)[0][0, 0]
+    outs = np.array([net.forward(np.array([[1.0, 0.0]]), rng)[0][0, 0]
                      for _ in range(100_000)])
     assert abs(outs.var() - 4.0) / 4.0 < 0.05
 
 
 def test_deterministic_mode_disables_noise():
+    """There is no noise-free mode: a noise-free pass of a noisy layer is a
+    pass with zero frozen noise, and it computes the plain layer exactly."""
     rng = np.random.default_rng(5)
     W = rng.normal(size=(2, 2))
     net = Network([noisy_layer(W, 0.8)])
     x = rng.normal(size=(3, 2))
-    out, _ = net.forward(x, DETERMINISTIC)
+    out, _ = net.forward(x, frozen_noise=[np.zeros_like(W)])
     assert np.array_equal(out, x @ W)
 
 
 def test_live_mode_without_rng_rejected():
     net = Network([noisy_layer(np.random.default_rng(6).normal(size=(2, 2)), 0.1)])
     with pytest.raises(ValueError):
-        net.forward(np.ones((1, 2)), TRAIN)
+        net.forward(np.ones((1, 2)))
 
 
 def test_alpha_zero_network_bit_deterministic():
@@ -182,7 +184,7 @@ def test_alpha_zero_network_bit_deterministic():
                                      spec=NoiseSpec(alpha_init=0.0))]
     net = Network(layers)
     x = rng.normal(size=(4, 2))
-    passes = np.stack([net.forward(x, EVAL, np.random.default_rng([12, t]))[0]
+    passes = np.stack([net.forward(x, np.random.default_rng([12, t]))[0]
                        for t in range(20)])
     assert all(np.array_equal(passes[t], passes[0]) for t in range(20))
     _, var = welford_mean_var(passes)
@@ -239,12 +241,15 @@ def test_alpha_gradient_matches_finite_difference():
 
 
 def test_deterministic_pass_zero_alpha_gradient():
+    """A pass with zero frozen noise has no noise path: alpha's gradient is
+    exactly zero."""
     rng = np.random.default_rng(14)
     spec = NoiseSpec(mode="learned", alpha_init=0.2)
     layer = NoisyDenseLayer.create(2, 2, "identity", rng, spec=spec)
     net = Network([layer])
     x, y = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
-    _, grads = training_loss_and_grads(net, x, y, mode=DETERMINISTIC)
+    _, grads = training_loss_and_grads(net, x, y,
+                                       frozen_noise=[np.zeros_like(layer.W)])
     assert np.all(grads["L0.alpha"] == 0.0)
 
 
@@ -294,13 +299,19 @@ def test_alpha_penalty_negative_lambda_rejected():
         NoiseSpec(alpha_penalty_lambda=-0.1)
 
 
+@pytest.mark.parametrize("field", ["alpha_init", "alpha_penalty_lambda"])
+def test_nan_noise_setting_rejected(field):
+    with pytest.raises(ValueError, match=field):
+        NoiseSpec(mode="learned", **{field: float("nan")})
+
+
 # ---------------------------------------------------------------------------
 # dropout
 
 def test_dropout_p0_is_identity():
     layer = DropoutLayer(0.0)
     x = np.random.default_rng(15).normal(size=(4, 6))
-    out, cache = layer.forward_pass(x, TRAIN, np.random.default_rng(0))
+    out, cache = layer.forward_pass(x, np.random.default_rng(0))
     assert np.array_equal(out, x)
     assert cache["mask"] is None
 
@@ -312,7 +323,7 @@ def test_dropout_preserves_expectation():
     acc = np.zeros_like(x)
     n = 100_000
     for _ in range(n):
-        out, _ = layer.forward_pass(x, EVAL, rng)
+        out, _ = layer.forward_pass(x, rng)
         acc += out
     assert np.max(np.abs(acc / n - x)) / 3.0 < 0.02
 
@@ -320,15 +331,16 @@ def test_dropout_preserves_expectation():
 def test_dropout_seed_reproducible():
     layer = DropoutLayer(0.3)
     x = np.ones((2, 5))
-    a, _ = layer.forward_pass(x, TRAIN, np.random.default_rng(21))
-    b, _ = layer.forward_pass(x, TRAIN, np.random.default_rng(21))
+    a, _ = layer.forward_pass(x, np.random.default_rng(21))
+    b, _ = layer.forward_pass(x, np.random.default_rng(21))
     assert np.array_equal(a, b)
 
 
 def test_dropout_deterministic_mode_identity():
+    """A noise-free dropout pass is a pass with a frozen all-keep mask."""
     layer = DropoutLayer(0.9)
-    x = np.ones((2, 3))
-    out, _ = layer.forward_pass(x, DETERMINISTIC, None)
+    x = np.random.default_rng(23).normal(size=(2, 3))
+    out, _ = layer.forward_pass(x, None, frozen=np.ones_like(x))
     assert np.array_equal(out, x)
 
 
@@ -342,6 +354,6 @@ def test_dropout_p_range_enforced():
 def test_dropout_backward_uses_same_mask():
     layer = DropoutLayer(0.4)
     x = np.ones((3, 4))
-    out, cache = layer.forward_pass(x, TRAIN, np.random.default_rng(22))
+    out, cache = layer.forward_pass(x, np.random.default_rng(22))
     grad_in, _ = layer.backward_pass(cache, np.ones_like(x))
     assert np.array_equal(grad_in, out)    # both are mask * ones

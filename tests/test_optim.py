@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mcni.optim
-from mcni.nn import EVAL, TRAIN, DenseLayer, Network, loss_mse
+from mcni.nn import DenseLayer, Network, loss_mse
 from mcni.noise import NoiseSpec, NoisyDenseLayer, sample_noise
 from mcni.models import FAMILIES, build_mlp
 from mcni.optim import (Adam, FitResult, Penalty, TrainConfig, fit,
@@ -28,13 +28,21 @@ def test_adam_zero_gradient_leaves_params_alone():
     assert np.array_equal(p["w"], [1.5, -2.0])
 
 
+def moments(opt, k):
+    """Adam's first (k = 0) or second (k = 1) moments, name -> an array
+    shaped like the parameter, read from the flat buffer's slots."""
+    buf = opt._state.buffers[k]
+    return {name: buf[:, sl].reshape(shape)
+            for name, sl, shape in opt._state.slots}
+
+
 def test_adam_moments_decay_on_zero_gradient():
     p = {"w": np.array([0.0])}
     opt = Adam(lr=0.1, beta1=0.9)
     opt.step(p, {"w": np.array([1.0])})
-    m1 = opt._m["w"].copy()
+    m1 = moments(opt, 0)["w"].copy()
     opt.step(p, {"w": np.array([0.0])})
-    assert np.allclose(opt._m["w"], 0.9 * m1, rtol=0, atol=1e-15)
+    assert np.allclose(moments(opt, 0)["w"], 0.9 * m1, rtol=0, atol=1e-15)
 
 
 def test_adam_first_step_is_about_lr():
@@ -93,7 +101,6 @@ def test_flat_state_is_bit_identical_to_per_name_loop():
     assert net.layers[0].alpha.shape == ()              # 0-d scalar alpha
     opt = Adam(lr=0.01, beta1=0.85, beta2=0.99, eps=1e-8)
     ref_step, ref_state = _per_name_adam(0.01, 0.85, 0.99, 1e-8)
-    moments = [(opt._m, ref_state["m"]), (opt._v, ref_state["v"])]
     params, ref_params = net.parameters(), twin.parameters()
     data = np.random.default_rng(9)
     x, y = data.normal(size=(7, 3)), data.normal(size=(7, 2))
@@ -105,7 +112,8 @@ def test_flat_state_is_bit_identical_to_per_name_loop():
         opt.step(params, grads)
         for name in params:
             assert np.array_equal(params[name], ref_params[name]), name
-        for flat, ref in moments:
+        for k, ref in enumerate((ref_state["m"], ref_state["v"])):
+            flat = moments(opt, k)
             assert flat.keys() == ref.keys() == grads.keys()
             for name in ref:
                 assert flat[name].shape == ref[name].shape
@@ -145,7 +153,8 @@ def test_training_loss_reduces_to_task_loss():
     frozen = [sample_noise(l, noise) for l in net.layers]
     loss, _ = training_loss_and_grads(net, x, y, weight_decay=0.0,
                                       frozen_noise=frozen)
-    out, _ = net.forward(x, "deterministic")
+    # alpha = 0: any live pass is the plain net's pass
+    out, _ = net.forward(x, np.random.default_rng(4))
     assert abs(loss - loss_mse(out, y)) < 1e-15
 
 
@@ -168,7 +177,7 @@ def test_training_loss_is_sum_of_parts():
 
     total, _ = training_loss_and_grads(net, x, y, weight_decay=wd,
                                        frozen_noise=frozen)
-    out, _ = net.forward(x, "train", frozen_noise=frozen)
+    out, _ = net.forward(x, frozen_noise=frozen)
     l2 = sum(float(np.sum(l.W ** 2) + np.sum(l.b ** 2)) for l in net.layers)
     alpha_sq = sum(float(l.alpha ** 2) for l in net.layers)
     parts = loss_mse(out, y) + wd * l2 - 0.05 * alpha_sq
@@ -193,6 +202,20 @@ def test_fixed_alpha_reward_adds_nothing():
     for name, g in ref_grads.items():
         assert np.array_equal(grads[name], g), name
     assert Penalty(rewarded, 0.0).groups == []
+
+
+def test_training_loss_rejects_a_stale_call():
+    """The loss once took a mode before the generator: such a call fails
+    loudly instead of passing the generator on as frozen noise."""
+    net = build_mlp("noise_fixed", 2, [3], 1, rng=np.random.default_rng(6))
+    x, y, rng = np.ones((2, 2)), np.ones((2, 1)), np.random.default_rng(7)
+    with pytest.raises(TypeError):
+        training_loss_and_grads(net, x, y, 0.0, "train")
+    with pytest.raises(TypeError):
+        training_loss_and_grads(net, x, y, 0.0, "train", rng)
+    with pytest.raises(TypeError):
+        task_loss(net, x, y, "eval")
+    assert np.isfinite(training_loss_and_grads(net, x, y, 0.0, rng)[0])
 
 
 def test_weight_decay_is_one_float_per_member():
@@ -358,18 +381,17 @@ def reference_fit(net, train_x, train_y, cfg, val_x, val_y, rng):
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             loss, grads = training_loss_and_grads(
-                net, train_x[idx], train_y[idx], cfg.weight_decay, TRAIN,
-                noise_rng)
+                net, train_x[idx], train_y[idx], cfg.weight_decay, noise_rng)
             optimizer.step(params, grads)
             batch_losses.append(loss)
         history["train_loss"].append(float(np.mean(batch_losses)))
-        vals = [task_loss(net, val_x, val_y, EVAL, noise_rng)
+        vals = [task_loss(net, val_x, val_y, noise_rng)
                 for _ in range(cfg.val_passes)]
         v = float(np.mean(vals))
         history["val_loss"].append(v)
         if v < best_val:
             best_val, best_epoch, bad_epochs = v, epoch, 0
-            best_params = net.copy_parameters()
+            best_params = {k: p.copy() for k, p in net.parameters().items()}
         else:
             bad_epochs += 1
             if cfg.patience > 0 and bad_epochs >= cfg.patience:
@@ -548,7 +570,8 @@ def test_stacked_optimizer_rows_equal_separate_optimizers():
             refs[s].step(singles[s], {"w": g["w"][row], "a": g["a"][row].reshape(())})
             assert np.array_equal(stacked["w"][row], singles[s]["w"])
             assert stacked["a"][row, 0, 0] == singles[s]["a"]
-            assert np.array_equal(opt._m["w"][row], refs[s]._m["w"])
+            assert np.array_equal(moments(opt, 0)["w"][row],
+                                  moments(refs[s], 0)["w"])
     assert opt._state.buffers[0].shape[0] == 2
 
 
