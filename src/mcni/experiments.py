@@ -74,12 +74,14 @@ def _command(driver):
     """The one driver skeleton: make a run_* command from a driver.
 
     The command validates the config, creates ``outdir``, times the run,
-    writes each named output and assembles the RunOutput. Metrics that hold
-    a NaN or infinite float raise FloatingPointError before anything is
-    written.
+    writes each named output and assembles the RunOutput. A config value
+    that holds a NaN or infinite float is a ConfigError, and metrics that
+    hold one raise FloatingPointError, both before anything is written.
     """
     @functools.wraps(driver)
     def run(cfg) -> RunOutput:
+        bad = _non_finite_paths(jsonable(config_to_dict(cfg)))
+        _require(not bad, f"config values must be finite: {', '.join(bad)}")
         cfg.validate()
         _require(str(cfg.outdir).strip() != "", "outdir must not be empty")
         outdir = Path(cfg.outdir)
@@ -104,7 +106,7 @@ def _command(driver):
 
 
 def _non_finite_paths(value, path: str = "") -> list[str]:
-    """Where a JSON-ready metrics tree holds a NaN or infinite float."""
+    """Where a JSON-ready tree holds a NaN or infinite float."""
     if isinstance(value, dict):
         return [p for k, v in value.items()
                 for p in _non_finite_paths(v, f"{path}.{k}" if path else k)]
@@ -187,7 +189,7 @@ class ToyConfig:
         _require(self.lr > 0, "lr must be > 0")
         _require(self.epochs >= 1, "epochs must be >= 1")
         _require(self.batch_size >= 1, "batch_size must be >= 1")
-        _require(self.passes >= 1, "passes must be >= 1")
+        _require(self.passes >= 2, "passes must be >= 2 for interval metrics")
         _require(0 <= self.dropout_p < 1, "dropout_p must be in [0, 1)")
         _require(self.noise_level >= 0, "noise_level must be >= 0")
         _require(self.alpha_penalty_lambda >= 0, "alpha_penalty_lambda must be >= 0")
@@ -201,7 +203,6 @@ TOY_MODELS = ("noise_fixed", "noise_learned", "mc_dropout")
 def run_toy(cfg: ToyConfig) -> Computed:
     train_cfg = TrainConfig(lr=cfg.lr, max_epochs=cfg.epochs,
                             batch_size=cfg.batch_size, patience=0)
-    have_var = cfg.passes >= 2
     pred_rows, int_rows = [], []
     per_model: dict[str, dict] = {m: {"per_seed": {}} for m in TOY_MODELS}
 
@@ -215,56 +216,37 @@ def run_toy(cfg: ToyConfig) -> Computed:
                             dropout_p=cfg.dropout_p, noise_level=cfg.noise_level,
                             alpha_penalty_lambda=cfg.alpha_penalty_lambda)
             fit(net, ds.X, ds.Y, train_cfg, rng=fit_rng)
-            samples = mc_predict(net, ds.X, cfg.passes, mc_rng)
-            if have_var:
-                summ = summarize_regression(samples)
-                mean, sigma = summ.mean[:, 0], summ.sigma[:, 0]
-                lower, upper = summ.lower[:, 0], summ.upper[:, 0]
-                stats = {"picp": picp(ds.Y[:, 0], lower, upper),
-                         "mpiw": mpiw(lower, upper)}
-            else:
-                mean = samples.values[0, :, 0]
-                sigma = lower = upper = None
-                stats = {"picp": None, "mpiw": None}
-            per_model[model]["per_seed"][str(seed)] = stats
+            summ = summarize_regression(mc_predict(net, ds.X, cfg.passes, mc_rng))
+            mean, sigma = summ.mean[:, 0], summ.sigma[:, 0]
+            lower, upper = summ.lower[:, 0], summ.upper[:, 0]
+            per_model[model]["per_seed"][str(seed)] = {
+                "picp": picp(ds.Y[:, 0], lower, upper), "mpiw": mpiw(lower, upper)}
             for i in range(cfg.n_points):
                 x, y = ds.X[i, 0], ds.Y[i, 0]
-                pred_rows.append([seed, model, x, y, mean[i],
-                                  sigma[i] if have_var else ""])
-                if have_var:
-                    int_rows.append([seed, model, x, lower[i], upper[i]])
+                pred_rows.append([seed, model, x, y, mean[i], sigma[i]])
+                int_rows.append([seed, model, x, lower[i], upper[i]])
 
     for model in TOY_MODELS:
         stats = per_model[model]["per_seed"].values()
-        if have_var:
-            per_model[model]["mean"] = {
-                k: float(np.mean([s[k] for s in stats])) for k in ("picp", "mpiw")}
-        else:
-            per_model[model]["mean"] = {"picp": None, "mpiw": None}
+        per_model[model]["mean"] = {
+            k: float(np.mean([s[k] for s in stats])) for k in ("picp", "mpiw")}
 
+    fixed = per_model["noise_fixed"]["per_seed"]
+    drop = per_model["mc_dropout"]["per_seed"]
     metrics: dict = {"passes": cfg.passes, "seeds": list(cfg.seeds),
-                     "models": per_model}
-    if have_var:
-        fixed = per_model["noise_fixed"]["per_seed"]
-        drop = per_model["mc_dropout"]["per_seed"]
-        metrics["comparison"] = {
-            "n_seeds": len(cfg.seeds),
-            "mpiw_wins_fixed_vs_dropout": sum(
-                fixed[s]["mpiw"] < drop[s]["mpiw"] for s in fixed),
-            "picp_wins_fixed_vs_dropout": sum(
-                fixed[s]["picp"] >= drop[s]["picp"] for s in fixed),
-        }
-    else:
-        metrics["variance"] = ("unavailable: variance and intervals require "
-                               "at least 2 passes (got %d)" % cfg.passes)
-
-    outputs: dict = {"predictions.csv": (
-        ["seed", "model", "x", "y", "mean", "sigma"], pred_rows)}
-    if have_var:
-        outputs["intervals.csv"] = (["seed", "model", "x", "lower", "upper"],
-                                    int_rows)
-    outputs["metrics.json"] = metrics
-    return Computed(outputs, metrics)
+                     "models": per_model,
+                     "comparison": {
+                         "n_seeds": len(cfg.seeds),
+                         "mpiw_wins_fixed_vs_dropout": sum(
+                             fixed[s]["mpiw"] < drop[s]["mpiw"] for s in fixed),
+                         "picp_wins_fixed_vs_dropout": sum(
+                             fixed[s]["picp"] >= drop[s]["picp"] for s in fixed),
+                     }}
+    return Computed({"predictions.csv": (["seed", "model", "x", "y", "mean",
+                                          "sigma"], pred_rows),
+                     "intervals.csv": (["seed", "model", "x", "lower", "upper"],
+                                       int_rows),
+                     "metrics.json": metrics}, metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +398,9 @@ def run_benchmark(cfg: BenchmarkConfig) -> Computed:
         b = best_per_family["mc_dropout"]
         baseline_nll = nll_store[("mc_dropout", b["config_index"])]
     for family in cfg.families:
-        best = dict(best_per_family[family])
-        best.pop("_nll_per_point", None)
-        entry = {k: v for k, v in best.items()}
+        entry = dict(best_per_family[family])
         if baseline_nll is not None:
-            own = nll_store[(family, best["config_index"])]
+            own = nll_store[(family, entry["config_index"])]
             entry["msll_vs_mc_dropout"] = msll(own, baseline_nll)
         metrics["families"][family] = entry
     if "noise_fixed" in metrics["families"] and "deterministic" in metrics["families"]:
@@ -681,8 +661,7 @@ class GpCheckConfig:
     def validate(self) -> None:
         _require(self.nonlinearity in NONLINEARITIES,
                  f"nonlinearity must be one of {NONLINEARITIES}")
-        _require(math.isfinite(self.bias_std) and self.bias_std >= 0,
-                 "bias_std must be finite and >= 0")
+        _require(self.bias_std >= 0, "bias_std must be >= 0")
         _require(self.n_samples >= 1, "n_samples must be >= 1")
         _require(self.n_networks >= 2, "n_networks must be >= 2")
         _require(len(self.widths) >= 1, "widths must be non-empty")
@@ -691,8 +670,6 @@ class GpCheckConfig:
         _require(len(self.probes) >= 2, "need at least 2 probe inputs")
         dims = {len(p) for p in self.probes}
         _require(len(dims) == 1, "probe inputs must share one dimension")
-        _require(all(math.isfinite(v) for p in self.probes for v in p),
-                 "probe coordinates must be finite")
         _require_seeds(self.seeds)
 
 

@@ -115,7 +115,7 @@ def summarize_classification(samples: PredictiveSamples) -> ClassificationSummar
     """
     values = samples.values
     row_sums = values.sum(axis=-1)
-    if np.max(np.abs(row_sums - 1.0)) > PROB_TOLERANCE:
+    if not (np.abs(row_sums - 1.0) <= PROB_TOLERANCE).all():
         raise ValueError("classification samples must be probability rows")
     mean, variance = welford_mean_var(values)
     predicted = np.argmax(mean, axis=-1)

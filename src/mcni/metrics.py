@@ -5,7 +5,6 @@ Pure functions over arrays; nothing here owns state or randomness.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,7 +110,6 @@ def ece(confidences, correct, n_bins: int = 15) -> float:
     if np.any(confidences < 0.0) or np.any(confidences > 1.0):
         raise ValueError("confidence outside [0, 1]")
     idx = np.ceil(confidences * n_bins).astype(np.int64) - 1
-    idx[idx < 0] = 0
     np.clip(idx, 0, n_bins - 1, out=idx)
     n = confidences.size
     total = 0.0
@@ -195,12 +193,9 @@ def risk_coverage(uncertainty, risk_kind: str, coverage_grid, *,
             raise ShapeError("correct must align with uncertainty")
 
     order = np.argsort(uncertainty, kind="stable")
-    coverages, risks = [], []
+    risks = []
     for x in grid:
         k = int(np.ceil(x * n))
-        if k < 1:
-            warnings.warn(f"coverage {x} selects no points; skipped")
-            continue
         keep = order[:k]
         if risk_kind == "rmse":
             risk = rmse(pred[keep], target[keep])
@@ -208,7 +203,6 @@ def risk_coverage(uncertainty, risk_kind: str, coverage_grid, *,
             risk = 1.0 - float(correct[keep].mean())
         else:
             risk = float(correct[keep].mean())
-        coverages.append(x)
         risks.append(risk)
-    return RiskCoverageCurve(coverages=np.asarray(coverages),
+    return RiskCoverageCurve(coverages=np.asarray(grid),
                              risks=np.asarray(risks), risk_kind=risk_kind)

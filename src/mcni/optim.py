@@ -1,5 +1,8 @@
 """Training: Adam, early stopping, and grid search.
 
+The optimizer is Adam at its published betas and eps (``BETA1``, ``BETA2``,
+``EPS``); only the learning rate is set per fit.
+
 The training loss is task loss + one quadratic penalty (``Penalty``): L2
 weight decay on every W and b, and the optional noise-level reward
 -lambda * ||alpha||^2 on every trained alpha (lambda is carried per layer by
@@ -34,7 +37,7 @@ from .nn import (Network, loss_cross_entropy, loss_cross_entropy_grad,
 
 @dataclass
 class TrainConfig:
-    """One fit's settings; the optimizer is Adam at its default betas and eps."""
+    """One fit's settings; the optimizer is Adam at its fixed betas and eps."""
 
     lr: float = 0.001
     weight_decay: float = 0.0
@@ -44,8 +47,8 @@ class TrainConfig:
     val_passes: int = 1
 
     def __post_init__(self):
-        if self.lr <= 0.0:
-            raise ValueError("learning rate must be positive")
+        if not (0.0 < self.lr < math.inf):
+            raise ValueError("learning rate must be positive and finite")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
         if self.batch_size < 1:
@@ -56,107 +59,83 @@ class TrainConfig:
             raise ValueError("val_passes must be at least 1")
 
 
-class _FlatState:
-    """Adam's state for all parameters: its two moment buffers and three work
-    arrays, each one float64 array with one row per member and each
-    parameter's entries contiguous in a row.
+# Adam's constants: the published defaults (Kingma & Ba 2015)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
-    ``members`` is the length of the leading member axis that stacked
-    parameters carry; a single net's parameters have none and use one row.
-    The first gather fixes the layout: the parameters that have a gradient,
-    in ``params`` order, each owning a column slice of every array: ``slots``
+
+class Adam:
+    """Bias-corrected Adam at the published betas and eps.
+
+    ``lr`` is one float for a single net, or an (S,) array with one rate per
+    member for parameters stacked along a leading member axis. The state is
+    one float64 array per moment (``moments``) plus three work arrays, each
+    with one row per member and each parameter's entries contiguous in a
+    row; a single net's parameters have no member axis and use one row. The
+    first step fixes the layout: the parameters that have a gradient, in
+    ``params`` order, each owning a column slice of every array: ``slots``
     lists (name, columns, parameter shape). A later step with other names
-    raises rather than silently starting fresh moments. ``work`` holds
-    arrays that a step may overwrite; the first is the gathered gradient.
+    raises rather than silently starting fresh moments.
     """
 
-    def __init__(self, members: int):
-        self.members = members
+    def __init__(self, lr):
+        self.t = 0
+        # the learning rate as a column, one row per member
+        self._lr = np.asarray(lr, dtype=np.float64).reshape(-1, 1)
         self.names = None
         self.slots = []
-        self.buffers = []
-        self.work = [None] * 3
+        self.moments = []
+        self._work = []
 
-    def gather(self, params, grads) -> np.ndarray:
+    def step(self, params: Mapping[str, np.ndarray],
+             grads: Mapping[str, np.ndarray]) -> None:
+        members = self._lr.shape[0]
         names = [n for n in params if n in grads]
         if self.names is None:
             self.names, offset = names, 0
             for name in names:
                 shape = np.shape(params[name])
-                size = int(np.prod(shape)) // self.members
+                size = int(np.prod(shape)) // members
                 self.slots.append((name, slice(offset, offset + size), shape))
                 offset += size
-            self.buffers = [np.zeros((self.members, offset)) for _ in range(2)]
-            self.work = [np.empty((self.members, offset)) for _ in self.work]
+            self.moments = [np.zeros((members, offset)) for _ in range(2)]
+            self._work = [np.empty((members, offset)) for _ in range(3)]
         elif names != self.names:
             raise ValueError(f"parameters with a gradient changed from "
                              f"{self.names} to {names}")
-        return np.concatenate([grads[n].reshape(self.members, -1) for n in names],
-                              axis=1, out=self.work[0])
-
-    def apply(self, params, update: np.ndarray) -> None:
+        m, v = self.moments
+        g, a, b = self._work
+        np.concatenate([grads[n].reshape(members, -1) for n in names],
+                       axis=1, out=g)
+        self.t += 1
+        # lr * m_hat / (sqrt(v_hat) + eps), each operation in place
+        m *= BETA1
+        m += np.multiply(1.0 - BETA1, g, out=a)
+        v *= BETA2
+        v += np.multiply(1.0 - BETA2, np.multiply(g, g, out=a), out=a)
+        m_hat = np.divide(m, 1.0 - BETA1 ** self.t, out=a)
+        v_hat = np.divide(v, 1.0 - BETA2 ** self.t, out=b)
+        denom = np.sqrt(v_hat, out=b)
+        denom += EPS
+        update = np.multiply(self._lr, m_hat, out=a)
+        update /= denom
         for name, sl, shape in self.slots:
             p = params[name]
             p -= update[:, sl].reshape(shape)
 
     def select(self, keep) -> None:
-        """Keep the rows of the stacked members ``keep``, in that order."""
-        self.members = len(keep)
-        self.buffers = [buf[keep] for buf in self.buffers]
-        self.work = [w[:self.members] for w in self.work]
-        self.slots = [(name, sl, (self.members,) + shape[1:])
-                      for name, sl, shape in self.slots]
-
-
-class Adam:
-    """Bias-corrected Adam. State is keyed by parameter name.
-
-    ``lr`` is one float for a single net, or an (S,) array with one rate per
-    member for parameters stacked along a leading member axis.
-    """
-
-    def __init__(self, lr, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.t = 0
-        # the learning rate as a column, one row per member
-        self._lr = np.asarray(lr, dtype=np.float64).reshape(-1, 1)
-        self._state = _FlatState(self._lr.shape[0])
-
-    def step(self, params: Mapping[str, np.ndarray],
-             grads: Mapping[str, np.ndarray]) -> None:
-        g = self._state.gather(params, grads)
-        m, v = self._state.buffers
-        _, a, b = self._state.work
-        self.t += 1
-        # lr * m_hat / (sqrt(v_hat) + eps), each operation in place
-        m *= self.beta1
-        m += np.multiply(1.0 - self.beta1, g, out=a)
-        v *= self.beta2
-        v += np.multiply(1.0 - self.beta2, np.multiply(g, g, out=a), out=a)
-        m_hat = np.divide(m, 1.0 - self.beta1 ** self.t, out=a)
-        v_hat = np.divide(v, 1.0 - self.beta2 ** self.t, out=b)
-        denom = np.sqrt(v_hat, out=b)
-        denom += self.eps
-        update = np.multiply(self._lr, m_hat, out=a)
-        update /= denom
-        self._state.apply(params, update)
-
-    def select(self, keep) -> None:
-        """Keep the state of the stacked members ``keep`` only."""
+        """Keep the state of the stacked members ``keep``, in that order."""
         self._lr = self._lr[keep]
-        self._state.select(keep)
+        members = self._lr.shape[0]
+        self.moments = [buf[keep] for buf in self.moments]
+        self._work = [w[:members] for w in self._work]
+        self.slots = [(name, sl, (members,) + shape[1:])
+                      for name, sl, shape in self.slots]
 
 
 # fields that every member of one stacked fit must share
 _SHARED_FIELDS = ("max_epochs", "batch_size", "patience", "val_passes")
-
-
-def make_optimizer(cfgs: Sequence[TrainConfig]) -> Adam:
-    """One Adam for a stack, with each member's learning rate."""
-    return Adam(np.array([c.lr for c in cfgs]))
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +290,8 @@ def fit(net, train_x, train_y, cfg, val_x=None, val_y=None, rng=None):
     if has_val and val_y is None or not has_val and val_y is not None:
         raise ValueError("validation features and targets must come together")
     train_y = np.asarray(train_y)
+    if train_y.shape[0] != n:
+        raise ValueError(f"{train_y.shape[0]} training targets for {n} inputs")
 
     streams = [r.spawn(2) for r in rngs]
     shuffle_rngs = [s[0] for s in streams]
@@ -318,7 +299,7 @@ def fit(net, train_x, train_y, cfg, val_x=None, val_y=None, rng=None):
     stack = stack_networks(nets)
     params = stack.parameters()
     penalty = Penalty(stack, [c.weight_decay for c in cfgs])
-    optimizer = make_optimizer(cfgs)
+    optimizer = Adam(np.array([c.lr for c in cfgs]))
     cfg = cfgs[0]
     starts = range(0, n, cfg.batch_size)
 

@@ -154,15 +154,22 @@ CONFIG_ERRORS = [
     ("benchmark", "split_fractions=0.5,0.5"),
     ("benchmark", "split_fractions=0.6,0.5,-0.1"),
     ("benchmark", "split_fractions=0.5,0.25,0.2"),
+    ("benchmark", "weight_decay_grid=0.01,inf"),
     ("toy", "activation=gelu"),
     ("toy", "alpha_penalty_lambda=-1"),
     ("toy", "seeds=0,1,0"),
+    ("toy", "passes=1"),
+    ("toy", "lr=inf"),
+    ("toy", "lr=nan"),
     ("noise-sweep", "activation=gelu"),
     ("noise-sweep", "hidden="),
     ("noise-sweep", "noise_level=-0.1"),
     ("noise-sweep", "lr=0"),
     ("noise-sweep", "batch_size=0"),
     ("noise-sweep", "seeds=2,2"),
+    ("noise-sweep", "lr=inf"),
+    ("noise-sweep", "noise_level=inf"),
+    ("noise-sweep", "sigmas=0,inf"),
     ("riskcov", "coverage_grid=0.5,0.9"),
     ("riskcov", "coverage_grid=0,1.0"),
     ("riskcov", "coverage_grid=0.5,1.5"),
@@ -216,14 +223,18 @@ def test_gpcheck_overflow_exits_4_without_writing_results(tmp_path, capsys):
     assert list(outdir.iterdir()) == []
 
 
+# each run's arguments, and the error its diverged fit must stop with
 DIVERGING_RUNS = {
-    "benchmark": ["--data", str(DATASETS / "synth_regression.csv"),
-                  "--set", "lr_grid=1e300", "--set", "max_epochs=2",
-                  "--set", "families=deterministic,noise_fixed",
-                  "--set", "noise_grid=0.01", "--set", "weight_decay_grid=0",
-                  "--passes", "5"],
-    "toy": ["--set", "lr=1e300", "--set", "epochs=2", "--seeds", "0",
-            "--passes", "3", "--set", "n_points=20"],
+    "benchmark": (["--data", str(DATASETS / "synth_regression.csv"),
+                   "--set", "lr_grid=1e300", "--set", "max_epochs=2",
+                   "--set", "families=deterministic,noise_fixed",
+                   "--set", "noise_grid=0.01", "--set", "weight_decay_grid=0",
+                   "--passes", "5"], "metrics not finite"),
+    "toy": (["--set", "lr=1e300", "--set", "epochs=2", "--seeds", "0",
+             "--passes", "3", "--set", "n_points=20"], "metrics not finite"),
+    "noise-sweep": (["--set", "lr=1e300", "--set", "epochs=2",
+                     "--set", "passes=3", "--seeds", "0"],
+                    "must be probability rows"),
 }
 
 
@@ -231,10 +242,20 @@ DIVERGING_RUNS = {
 @pytest.mark.parametrize("command", sorted(DIVERGING_RUNS))
 def test_non_finite_metrics_exit_4_without_writing(tmp_path, capsys, command):
     outdir = tmp_path / "out"
-    code = main([command, "--outdir", str(outdir), *DIVERGING_RUNS[command]])
+    args, error = DIVERGING_RUNS[command]
+    code = main([command, "--outdir", str(outdir), *args])
     assert code == EXIT_RUNTIME
-    assert "metrics not finite" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
     assert list(outdir.iterdir()) == []
+
+
+def test_non_finite_config_error_names_the_value(tmp_path, capsys):
+    for setting, name in (("lr=inf", "lr"), ("sigmas=0,inf", "sigmas[1]")):
+        code = main(["noise-sweep", "--outdir", str(tmp_path / "never"),
+                     "--set", setting])
+        assert code == EXIT_CONFIG
+        assert f"must be finite: {name}" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
 
 
 def test_empty_split_exits_3_without_writing_results(tmp_path, capsys):

@@ -81,16 +81,6 @@ def test_toy_run_files_and_schema(tmp_path):
         assert mean["mpiw"] >= 0.0
 
 
-def test_toy_single_pass_has_no_variance(tmp_path):
-    out = run_toy(tiny_toy(tmp_path, passes=1, seeds=(0,)))
-    assert "intervals.csv" not in out.files
-    assert not (tmp_path / "toy" / "intervals.csv").exists()
-    assert out.metrics["variance"].startswith("unavailable")
-    assert "comparison" not in out.metrics
-    lines = out.files["predictions.csv"].read_text().splitlines()
-    assert all(line.endswith(",") for line in lines[1:])  # empty sigma cells
-
-
 def test_toy_rerun_is_byte_identical(tmp_path):
     a = run_toy(tiny_toy(tmp_path / "a", seeds=(0,)))
     b = run_toy(tiny_toy(tmp_path / "b", seeds=(0,)))

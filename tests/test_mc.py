@@ -185,6 +185,13 @@ def test_non_probability_rows_rejected():
             PredictiveSamples(values=logits, task="classification"))
 
 
+def test_nan_probability_row_rejected():
+    """A diverged classifier's NaN rows are not probabilities."""
+    rows = cls_samples([[0.25, 0.75], [np.nan, np.nan], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="probability rows"):
+        summarize_classification(rows)
+
+
 # ---------------------------------------------------------------------------
 # workspace path: bit-exact against plain allocating forward passes
 

@@ -31,14 +31,13 @@ def test_adam_zero_gradient_leaves_params_alone():
 def moments(opt, k):
     """Adam's first (k = 0) or second (k = 1) moments, name -> an array
     shaped like the parameter, read from the flat buffer's slots."""
-    buf = opt._state.buffers[k]
-    return {name: buf[:, sl].reshape(shape)
-            for name, sl, shape in opt._state.slots}
+    buf = opt.moments[k]
+    return {name: buf[:, sl].reshape(shape) for name, sl, shape in opt.slots}
 
 
 def test_adam_moments_decay_on_zero_gradient():
     p = {"w": np.array([0.0])}
-    opt = Adam(lr=0.1, beta1=0.9)
+    opt = Adam(lr=0.1)
     opt.step(p, {"w": np.array([1.0])})
     m1 = moments(opt, 0)["w"].copy()
     opt.step(p, {"w": np.array([0.0])})
@@ -55,13 +54,20 @@ def test_adam_matches_scalar_loop_oracle():
     rng = np.random.default_rng(0)
     grads = rng.normal(size=(12, 4))
     p = {"w": np.linspace(-1, 1, 4).copy()}
-    opt = Adam(lr=0.02, beta1=0.85, beta2=0.99, eps=1e-8)
+    opt = Adam(lr=0.02)
     for g in grads:
         opt.step(p, {"w": g})
     for j in range(4):
         ref = adam_steps_oracle(np.linspace(-1, 1, 4)[j], grads[:, j].tolist(),
-                                lr=0.02, beta1=0.85, beta2=0.99, eps=1e-8)
+                                lr=0.02, beta1=0.9, beta2=0.999, eps=1e-8)
         assert abs(p["w"][j] - ref) < 1e-12
+
+
+def test_adam_takes_only_a_learning_rate():
+    """The betas and eps are the published defaults, not settings."""
+    assert (mcni.optim.BETA1, mcni.optim.BETA2, mcni.optim.EPS) == (0.9, 0.999, 1e-8)
+    with pytest.raises(TypeError):
+        Adam(0.1, beta1=0.9)
 
 
 def _per_name_adam(lr, beta1, beta2, eps):
@@ -99,8 +105,8 @@ def _learned_noise_net(seed):
 def test_flat_state_is_bit_identical_to_per_name_loop():
     net, twin = _learned_noise_net(8), _learned_noise_net(8)
     assert net.layers[0].alpha.shape == ()              # 0-d scalar alpha
-    opt = Adam(lr=0.01, beta1=0.85, beta2=0.99, eps=1e-8)
-    ref_step, ref_state = _per_name_adam(0.01, 0.85, 0.99, 1e-8)
+    opt = Adam(lr=0.01)
+    ref_step, ref_state = _per_name_adam(0.01, 0.9, 0.999, 1e-8)
     params, ref_params = net.parameters(), twin.parameters()
     data = np.random.default_rng(9)
     x, y = data.normal(size=(7, 3)), data.normal(size=(7, 2))
@@ -328,6 +334,16 @@ def test_fit_input_validation():
             rng=rng)
 
 
+def test_fit_rejects_targets_that_do_not_match_the_inputs():
+    net = linear_net()
+    cfg = TrainConfig(max_epochs=2, batch_size=8)
+    for rows in (30, 10):
+        with pytest.raises(ValueError, match=f"{rows} training targets for 20"):
+            fit(net, np.ones((20, 1)), np.ones((rows, 1)), cfg,
+                rng=np.random.default_rng(0))
+    assert net.layers[0].W[0, 0] == 0.0          # nothing trained
+
+
 def test_fit_requires_a_generator():
     x, y = np.ones((2, 1)), np.ones((2, 1))
     with pytest.raises(ValueError, match="generator"):
@@ -342,6 +358,9 @@ def test_fit_requires_a_generator():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
+    for lr in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="learning rate"):
+            TrainConfig(lr=lr)
     with pytest.raises(ValueError):
         TrainConfig(patience=-1)
     with pytest.raises(ValueError):
@@ -485,8 +504,8 @@ class PlainStep:
     bounded by lr, so only a plain step at a huge rate drives a fit to
     overflow within a few epochs."""
 
-    def __init__(self, cfgs):
-        self.lr = np.array([c.lr for c in cfgs])
+    def __init__(self, lr):
+        self.lr = np.asarray(lr)
 
     def step(self, params, grads):
         for name, g in grads.items():
@@ -498,7 +517,7 @@ class PlainStep:
 
 @pytest.fixture
 def plain_step(monkeypatch):
-    monkeypatch.setattr(mcni.optim, "make_optimizer", PlainStep)
+    monkeypatch.setattr(mcni.optim, "Adam", PlainStep)
 
 
 def test_diverged_member_stops_and_healthy_member_is_unaffected(plain_step):
@@ -572,7 +591,7 @@ def test_stacked_optimizer_rows_equal_separate_optimizers():
             assert stacked["a"][row, 0, 0] == singles[s]["a"]
             assert np.array_equal(moments(opt, 0)["w"][row],
                                   moments(refs[s], 0)["w"])
-    assert opt._state.buffers[0].shape[0] == 2
+    assert opt.moments[0].shape[0] == 2
 
 
 # ---------------------------------------------------------------------------
