@@ -107,7 +107,7 @@ def ece(confidences, correct, n_bins: int = 15) -> float:
         raise ValueError("need at least one bin")
     if confidences.size == 0:
         raise ValueError("no samples")
-    if np.any(confidences < 0.0) or np.any(confidences > 1.0):
+    if not ((0.0 <= confidences) & (confidences <= 1.0)).all():
         raise ValueError("confidence outside [0, 1]")
     idx = np.ceil(confidences * n_bins).astype(np.int64) - 1
     np.clip(idx, 0, n_bins - 1, out=idx)
@@ -135,9 +135,11 @@ def brier(mean_probs, labels) -> float:
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != p.shape[0]:
         raise ShapeError("labels must align with mean_probs rows")
-    if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-6:
+    if labels.size == 0:
+        raise ValueError("no samples")
+    if not (np.abs(p.sum(axis=1) - 1.0) <= 1e-6).all():
         raise ValueError("probability rows must sum to 1")
-    if labels.size and (labels.min() < 0 or labels.max() >= p.shape[1]):
+    if labels.min() < 0 or labels.max() >= p.shape[1]:
         raise ShapeError("label outside [0, n_classes)")
     onehot = np.zeros_like(p)
     onehot[np.arange(p.shape[0]), labels] = 1.0

@@ -292,6 +292,14 @@ def fit(net, train_x, train_y, cfg, val_x=None, val_y=None, rng=None):
     train_y = np.asarray(train_y)
     if train_y.shape[0] != n:
         raise ValueError(f"{train_y.shape[0]} training targets for {n} inputs")
+    if has_val:
+        val_x, val_y = np.asarray(val_x, dtype=np.float64), np.asarray(val_y)
+        if val_y.shape[0] != val_x.shape[0]:
+            raise ValueError(f"{val_y.shape[0]} validation targets for "
+                             f"{val_x.shape[0]} inputs")
+        if val_x.shape[-1] != nets[0].fan_in:
+            raise ValueError(f"validation inputs have {val_x.shape[-1]} "
+                             f"features; the net takes {nets[0].fan_in}")
 
     streams = [r.spawn(2) for r in rngs]
     shuffle_rngs = [s[0] for s in streams]

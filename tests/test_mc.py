@@ -1,10 +1,13 @@
 """Monte Carlo pass collection and predictive summaries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mcni.mc import (PredictiveSamples, mc_predict, summarize_classification,
-                     summarize_regression, welford_mean_var)
+from mcni.mc import (STREAM_BLOCK, PredictiveSamples, mc_predict,
+                     summarize_classification, summarize_regression,
+                     welford_mean_var)
 from mcni.models import build_mlp
 from mcni.noise import NoiseSpec, NoisyDenseLayer
 from mcni.nn import ContractError, Network, ShapeError
@@ -134,6 +137,49 @@ def test_at_least_one_pass_required():
         mc_predict(net, np.zeros((1, 2)), 0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("T", [True, 2.0])
+def test_pass_count_must_be_an_integer(T):
+    net = build_mlp("noise_fixed", 2, [4], 1, rng=np.random.default_rng(9))
+    seen = []
+    rng = np.random.default_rng(0)
+    with pytest.raises(TypeError, match="integer"):
+        mc_predict(net, np.zeros((1, 2)), T, rng,
+                   transform=lambda X, r: seen.append(X) or X)
+    assert seen == []                                   # no pass ran
+    assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
+
+def test_pass_streams_are_consecutive_children_of_the_generator():
+    """Pass t runs on child t, and the caller's generator has spawned exactly
+    T children afterwards, however the streams are grouped into blocks."""
+    T = 2 * STREAM_BLOCK + 3
+    net = build_mlp("noise_fixed", 2, [4], 1, rng=np.random.default_rng(12))
+    rng = np.random.default_rng(13)
+    mc_predict(net, np.ones((2, 2)), T, rng)
+    assert rng.bit_generator.seed_seq.n_children_spawned == T
+    expected = np.random.default_rng(13).spawn(T + 1)[T]
+    assert np.array_equal(rng.spawn(1)[0].integers(0, 2**62, 8),
+                          expected.integers(0, 2**62, 8))
+
+
+def test_stream_memory_does_not_grow_with_pass_count():
+    """Past the returned samples, 20,000 passes of a small net hold less than
+    1 MB; spawning every stream up front held about 18 MB."""
+    spec = NoiseSpec(mode="fixed", alpha_init=0.05)
+    layer = NoisyDenseLayer.create(10, 1, "identity",
+                                   np.random.default_rng(14), spec=spec)
+    net = Network([layer])
+    X = np.random.default_rng(15).standard_normal((8, 10))
+    mc_predict(net, X, 2, np.random.default_rng(16))     # warm caches
+    tracemalloc.start()
+    try:
+        samples = mc_predict(net, X, 20_000, np.random.default_rng(17))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - samples.values.nbytes < 1_000_000
+
+
 # ---------------------------------------------------------------------------
 # classification summaries
 
@@ -195,11 +241,16 @@ def test_nan_probability_row_rejected():
 # ---------------------------------------------------------------------------
 # workspace path: bit-exact against plain allocating forward passes
 
-def reference_passes(net, X, T, rng):
-    """mc_predict as a loop of plain net.forward calls, no workspace."""
+def reference_passes(net, X, T, rng, transform=None):
+    """mc_predict as a loop of plain net.forward calls over streams spawned
+    all at once, no workspace."""
     outs = []
     for stream in rng.spawn(T):
-        out, _ = net.forward(X, stream)
+        x = X
+        if transform is not None:
+            input_rng, stream = stream.spawn(2)
+            x = transform(X, input_rng)
+        out, _ = net.forward(x, stream)
         if net.task == "classification":
             e = np.exp(out - out.max(axis=-1, keepdims=True))
             out = e / e.sum(axis=-1, keepdims=True)
@@ -238,6 +289,21 @@ def test_workspace_passes_equal_plain_forward(family, activation, head):
         if head == "probabilities":
             assert np.all(got.values[..., 0] == 0.0)
             assert np.all(got.values[..., 3] == 1.0)
+
+
+@pytest.mark.parametrize("head", ["regression", "logits"])
+def test_passes_across_stream_blocks_equal_plain_forward(head):
+    """Past one block of streams, the passes still equal plain forward passes
+    over streams spawned all at once, with a per-pass input transform too."""
+    net = head_net("noise_learned", "relu", head, 23)
+    X = np.random.default_rng(24).normal(size=(3, 3))
+    T = 2 * STREAM_BLOCK + 3
+    transform = None
+    if head == "logits":
+        transform = lambda X, r: X + 0.1 * r.standard_normal(X.shape)
+    got = mc_predict(net, X, T, np.random.default_rng(25), transform=transform)
+    ref = reference_passes(net, X, T, np.random.default_rng(25), transform)
+    assert np.array_equal(got.values, ref)
 
 
 def test_sigma_l_computed_once_per_noisy_layer_per_call(monkeypatch):

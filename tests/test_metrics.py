@@ -132,6 +132,24 @@ def test_ece_validation():
         ece([], [])
 
 
+def test_ece_rejects_nan_confidence():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            ece([0.5, np.nan], [1, 0])
+
+
+def test_brier_rejects_nan_row():
+    p = np.array([[0.25, 0.75], [np.nan, np.nan]])
+    with pytest.raises(ValueError, match="sum to 1"):
+        brier(p, np.array([1, 0]))
+
+
+def test_brier_rejects_empty_input():
+    with pytest.raises(ValueError, match="no samples"):
+        brier(np.empty((0, 3)), np.empty(0, dtype=np.int64))
+
+
 def test_brier_perfect_prediction():
     p = np.array([[0.0, 1.0, 0.0]])
     assert brier(p, np.array([1])) == 0.0

@@ -344,6 +344,27 @@ def test_fit_rejects_targets_that_do_not_match_the_inputs():
     assert net.layers[0].W[0, 0] == 0.0          # nothing trained
 
 
+@pytest.mark.parametrize("val_x, val_y, message", [
+    (np.ones((20, 1)), np.ones((1, 1)), "1 validation targets for 20 inputs"),
+    (np.ones((20, 3)), np.ones((20, 1)), "3 features; the net takes 1"),
+])
+def test_fit_checks_the_validation_set_before_training(monkeypatch, val_x,
+                                                       val_y, message):
+    steps = []
+    original = mcni.optim.Adam.step
+
+    def counting(self, params, grads):
+        steps.append(1)
+        return original(self, params, grads)
+
+    monkeypatch.setattr(mcni.optim.Adam, "step", counting)
+    with pytest.raises(ValueError, match=message):
+        fit(linear_net(), np.ones((20, 1)), np.ones((20, 1)),
+            TrainConfig(max_epochs=2), val_x, val_y,
+            rng=np.random.default_rng(0))
+    assert steps == []
+
+
 def test_fit_requires_a_generator():
     x, y = np.ones((2, 1)), np.ones((2, 1))
     with pytest.raises(ValueError, match="generator"):
