@@ -2,19 +2,17 @@
 
 Subcommands: toy | benchmark | riskcov | noise-sweep | bench-time | gpcheck.
 
-Each subcommand owns a config dataclass in mcni.experiments. Values are
-resolved in order: dataclass defaults, then the [command] section of an INI
-config file (--config), then --set key=value overrides, then dedicated
-flags, each named after the field it sets (--pred-file sets pred_file).
-The runner validates the resolved config before it writes anything.
+The front end has two jobs: turning argv into a command's config, and
+turning the command's exceptions into exit codes. Each subcommand is
+declared once, in mcni.experiments.COMMANDS, with its config dataclass and
+its run_* function. Values are resolved in order: dataclass defaults, then
+the [command] section of an INI config file (--config), then --set
+key=value overrides, then dedicated flags, each named after the field it
+sets (--pred-file sets pred_file). The run_* function validates the
+resolved config before it writes anything, writes the data files and
+manifest.json, and returns the manifest digest that is printed last.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 runtime error.
-
-Every run writes a manifest.json next to its data files listing the
-resolved config, content hashes of inputs and outputs, wall-clock timings,
-and the headline metrics. The manifest digest printed at the end excludes
-timings and is rerun-stable; the hash of an output whose payload is itself
-a measurement (bench-time's timing.csv) is recorded under timings.
 """
 
 from __future__ import annotations
@@ -22,45 +20,17 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import json
 import sys
-from pathlib import Path
 
 from .data import DataError
-from .experiments import (
-    BenchmarkConfig,
-    ConfigError,
-    GpCheckConfig,
-    RiskCovConfig,
-    RunOutput,
-    SweepConfig,
-    TimingConfig,
-    ToyConfig,
-    config_to_dict,
-    run_bench_time,
-    run_benchmark,
-    run_gpcheck,
-    run_noise_sweep,
-    run_riskcov,
-    run_toy,
-)
+from .experiments import COMMANDS, ConfigError
 from .gpcheck import NONLINEARITIES
 from .metrics import RISK_KINDS
-from .runio import manifest_digest, sha256_file, write_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
-
-COMMANDS = {
-    "toy": (ToyConfig, run_toy),
-    "benchmark": (BenchmarkConfig, run_benchmark),
-    "riskcov": (RiskCovConfig, run_riskcov),
-    "noise-sweep": (SweepConfig, run_noise_sweep),
-    "bench-time": (TimingConfig, run_bench_time),
-    "gpcheck": (GpCheckConfig, run_gpcheck),
-}
 
 
 def _parse_bool(text: str) -> bool:
@@ -209,30 +179,8 @@ def resolve_config(args: argparse.Namespace):
     return cfg, runner
 
 
-def write_manifest(command: str, cfg, out: RunOutput) -> Path:
-    outputs = {name: sha256_file(path) for name, path in out.files.items()}
-    timings = dict(out.timings)
-    if out.measured_files:
-        # a measurement's hash changes on every run: keep it out of the digest
-        timings["outputs"] = {name: outputs.pop(name)
-                              for name in out.measured_files}
-    manifest = {
-        "command": command,
-        "config": config_to_dict(cfg),
-        "inputs": {name: {"path": str(path), "sha256": sha256_file(path)}
-                   for name, path in out.inputs.items()},
-        "outputs": outputs,
-        "results": out.metrics,
-        "timings": timings,
-    }
-    path = Path(cfg.outdir) / "manifest.json"
-    write_json(path, manifest)
-    return path
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg, runner = resolve_config(args)
         out = runner(cfg)
@@ -245,12 +193,9 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    manifest_path = write_manifest(args.command, cfg, out)
-    for name, path in out.files.items():
+    for path in out.files.values():
         print(f"wrote {path}")
-    print(f"wrote {manifest_path}")
-    digest = manifest_digest(json.loads(manifest_path.read_text()))
-    print(f"manifest digest (timings excluded): {digest}")
+    print(f"manifest digest (timings excluded): {out.digest}")
     return EXIT_OK
 
 

@@ -3,22 +3,24 @@
 Each driver only computes: it returns its named outputs (a ``(header,
 rows)`` table for a CSV file, a dict for a JSON file), its headline
 metrics and, where it has them, its input files and measured timings. The
-``_command`` skeleton turns a driver into the public run_* function: it
-validates the config before anything touches the disk, creates ``outdir``,
-times the run, writes every output through runio and returns a RunOutput.
+``_command`` skeleton turns a driver into the public run_* function and
+registers it with its config class in ``COMMANDS``. The run validates the
+config before anything touches the disk, creates ``outdir``, times the run,
+writes every output and then ``manifest.json`` through runio, and returns
+a RunOutput that carries the manifest digest.
 
 Commands are deterministic functions of (config, seeds): all randomness
 flows from np.random.default_rng seeded with [seed, tag] pairs, and files
-are written with repr-formatted floats, so reruns are byte-identical.
-Wall-clock timings go into the RunOutput, not into data files; the one
-deliberate exception is the timing benchmark's timing.csv, whose payload
-is the measurement itself and sits outside the byte-reproducibility
-contract.
+are written with repr-formatted floats, so reruns are byte-identical. The
+digest excludes the manifest's wall-clock timings. The one data file whose
+payload is a measurement, the timing benchmark's timing.csv, has its hash
+recorded under those timings, outside the digest.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -36,7 +38,8 @@ from .metrics import RISK_KINDS, mpiw, msll, nll_gaussian, picp, risk_coverage, 
 from .models import FAMILIES, build_mlp
 from .nn import ACTIVATIONS
 from .optim import TrainConfig, fit, grid_search
-from .runio import jsonable, write_csv, write_json
+from .runio import jsonable, manifest_digest, sha256_file, write_csv, \
+    write_json
 
 
 class ConfigError(ValueError):
@@ -45,14 +48,12 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunOutput:
-    """What a command produced: artifact paths, headline metrics, timings."""
+    """What a command wrote (manifest.json last), metrics, timings, digest."""
 
     files: dict[str, Path]
     metrics: dict
     timings: dict[str, float]
-    inputs: dict[str, Path] = field(default_factory=dict)
-    # names in files whose payload is a wall-clock measurement
-    measured_files: tuple[str, ...] = ()
+    digest: str
 
 
 @dataclass
@@ -67,42 +68,65 @@ class Computed:
     metrics: dict
     inputs: dict[str, Path] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
+    # names in outputs whose payload is a wall-clock measurement
     measured_files: tuple[str, ...] = ()
 
 
-def _command(driver):
-    """The one driver skeleton: make a run_* command from a driver.
+# command name -> (config class, run_* function), filled by ``_command``
+COMMANDS: dict[str, tuple] = {}
+
+
+def _command(command: str, config_cls):
+    """The one driver skeleton: make and register a run_* command.
 
     The command validates the config, creates ``outdir``, times the run,
-    writes each named output and assembles the RunOutput. A config value
-    that holds a NaN or infinite float is a ConfigError, and metrics that
-    hold one raise FloatingPointError, both before anything is written.
+    writes and hashes each named output, then writes ``manifest.json`` and
+    returns the RunOutput with its digest. A config value that holds a NaN
+    or infinite float is a ConfigError, and metrics that hold one raise
+    FloatingPointError, both before anything is written.
     """
-    @functools.wraps(driver)
-    def run(cfg) -> RunOutput:
-        bad = _non_finite_paths(jsonable(config_to_dict(cfg)))
-        _require(not bad, f"config values must be finite: {', '.join(bad)}")
-        cfg.validate()
-        _require(str(cfg.outdir).strip() != "", "outdir must not be empty")
-        outdir = Path(cfg.outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        t0 = time.perf_counter()
-        done = driver(cfg)
-        bad = _non_finite_paths(jsonable(done.metrics))
-        if bad:
-            raise FloatingPointError(f"{len(bad)} metrics not finite, first "
-                                     f"{bad[0]}; nothing written")
-        files = {}
-        for name, payload in done.outputs.items():
-            files[name] = outdir / name
-            if isinstance(payload, dict):
-                write_json(files[name], payload)
-            else:
-                write_csv(files[name], *payload)
-        return RunOutput(files, done.metrics,
-                         {"total_s": time.perf_counter() - t0, **done.timings},
-                         done.inputs, done.measured_files)
-    return run
+    def register(driver):
+        @functools.wraps(driver)
+        def run(cfg) -> RunOutput:
+            bad = _non_finite_paths(jsonable(config_to_dict(cfg)))
+            _require(not bad, f"config values must be finite: {', '.join(bad)}")
+            cfg.validate()
+            _require(str(cfg.outdir).strip() != "", "outdir must not be empty")
+            outdir = Path(cfg.outdir)
+            outdir.mkdir(parents=True, exist_ok=True)
+            t0 = time.perf_counter()
+            done = driver(cfg)
+            bad = _non_finite_paths(jsonable(done.metrics))
+            if bad:
+                raise FloatingPointError(f"{len(bad)} metrics not finite, first "
+                                         f"{bad[0]}; nothing written")
+            files, hashes = {}, {}
+            for name, payload in done.outputs.items():
+                files[name] = outdir / name
+                if isinstance(payload, dict):
+                    write_json(files[name], payload)
+                else:
+                    write_csv(files[name], *payload)
+                hashes[name] = sha256_file(files[name])
+            timings = {"total_s": time.perf_counter() - t0, **done.timings}
+            # a measurement's hash changes on every run: keep it out of the digest
+            measured = {name: hashes.pop(name) for name in done.measured_files}
+            manifest = {
+                "command": command,
+                "config": config_to_dict(cfg),
+                "inputs": {name: {"path": str(path), "sha256": sha256_file(path)}
+                           for name, path in done.inputs.items()},
+                "outputs": hashes,
+                "results": done.metrics,
+                "timings": {**timings, "outputs": measured} if measured else timings,
+            }
+            files["manifest.json"] = outdir / "manifest.json"
+            write_json(files["manifest.json"], manifest)
+            digest = manifest_digest(json.loads(files["manifest.json"].read_text()))
+            return RunOutput(files, done.metrics, timings, digest)
+        COMMANDS[command] = (config_cls, run)
+        return run
+    return register
 
 
 def _non_finite_paths(value, path: str = "") -> list[str]:
@@ -124,6 +148,14 @@ def _require(cond: bool, msg: str) -> None:
 def _require_seeds(seeds: tuple[int, ...]) -> None:
     _require(len(seeds) >= 1, "at least one seed required")
     _require(len(set(seeds)) == len(seeds), f"seeds repeat: {list(seeds)}")
+
+
+def _require_families(families: tuple[str, ...]) -> None:
+    _require(len(families) >= 1, "at least one family required")
+    unknown = set(families) - set(FAMILIES)
+    _require(not unknown, f"unknown families: {sorted(unknown)}")
+    _require(len(set(families)) == len(families),
+             f"families repeat: {list(families)}")
 
 
 def _require_net(hidden: tuple[int, ...], activation: str) -> None:
@@ -199,7 +231,7 @@ class ToyConfig:
 TOY_MODELS = ("noise_fixed", "noise_learned", "mc_dropout")
 
 
-@_command
+@_command("toy", ToyConfig)
 def run_toy(cfg: ToyConfig) -> Computed:
     train_cfg = TrainConfig(lr=cfg.lr, max_epochs=cfg.epochs,
                             batch_size=cfg.batch_size, patience=0)
@@ -297,9 +329,7 @@ class BenchmarkConfig:
         _require(self.patience >= 0, "patience must be >= 0")
         _require(self.passes >= 2, "passes must be >= 2 for interval metrics")
         _require(self.val_passes >= 1, "val_passes must be >= 1")
-        unknown = set(self.families) - set(FAMILIES)
-        _require(not unknown, f"unknown families: {sorted(unknown)}")
-        _require(len(self.families) >= 1, "at least one family required")
+        _require_families(self.families)
 
 
 LEADERBOARD_HEADER = ["family", "lr", "weight_decay", "dropout_p", "noise_level",
@@ -327,7 +357,7 @@ def _family_grid(cfg: BenchmarkConfig, family: str) -> dict:
     return grid
 
 
-@_command
+@_command("benchmark", BenchmarkConfig)
 def run_benchmark(cfg: BenchmarkConfig) -> Computed:
     dataset = load_csv(cfg.data, target=cfg.target, task="regression")
     train, val, test = split(dataset, cfg.split_fractions, seed=cfg.seed)
@@ -447,7 +477,7 @@ def _columns(path, names: tuple[str, ...]) -> list[np.ndarray]:
     return [table[:, header.index(name)] for name in names]
 
 
-@_command
+@_command("riskcov", RiskCovConfig)
 def run_riskcov(cfg: RiskCovConfig) -> Computed:
     pred, target = _columns(cfg.pred_file, ("pred", "target"))
     unc, = _columns(cfg.unc_file, ("uncertainty",))
@@ -527,7 +557,7 @@ def corrupted_predict(net, X, sigma: float, T: int, rng) -> PredictiveSamples:
                       transform=lambda X, r: gaussian_corrupt(X, sigma, r))
 
 
-@_command
+@_command("noise-sweep", SweepConfig)
 def run_noise_sweep(cfg: SweepConfig) -> Computed:
     train_cfg = TrainConfig(lr=cfg.lr, max_epochs=cfg.epochs,
                             batch_size=cfg.batch_size, patience=0)
@@ -595,9 +625,7 @@ class TimingConfig:
                  "hidden must list at least one width, each >= 1")
         _require(self.noise_level >= 0, "noise_level must be >= 0")
         _require(0 <= self.dropout_p < 1, "dropout_p must be in [0, 1)")
-        _require(len(self.families) >= 1, "at least one family required")
-        unknown = set(self.families) - set(FAMILIES)
-        _require(not unknown, f"unknown families: {sorted(unknown)}")
+        _require_families(self.families)
 
 
 def _seconds_per_prediction(net, X, T: int, reps: int, key) -> list[float]:
@@ -612,7 +640,7 @@ def _seconds_per_prediction(net, X, T: int, reps: int, key) -> list[float]:
     return times
 
 
-@_command
+@_command("bench-time", TimingConfig)
 def run_bench_time(cfg: TimingConfig) -> Computed:
     X = np.random.default_rng([cfg.seed, 99]).standard_normal(
         (cfg.batch, cfg.input_dim))
@@ -673,7 +701,7 @@ class GpCheckConfig:
         _require_seeds(self.seeds)
 
 
-@_command
+@_command("gpcheck", GpCheckConfig)
 def run_gpcheck(cfg: GpCheckConfig) -> Computed:
     input_dim = len(cfg.probes[0])
     rows = []
@@ -687,11 +715,6 @@ def run_gpcheck(cfg: GpCheckConfig) -> Computed:
         report = correspondence_report(probe, kcfg,
                                        np.random.default_rng([seed, 17]),
                                        widths=cfg.widths)
-        deviations = [e["max_rel_deviation"] for e in report.convergence]
-        if not all(np.isfinite(a).all() for a in
-                   (report.kernel, report.covariance, deviations)):
-            raise FloatingPointError(f"seed {seed}: kernel or covariance not "
-                                     "finite; probes or bias_std overflow")
         for entry in report.convergence:
             rows.append([entry["width"], entry["n_networks"],
                          entry["max_rel_deviation"], seed])

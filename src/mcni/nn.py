@@ -119,6 +119,8 @@ class DenseLayer:
     def create(cls, fan_in: int, fan_out: int, activation: str,
                rng: np.random.Generator) -> "DenseLayer":
         """Fan-in-scaled uniform init U(-1/sqrt(fan_in), +1/sqrt(fan_in))."""
+        if fan_in < 1 or fan_out < 1:
+            raise ValueError(f"layer widths must be >= 1, got {fan_in} -> {fan_out}")
         bound = 1.0 / np.sqrt(fan_in)
         W = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         return cls(W=W, b=np.zeros(fan_out), activation=activation)

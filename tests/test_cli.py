@@ -12,7 +12,8 @@ import pytest
 
 from mcni.cli import (COMMANDS, EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME,
                       build_parser, main, resolve_config)
-from mcni.experiments import ConfigError
+from mcni.experiments import ConfigError, RiskCovConfig, run_riskcov
+from mcni.runio import manifest_digest
 
 DATASETS = Path(__file__).resolve().parent.parent / "datasets"
 
@@ -155,6 +156,7 @@ CONFIG_ERRORS = [
     ("benchmark", "split_fractions=0.6,0.5,-0.1"),
     ("benchmark", "split_fractions=0.5,0.25,0.2"),
     ("benchmark", "weight_decay_grid=0.01,inf"),
+    ("benchmark", "families=deterministic,deterministic"),
     ("toy", "activation=gelu"),
     ("toy", "alpha_penalty_lambda=-1"),
     ("toy", "seeds=0,1,0"),
@@ -174,6 +176,7 @@ CONFIG_ERRORS = [
     ("riskcov", "coverage_grid=0,1.0"),
     ("riskcov", "coverage_grid=0.5,1.5"),
     ("bench-time", "families="),
+    ("bench-time", "families=noise_fixed,noise_fixed"),
     ("bench-time", "hidden="),
     ("bench-time", "input_dim=0"),
     ("bench-time", "noise_level=-0.1"),
@@ -214,13 +217,18 @@ def test_empty_outdir_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys,
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_gpcheck_overflow_exits_4_without_writing_results(tmp_path, capsys):
-    outdir = tmp_path / "out"
-    code = main(["gpcheck", "--outdir", str(outdir), "--set", "n_samples=1000",
-                 "--set", "n_networks=50", "--set", "widths=8",
-                 "--set", "width=8", "--set", "probes=1e308,1e308;1,1"])
-    assert code == EXIT_RUNTIME
-    assert "kernel or covariance not finite" in capsys.readouterr().err
-    assert list(outdir.iterdir()) == []
+    # an overflowing kernel or covariance makes its relative deviation
+    # non-finite, which the skeleton's metrics check rejects
+    for nonlinearity, probes in (("relu", "1e308,1e308;1,1"),
+                                 ("identity", "1e160,1e160;1,1")):
+        outdir = tmp_path / nonlinearity
+        code = main(["gpcheck", "--outdir", str(outdir), "--set", "n_samples=1000",
+                     "--set", "n_networks=50", "--set", "widths=8",
+                     "--set", "width=8", "--set", f"probes={probes}",
+                     "--nonlinearity", nonlinearity])
+        assert code == EXIT_RUNTIME
+        assert "metrics not finite" in capsys.readouterr().err
+        assert list(outdir.iterdir()) == []
 
 
 # each run's arguments, and the error its diverged fit must stop with
@@ -332,6 +340,16 @@ def test_unwritable_outdir_exits_4(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+def test_unwritable_manifest_exits_4(tmp_path, capsys):
+    outdir = tmp_path / "rc"
+    (outdir / "manifest.json").mkdir(parents=True)
+    code = run_riskcov_cli(tmp_path, "pred,target\n1.0,1.0\n2.0,2.5\n",
+                           "uncertainty\n0.1\n0.2\n")
+    assert code == EXIT_RUNTIME
+    assert "runtime error" in capsys.readouterr().err
+    assert (outdir / "manifest.json").is_dir()
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -375,6 +393,23 @@ def test_bench_time_rerun_same_outdir_same_digest(tmp_path, capsys):
     manifest = json.loads((tmp_path / "bt" / "manifest.json").read_text())
     assert "timing.csv" not in manifest["outputs"]
     assert set(manifest["timings"]["outputs"]) == {"timing.csv"}
+
+
+def test_library_run_writes_manifest_and_returns_cli_digest(tmp_path, capsys):
+    (tmp_path / "pred.csv").write_text("pred,target\n1.0,1.0\n2.0,2.5\n")
+    (tmp_path / "unc.csv").write_text("uncertainty\n0.1\n0.2\n")
+    cfg = RiskCovConfig(pred_file=str(tmp_path / "pred.csv"),
+                        unc_file=str(tmp_path / "unc.csv"),
+                        outdir=str(tmp_path / "rc"))
+    out = run_riskcov(cfg)
+    manifest = out.files["manifest.json"]
+    assert list(out.files) == ["curve.csv", "metrics.json", "manifest.json"]
+    assert manifest_digest(json.loads(manifest.read_text())) == out.digest
+    manifest.unlink()
+    assert main(["riskcov", "--pred-file", cfg.pred_file,
+                 "--unc-file", cfg.unc_file, "--outdir", cfg.outdir]) == EXIT_OK
+    assert digest_line(capsys.readouterr().out).split()[-1] == out.digest
+    assert manifest.exists()
 
 
 def test_rerun_other_outdir_same_data_files(tmp_path):

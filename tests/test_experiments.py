@@ -20,6 +20,7 @@ from mcni.metrics import mpiw, msll, nll_gaussian, picp, rmse
 from mcni.models import build_mlp
 from mcni.nn import softmax
 from mcni.optim import TrainConfig, fit
+from mcni.runio import sha256_file
 
 from oracles import benchmark_oracle, spearman_oracle
 
@@ -455,6 +456,19 @@ def test_bench_time_rows_and_values(tmp_path):
                            "families": ["deterministic", "noise_fixed",
                                         "mc_dropout"],
                            "t_list": [1, 2]}
+
+
+def test_bench_time_measured_file_hash_sits_under_timings(tmp_path):
+    cfg = TimingConfig(outdir=str(tmp_path / "bt"), batch=4, input_dim=2,
+                       hidden=(3,), t_list=(1,), reps=2)
+    out = run_bench_time(cfg)
+    assert list(out.files) == ["timing.csv", "manifest.json"]
+    manifest = json.loads(out.files["manifest.json"].read_text())
+    assert manifest["command"] == "bench-time"
+    assert manifest["outputs"] == {}
+    assert manifest["timings"]["outputs"] == {
+        "timing.csv": sha256_file(out.files["timing.csv"])}
+    assert "outputs" not in out.timings
 
 
 def test_bench_time_config_validation():

@@ -79,3 +79,14 @@ def test_unknown_family_rejected():
 def test_empty_hidden_rejected():
     with pytest.raises(ValueError):
         build_mlp("deterministic", 2, [], 1, rng=np.random.default_rng(0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", ["deterministic", "noise_fixed"])
+@pytest.mark.parametrize("dims", [(0, [5], 1), (3, [5, 0], 1), (3, [5], 0)],
+                         ids=["input", "hidden", "output"])
+def test_zero_width_layer_rejected_without_warning(family, dims):
+    input_dim, hidden, output_dim = dims
+    with pytest.raises(ValueError, match="layer widths must be >= 1"):
+        build_mlp(family, input_dim, hidden, output_dim,
+                  rng=np.random.default_rng(0))
