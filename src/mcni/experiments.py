@@ -6,8 +6,9 @@ metrics and, where it has them, its input files and measured timings. The
 ``_command`` skeleton turns a driver into the public run_* function and
 registers it with its config class in ``COMMANDS``. The run validates the
 config before anything touches the disk, creates ``outdir``, times the run,
-writes every output and then ``manifest.json`` through runio, and returns
-a RunOutput that carries the manifest digest.
+removes any old ``manifest.json``, writes every output and then
+``manifest.json`` through runio, and returns a RunOutput that carries the
+manifest digest.
 
 Commands are deterministic functions of (config, seeds): all randomness
 flows from np.random.default_rng seeded with [seed, tag] pairs, and files
@@ -80,10 +81,11 @@ def _command(command: str, config_cls):
     """The one driver skeleton: make and register a run_* command.
 
     The command validates the config, creates ``outdir``, times the run,
-    writes and hashes each named output, then writes ``manifest.json`` and
-    returns the RunOutput with its digest. A config value that holds a NaN
-    or infinite float is a ConfigError, and metrics that hold one raise
-    FloatingPointError, both before anything is written.
+    removes any old ``manifest.json``, writes and hashes each named output,
+    then writes ``manifest.json`` and returns the RunOutput with its digest:
+    a run that fails part way leaves no manifest. A config value that holds
+    a NaN or infinite float is a ConfigError, and metrics that hold one
+    raise FloatingPointError, both before anything is written.
     """
     def register(driver):
         @functools.wraps(driver)
@@ -100,6 +102,8 @@ def _command(command: str, config_cls):
             if bad:
                 raise FloatingPointError(f"{len(bad)} metrics not finite, first "
                                          f"{bad[0]}; nothing written")
+            # a manifest that exists lists this run's files: it comes last
+            (outdir / "manifest.json").unlink(missing_ok=True)
             files, hashes = {}, {}
             for name, payload in done.outputs.items():
                 files[name] = outdir / name

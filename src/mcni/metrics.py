@@ -77,17 +77,14 @@ def nll_gaussian(y, mean, sigma, sigma_floor: float = 1e-6) -> GaussianNll:
                        n_floored=int(floored.sum()))
 
 
-def msll(model_nll, baseline_nll, per_point: bool = False) -> float:
+def msll(model_nll, baseline_nll) -> float:
     """Difference of summed NLLs, model minus baseline.
 
-    The summed convention is the default; the baseline model scores exactly
-    0 against itself. ``per_point=True`` averages instead of summing.
+    The baseline model scores exactly 0 against itself.
     """
     model_nll, baseline_nll = _flat(model_nll), _flat(baseline_nll)
     if model_nll.shape != baseline_nll.shape:
         raise ShapeError("model and baseline NLL vectors must align")
-    if per_point:
-        return float(model_nll.mean() - baseline_nll.mean())
     return float(model_nll.sum() - baseline_nll.sum())
 
 

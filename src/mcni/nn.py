@@ -2,9 +2,14 @@
 
 Everything is float64 numpy. A forward call returns the output together with
 a trace of per-layer intermediates; the backward call consumes that trace and
-returns a flat name -> gradient dict. There is no general autodiff tape: each
-layer knows how to push gradients through itself, and that is all the models
-here need.
+returns one gradient block laid out like the parameters. There is no general
+autodiff tape: each layer knows how to push gradients through itself, and
+that is all the models here need.
+
+A Network takes its layers' parameters over: each W, b and learned alpha
+becomes a view of its columns of one block, ``Network.flat``, so code writes
+them in place, never assigns new arrays. Backward fills one new block of
+the same layout, and ``Network.views`` names the parts of any such block.
 
 Stochastic layers (weight noise, dropout) are live on every pass, in
 training and at prediction time alike: they are part of the model, not a
@@ -13,7 +18,8 @@ or a pass with ``frozen_noise``.
 
 Member stacks: several same-shape networks can run as one network whose
 parameters carry a leading member axis (``stack_networks``): weights
-(S, fan_in, fan_out), biases (S, 1, fan_out). Every layer computes through
+(S, fan_in, fan_out), biases (S, 1, fan_out), and a parameter block (S, P)
+whose row s is member s's block. Every layer computes through
 ``np.matmul``, ``swapaxes(-1, -2)`` and reductions over the trailing axes,
 so the same code serves a single net (2-D weights) and a stack; each
 member's slice of a stacked result equals, bit for bit, what that member
@@ -30,7 +36,7 @@ bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -161,11 +167,12 @@ class DenseLayer:
         a = apply_activation(self.activation, z, out=buf.get("a"))
         return a, {"x": x, "z": z, "a": a, "w_eff": w_eff, "eps": eps}
 
-    def backward_pass(self, cache, grad_out):
+    def backward_pass(self, cache, grad_out, grads):
+        """Write dL/dW and dL/db into the views ``grads``; return dL/dx."""
         grad_z = activation_backward(self.activation, grad_out, cache["z"], cache["a"])
-        grads = {"W": np.swapaxes(cache["x"], -1, -2) @ grad_z,
-                 "b": grad_z.sum(axis=-2).reshape(self.b.shape)}
-        return grad_z @ np.swapaxes(cache["w_eff"], -1, -2), grads
+        np.matmul(np.swapaxes(cache["x"], -1, -2), grad_z, out=grads["W"])
+        grad_z.sum(axis=-2, keepdims=self.W.ndim == 3, out=grads["b"])
+        return grad_z @ np.swapaxes(cache["w_eff"], -1, -2)
 
 
 def _require_same(layers, *names) -> None:
@@ -209,7 +216,8 @@ class Network:
 
     Classification networks emit logits; softmax is applied by the inference
     helpers, never by a layer (keeps the cross-entropy path numerically
-    stable).
+    stable). ``flat`` is the parameter block: (P,) for a single net, (S, P)
+    for a stack. A layer belongs to the one network built on it.
     """
 
     def __init__(self, layers, task: str = "regression"):
@@ -232,6 +240,18 @@ class Network:
                 raise ShapeError(
                     f"layer {j} expects {b.fan_in} inputs but layer {i} "
                     f"produces {a.fan_out}")
+        self._layout, width = [], 0     # (layer, name, columns, shape)
+        for i, layer in enumerate(self.layers):
+            for name, p in getattr(layer, "parameters", dict)().items():
+                size = p.size // (self.members or 1)
+                self._layout.append((i, name, slice(width, width + size), p.shape))
+                width += size
+        self.flat = np.empty((width,) if self.members is None
+                             else (self.members, width))
+        for (i, name, _, _), view in zip(self._layout,
+                                         self.views(self.flat).values()):
+            view[...] = getattr(self.layers[i], name)
+            setattr(self.layers[i], name, view)
 
     @property
     def fan_in(self) -> int:
@@ -241,29 +261,24 @@ class Network:
     def fan_out(self) -> int:
         return self._dense[-1][1].fan_out
 
+    def views(self, block: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of a block laid out like ``flat`` (a gradient, an optimizer
+        moment), keyed 'L{index}.{name}' and shaped like the parameters."""
+        return {f"L{i}.{name}": np.reshape(block[..., cols], shape, copy=False)
+                for i, name, cols, shape in self._layout}
+
     def parameters(self) -> dict[str, np.ndarray]:
-        """Live parameter arrays keyed 'L{index}.{name}'."""
-        out: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.layers):
-            if hasattr(layer, "parameters"):
-                for name, arr in layer.parameters().items():
-                    out[f"L{i}.{name}"] = arr
-        return out
+        """Live parameter arrays (views of ``flat``) keyed 'L{index}.{name}'."""
+        return self.views(self.flat)
 
     def take(self, keep) -> "Network":
         """A stack of the members ``keep`` (indices into this stack): every
-        layer field that carries the member axis (the 3-D ones) is indexed."""
+        layer field that carries the member axis (the 3-D ones) is indexed,
+        so the new block is the rows ``keep`` of this one."""
         return Network([replace(l, **{f.name: getattr(l, f.name)[keep]
                                       for f in fields(l)
                                       if np.ndim(getattr(l, f.name)) == 3})
                         for l in self.layers], self.task)
-
-    def load_parameters(self, params: Mapping[str, np.ndarray]) -> None:
-        live = self.parameters()
-        if set(params) != set(live):
-            raise ContractError("parameter snapshot does not match this network")
-        for name, arr in params.items():
-            np.copyto(live[name], arr)
 
     def workspace(self, batch: int) -> Workspace:
         """Per-layer buffers for repeated passes over ``batch`` input rows."""
@@ -321,8 +336,9 @@ class Network:
         return h, ForwardTrace(net=self, caches=caches, output=h,
                                buffered=workspace is not None)
 
-    def backward(self, trace: ForwardTrace, output_grad: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss given d(loss)/d(output)."""
+    def backward(self, trace: ForwardTrace, output_grad: np.ndarray) -> np.ndarray:
+        """Gradients of a scalar loss given d(loss)/d(output): a new block
+        laid out like ``flat`` (name its parts with ``views``)."""
         if trace.net is not self:
             raise ContractError("trace does not belong to this network")
         if trace.buffered:
@@ -333,13 +349,14 @@ class Network:
             raise ShapeError(
                 f"output gradient shape {output_grad.shape} does not match "
                 f"output {trace.output.shape}")
-        grads: dict[str, np.ndarray] = {}
+        grad = np.empty_like(self.flat)
+        views = [{} for _ in self.layers]
+        for i, name, cols, shape in self._layout:
+            views[i][name] = np.reshape(grad[..., cols], shape, copy=False)
         g = output_grad
         for i in range(len(self.layers) - 1, -1, -1):
-            g, layer_grads = self.layers[i].backward_pass(trace.caches[i], g)
-            for name, arr in layer_grads.items():
-                grads[f"L{i}.{name}"] = arr
-        return grads
+            g = self.layers[i].backward_pass(trace.caches[i], g, views[i])
+        return grad
 
 
 def stack_networks(nets) -> Network:

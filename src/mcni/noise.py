@@ -105,14 +105,16 @@ def sample_noise(layer: "NoisyDenseLayer", rng,
     return eps
 
 
-def alpha_gradient(weight_grad: np.ndarray, eps: np.ndarray) -> np.ndarray:
+def alpha_gradient(weight_grad: np.ndarray, eps: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Reparameterization gradient: dL/dalpha = sum(eps * dL/dw_eff).
 
     eps is treated as a constant of the pass; sigma_l is not differentiated
-    through. The sum runs over the matrix, per member in a stack.
+    through. The sum runs over the matrix, per member in a stack, and is
+    written into ``out`` when given.
     """
     g = eps * weight_grad
-    return np.asarray(g.sum(axis=(-2, -1), keepdims=g.ndim == 3))
+    return np.asarray(g.sum(axis=(-2, -1), keepdims=g.ndim == 3, out=out))
 
 
 @dataclass
@@ -178,11 +180,11 @@ class NoisyDenseLayer(DenseLayer):
         w_eff = np.multiply(self.alpha, eps, out=(buffers or {}).get("w_eff"))
         return np.add(self.W, w_eff, out=w_eff), eps
 
-    def backward_pass(self, cache, grad_out):
-        grad_in, grads = super().backward_pass(cache, grad_out)
+    def backward_pass(self, cache, grad_out, grads):
+        grad_in = super().backward_pass(cache, grad_out, grads)
         if self.spec.mode == "learned":
-            grads["alpha"] = alpha_gradient(grads["W"], cache["eps"])
-        return grad_in, grads
+            alpha_gradient(grads["W"], cache["eps"], out=grads["alpha"])
+        return grad_in
 
 
 @dataclass
@@ -232,8 +234,6 @@ class DropoutLayer:
         mask = np.divide(keep, 1.0 - p, out=buf.get("mask"))
         return np.multiply(x, mask, out=buf.get("y")), {"mask": mask}
 
-    def backward_pass(self, cache, grad_out):
+    def backward_pass(self, cache, grad_out, grads):
         mask = cache["mask"]
-        if mask is None:
-            return grad_out, {}
-        return grad_out * mask, {}
+        return grad_out if mask is None else grad_out * mask

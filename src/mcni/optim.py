@@ -1,7 +1,8 @@
 """Training: Adam, early stopping, and grid search.
 
 The optimizer is Adam at its published betas and eps (``BETA1``, ``BETA2``,
-``EPS``); only the learning rate is set per fit.
+``EPS``); only the learning rate is set per fit. It steps a network's
+parameter block (``Network.flat``) from the gradient block of backward.
 
 The training loss is task loss + one quadratic penalty (``Penalty``): L2
 weight decay on every W and b, and the optional noise-level reward
@@ -16,10 +17,11 @@ for all of them, with per-member learning rate and weight decay, and each
 member's results written back into its own Network. Every member keeps its
 own shuffle and noise streams, and each member's slice of every stacked
 operation equals what it computes alone, so a member's parameters, history
-and early stop are bit-identical to a lone fit. A single net is a stack of
-one; there is no second training loop. ``grid_search`` hands all of a
-grid's assignments to ``evaluate`` in one call, so that a driver can train
-them as one stack.
+and early stop are bit-identical to a lone fit. A best-epoch snapshot is a
+copy of the member's row of the stack's block, and is written back into
+the member's own block. A single net is a stack of one; there is no second
+training loop. ``grid_search`` hands all of a grid's assignments to
+``evaluate`` in one call, so that a driver can train them as one stack.
 """
 
 from __future__ import annotations
@@ -66,48 +68,27 @@ EPS = 1e-8
 
 
 class Adam:
-    """Bias-corrected Adam at the published betas and eps.
+    """Bias-corrected Adam at the published betas and eps, on one block.
 
-    ``lr`` is one float for a single net, or an (S,) array with one rate per
-    member for parameters stacked along a leading member axis. The state is
-    one float64 array per moment (``moments``) plus three work arrays, each
-    with one row per member and each parameter's entries contiguous in a
-    row; a single net's parameters have no member axis and use one row. The
-    first step fixes the layout: the parameters that have a gradient, in
-    ``params`` order, each owning a column slice of every array: ``slots``
-    lists (name, columns, parameter shape). A later step with other names
-    raises rather than silently starting fresh moments.
+    ``step(p, g)`` updates the block ``p`` (a network's ``flat``) in place
+    from the gradient block ``g``. ``lr`` is one float, or an (S,) array
+    with one rate per row of a stack's (S, P) block. The state is one array
+    per moment (``moments``) and two work arrays, all shaped like ``p``.
     """
 
     def __init__(self, lr):
         self.t = 0
-        # the learning rate as a column, one row per member
-        self._lr = np.asarray(lr, dtype=np.float64).reshape(-1, 1)
-        self.names = None
-        self.slots = []
+        lr = np.asarray(lr, dtype=np.float64)
+        self._lr = lr.reshape(lr.shape + (1,))   # a column: one rate per row
         self.moments = []
         self._work = []
 
-    def step(self, params: Mapping[str, np.ndarray],
-             grads: Mapping[str, np.ndarray]) -> None:
-        members = self._lr.shape[0]
-        names = [n for n in params if n in grads]
-        if self.names is None:
-            self.names, offset = names, 0
-            for name in names:
-                shape = np.shape(params[name])
-                size = int(np.prod(shape)) // members
-                self.slots.append((name, slice(offset, offset + size), shape))
-                offset += size
-            self.moments = [np.zeros((members, offset)) for _ in range(2)]
-            self._work = [np.empty((members, offset)) for _ in range(3)]
-        elif names != self.names:
-            raise ValueError(f"parameters with a gradient changed from "
-                             f"{self.names} to {names}")
+    def step(self, p: np.ndarray, g: np.ndarray) -> None:
+        if not self.moments:
+            self.moments = [np.zeros_like(p) for _ in range(2)]
+            self._work = [np.empty_like(p) for _ in range(2)]
         m, v = self.moments
-        g, a, b = self._work
-        np.concatenate([grads[n].reshape(members, -1) for n in names],
-                       axis=1, out=g)
+        a, b = self._work
         self.t += 1
         # lr * m_hat / (sqrt(v_hat) + eps), each operation in place
         m *= BETA1
@@ -120,18 +101,13 @@ class Adam:
         denom += EPS
         update = np.multiply(self._lr, m_hat, out=a)
         update /= denom
-        for name, sl, shape in self.slots:
-            p = params[name]
-            p -= update[:, sl].reshape(shape)
+        p -= update
 
     def select(self, keep) -> None:
         """Keep the state of the stacked members ``keep``, in that order."""
         self._lr = self._lr[keep]
-        members = self._lr.shape[0]
         self.moments = [buf[keep] for buf in self.moments]
-        self._work = [w[:members] for w in self._work]
-        self.slots = [(name, sl, (members,) + shape[1:])
-                      for name, sl, shape in self.slots]
+        self._work = [w[:len(self._lr)] for w in self._work]
 
 
 # fields that every member of one stacked fit must share
@@ -167,17 +143,21 @@ class Penalty:
     member. For each trained alpha, c_g is -alpha_penalty_lambda, a reward
     that pushes the noise level away from zero; weight decay never reaches
     alpha, since shrinking it would cancel the mechanism the model is built
-    around. The penalty is one value per member; a member whose
-    coefficient for a group is zero gets -0.0 in the value and the
-    gradient, the exact additive identity, so adding the terms leaves its
-    values as they would be without them.
+    around. The value is one per member, summed group by group. The
+    gradient 2 c p is one product over the parameter block, with one
+    coefficient per entry; where the coefficient is zero it is -0.0, the
+    exact additive identity, in the value and the gradient, so adding the
+    terms leaves those values as they would be without them.
     """
 
     def __init__(self, net: Network, weight_decay):
         decay = np.asarray(weight_decay, dtype=np.float64)
         if not (decay >= 0.0).all():
             raise ValueError("weight decay must be non-negative")
-        self.groups = []     # (name, c, 2 c shaped like p, summed axes, mixed)
+        self._work = np.empty_like(net.flat)
+        two_c = np.zeros_like(net.flat)
+        coefficients, squares = net.views(two_c), net.views(self._work)
+        self.groups = []     # (c, view of p^2, summed axes, members on)
         for i, layer in enumerate(net.layers):
             if not hasattr(layer, "parameters"):
                 continue
@@ -187,48 +167,52 @@ class Penalty:
                 on = c != 0.0
                 if not on.any():
                     continue
-                wide = c.reshape(c.shape + (1,) * (p.ndim - c.ndim))
+                name = f"L{i}.{key}"
+                coefficients[name][...] = 2.0 * c.reshape(
+                    c.shape + (1,) * (p.ndim - c.ndim))
                 axes = None if net.members is None else tuple(range(1, p.ndim))
-                mixed = None if on.all() else (on, wide != 0.0)
-                self.groups.append((f"L{i}.{key}", c, 2.0 * wide, axes, mixed))
+                self.groups.append((c, squares[name], axes,
+                                    None if on.all() else on))
+        self._two_c = two_c
+        off = two_c == 0.0
+        self._off = off if off.any() else None
 
-    def terms(self, net: Network) -> tuple[float, dict[str, np.ndarray]]:
-        """The penalty sum_g c_g ||p_g||^2 and its gradients 2 c_g p_g."""
-        params = net.parameters()
+    def terms(self, net: Network, grad: np.ndarray) -> float:
+        """The penalty sum_g c_g ||p_g||^2; adds its gradient 2 c_g p_g
+        into the block ``grad``."""
+        if not self.groups:
+            return 0.0
+        np.multiply(net.flat, net.flat, out=self._work)
         total = 0.0
-        grads: dict[str, np.ndarray] = {}
-        for name, c, two_c, axes, mixed in self.groups:
-            p = params[name]
-            term = c * (p * p).sum(axis=axes)
-            grad = two_c * p
-            if mixed is not None:
-                term = np.where(mixed[0], term, -0.0)
-                grad = np.where(mixed[1], grad, -0.0)
+        for c, square, axes, on in self.groups:
+            term = c * square.sum(axis=axes)
+            if on is not None:
+                term = np.where(on, term, -0.0)
             total += term
-            grads[name] = grad
-        return total, grads
+        step = np.multiply(self._two_c, net.flat, out=self._work)
+        if self._off is not None:
+            step[self._off] = -0.0
+        grad += step
+        return total
 
 
 def training_loss_and_grads(net: Network, X, Y, weight_decay=0.0,
                             rng: np.random.Generator | None = None, *,
                             frozen_noise=None):
-    """Task loss + the quadratic penalty, and its gradients.
+    """Task loss + the quadratic penalty, and its gradient block.
 
     One fresh draw per noisy layer (or ``frozen_noise``). For a member stack
     the loss is one value per member and ``weight_decay`` may hold one
     coefficient per member; it may also be a Penalty already resolved for
-    ``net`` (a training loop resolves it once).
+    ``net`` (a training loop resolves it once). The gradient is laid out
+    like ``net.flat``; ``net.views`` names its parts.
     """
     loss, out, trace = _forward_loss(net, X, Y, rng, frozen_noise)
-    grads = net.backward(trace, _TASK_LOSSES[net.task][1](out, Y))
+    grad = net.backward(trace, _TASK_LOSSES[net.task][1](out, Y))
     penalty = (weight_decay if isinstance(weight_decay, Penalty)
                else Penalty(net, weight_decay))
-    value, penalty_grads = penalty.terms(net)
-    loss += value
-    # the backward pass made every gradient array afresh: add in place
-    for name, g in penalty_grads.items():
-        grads[name] += g
-    return loss, grads
+    loss += penalty.terms(net, grad)
+    return loss, grad
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +226,6 @@ class FitResult:
     epochs_run: int
     stopped_early: bool
     diverged: bool = False   # stopped on a NaN or infinite epoch loss
-
-
-def _load_member(net: Network, member_params: Mapping[str, np.ndarray]) -> None:
-    """Write one member's slices of stacked parameters into its own net."""
-    live = net.parameters()
-    net.load_parameters({name: p.reshape(live[name].shape)
-                         for name, p in member_params.items()})
 
 
 def fit(net, train_x, train_y, cfg, val_x=None, val_y=None, rng=None):
@@ -305,7 +282,6 @@ def fit(net, train_x, train_y, cfg, val_x=None, val_y=None, rng=None):
     shuffle_rngs = [s[0] for s in streams]
     noise_rngs = [s[1] for s in streams]
     stack = stack_networks(nets)
-    params = stack.parameters()
     penalty = Penalty(stack, [c.weight_decay for c in cfgs])
     optimizer = Adam(np.array([c.lr for c in cfgs]))
     cfg = cfgs[0]
@@ -316,7 +292,7 @@ def fit(net, train_x, train_y, cfg, val_x=None, val_y=None, rng=None):
                  for _ in nets]
     best_val = [np.inf] * len(nets)
     best_epoch = [-1] * len(nets)
-    best_params: list[dict | None] = [None] * len(nets)
+    best_params: list[np.ndarray | None] = [None] * len(nets)
     bad_epochs = [0] * len(nets)
     live = list(range(len(nets)))        # the member in each stack row
 
@@ -328,9 +304,9 @@ def fit(net, train_x, train_y, cfg, val_x=None, val_y=None, rng=None):
         batch_losses = np.empty((len(live), len(starts)))
         for k, start in enumerate(starts):
             idx = order[:, start:start + cfg.batch_size]
-            loss, grads = training_loss_and_grads(
+            loss, grad = training_loss_and_grads(
                 stack, train_x[idx], train_y[idx], penalty, noise)
-            optimizer.step(params, grads)
+            optimizer.step(stack.flat, grad)
             batch_losses[:, k] = loss
         train_loss = batch_losses.mean(axis=1)
         if has_val:
@@ -350,15 +326,15 @@ def fit(net, train_x, train_y, cfg, val_x=None, val_y=None, rng=None):
                 diverged = diverged or not math.isfinite(v)
                 if v < best_val[m]:
                     best_val[m], best_epoch[m], bad_epochs[m] = v, epoch, 0
-                    best_params[m] = {k: p[row].copy() for k, p in params.items()}
+                    best_params[m] = stack.flat[row].copy()
                 else:
                     bad_epochs[m] += 1
                     stopped = 0 < cfg.patience <= bad_epochs[m]
             last = epoch == cfg.max_epochs - 1
             if diverged or stopped or last:
                 done.append(row)
-                _load_member(nets[m], best_params[m] if best_params[m] is not None
-                             else {k: p[row] for k, p in params.items()})
+                np.copyto(nets[m].flat, stack.flat[row] if best_params[m] is None
+                          else best_params[m])
                 results[m] = FitResult(
                     history=histories[m], best_epoch=best_epoch[m],
                     best_val_loss=float(best_val[m]) if has_val else np.nan,
@@ -370,7 +346,6 @@ def fit(net, train_x, train_y, cfg, val_x=None, val_y=None, rng=None):
             if not live:
                 break
             stack = stack.take(keep)
-            params = stack.parameters()
             optimizer.select(keep)
             penalty = Penalty(stack, [cfgs[m].weight_decay for m in live])
     return results[0] if single else results

@@ -1,7 +1,8 @@
 """Output plumbing: atomic file writes, stable formatting, content hashes.
 
 Every file is written to a temp name in the target directory and renamed
-into place, so readers never observe a partial file. Floats serialize with
+into place, so readers never observe a partial file. Files are created with
+mode 0o666 less the umask, as ``open()`` creates them. Floats serialize with
 repr (shortest round-trip form), keeping reruns byte-identical.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
+import secrets
 from pathlib import Path
 
 import numpy as np
@@ -52,14 +53,14 @@ def jsonable(obj):
 def atomic_write_text(path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{secrets.token_hex(6)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

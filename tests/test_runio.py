@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -46,6 +47,19 @@ def test_atomic_write_replaces_existing(tmp_path):
     atomic_write_text(target, "first")
     atomic_write_text(target, "second")
     assert target.read_text() == "second"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_are_created_like_open_under_the_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "out.txt", "text\n")
+        write_csv(tmp_path / "t.csv", ["x"], [[1.0]])
+        write_json(tmp_path / "m.json", {"x": 1.0})
+    finally:
+        os.umask(old)
+    for name in ("out.txt", "t.csv", "m.json"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
 
 
 def test_write_csv_layout(tmp_path):
