@@ -7,8 +7,8 @@ metrics and, where it has them, its input files and measured timings. The
 registers it with its config class in ``COMMANDS``. The run validates the
 config before anything touches the disk, creates ``outdir``, times the run,
 removes any old ``manifest.json``, writes every output and then
-``manifest.json`` through runio, and returns a RunOutput that carries the
-manifest digest.
+``manifest.json`` through runio under temporary names, renames them all
+into place, and returns a RunOutput that carries the manifest digest.
 
 Commands are deterministic functions of (config, seeds): all randomness
 flows from np.random.default_rng seeded with [seed, tag] pairs, and files
@@ -23,6 +23,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
+import secrets
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -82,10 +84,13 @@ def _command(command: str, config_cls):
 
     The command validates the config, creates ``outdir``, times the run,
     removes any old ``manifest.json``, writes and hashes each named output,
-    then writes ``manifest.json`` and returns the RunOutput with its digest:
-    a run that fails part way leaves no manifest. A config value that holds
-    a NaN or infinite float is a ConfigError, and metrics that hold one
-    raise FloatingPointError, both before anything is written.
+    then writes ``manifest.json`` and returns the RunOutput with its digest.
+    Every file is first written under a temporary name and renamed into
+    place only once all of them are written: a run that fails part way
+    leaves no manifest and no temporary file, and an earlier run's outputs
+    as they were. A config value that holds a NaN or infinite float is a
+    ConfigError, and metrics that hold one raise FloatingPointError, both
+    before anything is written.
     """
     def register(driver):
         @functools.wraps(driver)
@@ -104,28 +109,37 @@ def _command(command: str, config_cls):
                                          f"{bad[0]}; nothing written")
             # a manifest that exists lists this run's files: it comes last
             (outdir / "manifest.json").unlink(missing_ok=True)
-            files, hashes = {}, {}
-            for name, payload in done.outputs.items():
-                files[name] = outdir / name
-                if isinstance(payload, dict):
-                    write_json(files[name], payload)
-                else:
-                    write_csv(files[name], *payload)
-                hashes[name] = sha256_file(files[name])
-            timings = {"total_s": time.perf_counter() - t0, **done.timings}
-            # a measurement's hash changes on every run: keep it out of the digest
-            measured = {name: hashes.pop(name) for name in done.measured_files}
-            manifest = {
-                "command": command,
-                "config": config_to_dict(cfg),
-                "inputs": {name: {"path": str(path), "sha256": sha256_file(path)}
-                           for name, path in done.inputs.items()},
-                "outputs": hashes,
-                "results": done.metrics,
-                "timings": {**timings, "outputs": measured} if measured else timings,
-            }
-            files["manifest.json"] = outdir / "manifest.json"
-            write_json(files["manifest.json"], manifest)
+            files = {name: outdir / name for name in [*done.outputs, "manifest.json"]}
+            token = secrets.token_hex(6)
+            staged = {name: outdir / f"{name}.{token}.tmp" for name in files}
+            hashes = {}
+            try:
+                for name, payload in done.outputs.items():
+                    if isinstance(payload, dict):
+                        write_json(staged[name], payload)
+                    else:
+                        write_csv(staged[name], *payload)
+                    hashes[name] = sha256_file(staged[name])
+                timings = {"total_s": time.perf_counter() - t0, **done.timings}
+                # a measurement's hash changes on every run: keep it out of the digest
+                measured = {name: hashes.pop(name) for name in done.measured_files}
+                manifest = {
+                    "command": command,
+                    "config": config_to_dict(cfg),
+                    "inputs": {name: {"path": str(path), "sha256": sha256_file(path)}
+                               for name, path in done.inputs.items()},
+                    "outputs": hashes,
+                    "results": done.metrics,
+                    "timings": ({**timings, "outputs": measured} if measured
+                                else timings),
+                }
+                write_json(staged["manifest.json"], manifest)
+                for name, path in files.items():
+                    os.replace(staged[name], path)
+            except BaseException:
+                for path in staged.values():
+                    path.unlink(missing_ok=True)
+                raise
             digest = manifest_digest(json.loads(files["manifest.json"].read_text()))
             return RunOutput(files, done.metrics, timings, digest)
         COMMANDS[command] = (config_cls, run)
@@ -152,6 +166,7 @@ def _require(cond: bool, msg: str) -> None:
 def _require_seeds(seeds: tuple[int, ...]) -> None:
     _require(len(seeds) >= 1, "at least one seed required")
     _require(len(set(seeds)) == len(seeds), f"seeds repeat: {list(seeds)}")
+    _require(all(s >= 0 for s in seeds), "seeds must be >= 0")
 
 
 def _require_families(families: tuple[str, ...]) -> None:
@@ -334,6 +349,7 @@ class BenchmarkConfig:
         _require(self.passes >= 2, "passes must be >= 2 for interval metrics")
         _require(self.val_passes >= 1, "val_passes must be >= 1")
         _require_families(self.families)
+        _require(self.seed >= 0, "seed must be >= 0")
 
 
 LEADERBOARD_HEADER = ["family", "lr", "weight_decay", "dropout_p", "noise_level",
@@ -625,11 +641,14 @@ class TimingConfig:
         _require(self.reps >= 2, "reps must be >= 2 to report a std")
         _require(all(t >= 1 for t in self.t_list), "passes must be >= 1")
         _require(len(self.t_list) >= 1, "t_list must be non-empty")
+        _require(len(set(self.t_list)) == len(self.t_list),
+                 f"t_list repeats: {list(self.t_list)}")
         _require(len(self.hidden) >= 1 and all(h >= 1 for h in self.hidden),
                  "hidden must list at least one width, each >= 1")
         _require(self.noise_level >= 0, "noise_level must be >= 0")
         _require(0 <= self.dropout_p < 1, "dropout_p must be in [0, 1)")
         _require_families(self.families)
+        _require(self.seed >= 0, "seed must be >= 0")
 
 
 def _seconds_per_prediction(net, X, T: int, reps: int, key) -> list[float]:

@@ -171,12 +171,12 @@ def analytic_kernel_relu(probes, bias_std: float) -> np.ndarray:
 
 
 def _chunk_outputs(X: np.ndarray, width: int, cfg: KernelMCConfig,
-                   rng: np.random.Generator, out: np.ndarray, buffers) -> None:
+                   rng: np.random.Generator, out: np.ndarray, scratch) -> None:
     """Draw len(out) networks from rng and write their outputs on X to out.
 
-    ``buffers()`` returns the calling thread's (w1, b1, v, hidden) buffers.
+    ``scratch()`` returns the calling thread's (w1, b1, v, hidden) buffers.
     """
-    w1_buf, b1_buf, v_buf, h_buf = buffers()
+    w1_buf, b1_buf, v_buf, h_buf = scratch()
     (c, p), q, k = out.shape, X.shape[1], width
     w1 = rng.standard_normal(out=_view(w1_buf, c, q, k))
     b1 = rng.standard_normal(out=_view(b1_buf, c, 1, k))
@@ -215,7 +215,7 @@ def wide_net_covariance(probe: WideNetProbe, cfg: KernelMCConfig,
     block = max(1, min(size, _BLOCK_BUDGET // (p * k)))
     local = threading.local()
 
-    def buffers():
+    def scratch():
         if not hasattr(local, "bufs"):
             local.bufs = (np.empty(size * q * k), np.empty(size * k),
                           np.empty(size * k), np.empty(block * p * k))
@@ -224,7 +224,7 @@ def wide_net_covariance(probe: WideNetProbe, cfg: KernelMCConfig,
     outputs = np.empty((probe.n_networks, p), dtype=np.float64)
     starts = range(0, probe.n_networks, chunk)
     _run_concurrently([
-        partial(_chunk_outputs, X, k, cfg, stream, outputs[s:s + chunk], buffers)
+        partial(_chunk_outputs, X, k, cfg, stream, outputs[s:s + chunk], scratch)
         for s, stream in zip(starts, rng.spawn(len(starts)))])
     centered = outputs - outputs.mean(axis=0)
     cov = np.empty((p, p), dtype=np.float64)

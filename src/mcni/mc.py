@@ -14,10 +14,11 @@ a fixed order; besides numerical robustness this makes the variance of
 bit-identical passes exactly zero (a two-pass mean would leave last-ulp
 residue).
 
-The weights are frozen for the whole call, so sigma_l is computed once per
-call, not once per pass, and the passes run in one Workspace: per-layer
-buffers built once and reused by every pass. Each pass's output is copied
-into the sample block, which never aliases a buffer.
+The weights are frozen for the whole call, so each pass reuses the trace of
+the pass before: it writes its intermediates into that trace's arrays, and
+sigma_l is computed once per call, by the first pass, not once per pass.
+Each pass's output is copied into the sample block, which never aliases a
+trace array.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def mc_predict(net: Network, X, T: int, rng: np.random.Generator, *,
     Pass t runs on child t of ``rng``, which has spawned exactly T children
     afterwards. The children are spawned STREAM_BLOCK at a time, so besides
     the returned (T, N, D) block the call holds at most STREAM_BLOCK streams
-    (about 1 KB each) and one workspace, whatever T is.
+    (about 1 KB each) and one forward trace, whatever T is.
     """
     if isinstance(T, bool) or not isinstance(T, (int, np.integer)):
         raise TypeError(f"the pass count must be an integer, got {T!r}")
@@ -80,7 +81,7 @@ def mc_predict(net: Network, X, T: int, rng: np.random.Generator, *,
     X = np.asarray(X, dtype=np.float64)
     needs_softmax = net.task == "classification"
     outs = np.empty((T,) + (X.shape[0], net.fan_out), dtype=np.float64)
-    workspace = net.workspace(X.shape[0])
+    trace = None
     for start in range(0, T, STREAM_BLOCK):
         for t, stream in enumerate(
                 rng.spawn(min(STREAM_BLOCK, T - start)), start):
@@ -88,7 +89,7 @@ def mc_predict(net: Network, X, T: int, rng: np.random.Generator, *,
             if transform is not None:
                 input_rng, stream = stream.spawn(2)
                 x = transform(X, input_rng)
-            out, _ = net.forward(x, stream, workspace=workspace)
+            out, trace = net.forward(x, stream, reuse=trace)
             if needs_softmax:
                 softmax(out, out=outs[t])
             else:

@@ -26,11 +26,11 @@ member's slice of a stacked result equals, bit for bit, what that member
 computes alone. A stack takes per-member inputs (S, batch, features) or
 one shared (batch, features) input, and one generator per member.
 
-Repeated passes at one batch size (Monte Carlo inference) can run in a
-Workspace: per-layer buffers built once and overwritten by every pass, so a
-pass allocates no full-size arrays. Each operation is the same as on the
-allocating path, only with an ``out=`` target, so the results are the same
-bit for bit.
+Repeated passes at one batch size (Monte Carlo inference) reuse the trace
+of the first pass: ``forward(..., reuse=trace)`` writes every intermediate
+into that trace's arrays and returns the same trace, so a pass allocates no
+full-size arrays. Each operation is the same as on the allocating path,
+only with an ``out=`` target, so the results are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class ShapeError(ValueError):
 
 
 class ContractError(RuntimeError):
-    """A forward trace or workspace was used with a network it does not fit."""
+    """A forward trace was used with a network it does not belong to."""
 
 
 # ---------------------------------------------------------------------------
@@ -150,22 +150,20 @@ class DenseLayer:
     def parameters(self) -> dict[str, np.ndarray]:
         return {"W": self.W, "b": self.b}
 
-    def buffers(self, batch: int, width: int) -> dict:
-        """Workspace buffers for a batch of ``batch`` rows (width is fan_in)."""
-        return {"z": np.empty((batch, self.fan_out)),
-                "a": np.empty((batch, self.fan_out))}
-
-    def effective_weight(self, rng, frozen=None, buffers=None):
+    def effective_weight(self, rng, frozen=None, cache=None):
         """The weight actually multiplied into the input. Hook for noise."""
         return self.W, None
 
-    def forward_pass(self, x, rng, frozen=None, buffers=None):
-        buf = buffers or {}
-        w_eff, eps = self.effective_weight(rng, frozen, buffers)
-        z = np.matmul(x, w_eff, out=buf.get("z"))
+    def forward_pass(self, x, rng, frozen=None, cache=None):
+        """Returns (output, cache). A ``cache`` from an earlier pass is
+        overwritten with this pass's intermediates and returned."""
+        cache = {} if cache is None else cache
+        w_eff, eps = self.effective_weight(rng, frozen, cache)
+        z = np.matmul(x, w_eff, out=cache.get("z"))
         z += self.b
-        a = apply_activation(self.activation, z, out=buf.get("a"))
-        return a, {"x": x, "z": z, "a": a, "w_eff": w_eff, "eps": eps}
+        a = apply_activation(self.activation, z, out=cache.get("a"))
+        cache.update(x=x, z=z, a=a, w_eff=w_eff, eps=eps)
+        return a, cache
 
     def backward_pass(self, cache, grad_out, grads):
         """Write dL/dW and dL/db into the views ``grads``; return dL/dx."""
@@ -185,30 +183,14 @@ def _require_same(layers, *names) -> None:
                 raise ShapeError(f"stacked members differ in {name}")
 
 
-
-@dataclass
-class Workspace:
-    """Buffers reused by repeated forward passes of one network at one batch.
-
-    Built once per Monte Carlo call by ``Network.workspace``, and valid only
-    while the weights stay frozen: noisy layers fix sigma_l when it is built.
-    Every pass overwrites the buffers, so the output of a pass is a view that
-    the next pass replaces; copy what must outlive it.
-    """
-
-    net: "Network"
-    batch: int
-    layers: list = field(repr=False)
-
-
 @dataclass
 class ForwardTrace:
-    """Per-layer intermediates from one forward call, consumed by backward."""
+    """Per-layer intermediates of the latest forward call, consumed by
+    backward. A pass that reuses the trace overwrites its arrays."""
 
     net: "Network"
     caches: list = field(repr=False)
     output: np.ndarray = field(repr=False)
-    buffered: bool = False   # made in a Workspace; its arrays get overwritten
 
 
 class Network:
@@ -280,24 +262,22 @@ class Network:
                                       if np.ndim(getattr(l, f.name)) == 3})
                         for l in self.layers], self.task)
 
-    def workspace(self, batch: int) -> Workspace:
-        """Per-layer buffers for repeated passes over ``batch`` input rows."""
-        layers, width = [], self.fan_in
-        for layer in self.layers:
-            layers.append(layer.buffers(batch, width))
-            width = getattr(layer, "fan_out", width)
-        return Workspace(net=self, batch=batch, layers=layers)
-
     def forward(self, x, rng: np.random.Generator | None = None, *,
-                frozen_noise=None, workspace: Workspace | None = None):
+                frozen_noise=None, reuse: ForwardTrace | None = None):
         """Run the stack; returns (output, ForwardTrace).
 
         Noise and dropout draw from ``rng``; a member stack takes one
         generator per member. A net without stochastic layers needs none.
         ``frozen_noise`` is a per-layer list of pre-drawn noise (weight noise
         eps or dropout masks); used by gradient checks so finite differences
-        see a smooth deterministic function. With a ``workspace`` every
-        intermediate, the output included, is written into its buffers.
+        see a smooth deterministic function.
+
+        With ``reuse``, a trace of an earlier pass over as many rows, every
+        intermediate, the output included, is written into that trace's
+        arrays, and the same trace is returned. Reuse is for repeated passes
+        over frozen weights: noisy layers keep the sigma_l of the trace's
+        first pass. A trace made with ``frozen_noise`` is not for reuse, as
+        the pass would draw into the frozen arrays.
         """
         if not (rng is None or isinstance(rng, np.random.Generator)
                 or isinstance(rng, Sequence) and not isinstance(rng, str)
@@ -320,30 +300,27 @@ class Network:
             raise ContractError("a member stack needs one generator per member")
         if frozen_noise is not None and len(frozen_noise) != len(self.layers):
             raise ContractError("frozen_noise must have one entry per layer")
-        if workspace is not None:
-            if workspace.net is not self:
-                raise ContractError("workspace does not belong to this network")
-            if x.shape[-2] != workspace.batch:
-                raise ShapeError(f"workspace holds {workspace.batch} rows, "
+        if reuse is not None:
+            if reuse.net is not self:
+                raise ContractError("trace does not belong to this network")
+            if x.shape[-2] != reuse.output.shape[-2]:
+                raise ShapeError(f"trace holds {reuse.output.shape[-2]} rows, "
                                  f"input has {x.shape[-2]}")
+        trace = reuse or ForwardTrace(net=self, caches=[None] * len(self.layers),
+                                      output=None)
         h = x
-        caches = []
         for i, layer in enumerate(self.layers):
             frozen = None if frozen_noise is None else frozen_noise[i]
-            buffers = None if workspace is None else workspace.layers[i]
-            h, cache = layer.forward_pass(h, rng, frozen=frozen, buffers=buffers)
-            caches.append(cache)
-        return h, ForwardTrace(net=self, caches=caches, output=h,
-                               buffered=workspace is not None)
+            h, trace.caches[i] = layer.forward_pass(h, rng, frozen=frozen,
+                                                    cache=trace.caches[i])
+        trace.output = h
+        return h, trace
 
     def backward(self, trace: ForwardTrace, output_grad: np.ndarray) -> np.ndarray:
         """Gradients of a scalar loss given d(loss)/d(output): a new block
         laid out like ``flat`` (name its parts with ``views``)."""
         if trace.net is not self:
             raise ContractError("trace does not belong to this network")
-        if trace.buffered:
-            raise ContractError("trace was made in a workspace; the next pass "
-                                "overwrites its buffers")
         output_grad = np.asarray(output_grad, dtype=np.float64)
         if output_grad.shape != trace.output.shape:
             raise ShapeError(

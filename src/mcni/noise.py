@@ -11,8 +11,9 @@ time; prediction-time stochasticity is the point. A noise-free pass is a
 twin at alpha = 0 or p = 0, which computes the plain net bit for bit, or a
 pass with frozen noise.
 
-In a workspace (repeated passes over frozen weights), a noisy layer computes
-sigma_l once, when its buffers are built, and draws eps into a reused buffer.
+A pass that reuses a trace (repeated passes over frozen weights) draws eps
+into the trace's array and scales it by the sigma_l that the trace's first
+pass computed, so sigma_l is computed once per run of passes.
 
 In a member stack (see ``nn.stack_networks``) alpha, sigma_l and the drop
 rate carry the leading member axis, shaped (S, 1, 1) where they are one
@@ -89,19 +90,19 @@ def _draw_members(rng, out: np.ndarray, method: str) -> None:
 
 
 def sample_noise(layer: "NoisyDenseLayer", rng,
-                 buffers: dict | None = None) -> np.ndarray:
+                 cache: dict | None = None) -> np.ndarray:
     """One eps draw shaped like W with std sigma_l, shared by the whole batch.
 
-    With workspace ``buffers`` the draw goes into buffers["eps"] and is scaled
-    by the sigma_l fixed when they were built. A stack takes one generator
-    per member.
+    With a layer ``cache`` from an earlier pass the draw goes into its eps
+    and is scaled by its sigma_l; a cache without one records the sigma_l
+    computed here. A stack takes one generator per member.
     """
-    if buffers is None:
-        eps, sigma = np.empty(layer.W.shape), layer.weight_std()
-    else:
-        eps, sigma = buffers["eps"], buffers["sigma"]
+    cache = {} if cache is None else cache
+    if "sigma" not in cache:
+        cache["sigma"] = layer.weight_std()
+    eps = cache["eps"] if "eps" in cache else np.empty(layer.W.shape)
     _draw_members(rng, eps, "standard_normal")
-    eps *= sigma
+    eps *= cache["sigma"]
     return eps
 
 
@@ -157,27 +158,23 @@ class NoisyDenseLayer(DenseLayer):
     def weight_std(self) -> float:
         return layer_weight_std(self.W)
 
-    def buffers(self, batch: int, width: int) -> dict:
-        """Dense buffers plus eps, w_eff and sigma_l of the frozen weights."""
-        buf = super().buffers(batch, width)
-        buf.update(eps=np.empty(self.W.shape), w_eff=np.empty(self.W.shape),
-                   sigma=self.weight_std())
-        return buf
-
     def parameters(self):
         params = {"W": self.W, "b": self.b}
         if self.spec.mode == "learned":
             params["alpha"] = self.alpha
         return params
 
-    def effective_weight(self, rng, frozen=None, buffers=None):
+    def effective_weight(self, rng, frozen=None, cache=None):
+        """(W + alpha * eps, eps); the layer ``cache`` of an earlier pass
+        lends its eps and w_eff arrays and its sigma_l."""
+        cache = {} if cache is None else cache
         if frozen is not None:
             eps = frozen
         elif rng is None:
             raise ValueError("noisy forward needs an rng (or frozen noise)")
         else:
-            eps = sample_noise(self, rng, buffers)
-        w_eff = np.multiply(self.alpha, eps, out=(buffers or {}).get("w_eff"))
+            eps = sample_noise(self, rng, cache)
+        w_eff = np.multiply(self.alpha, eps, out=cache.get("w_eff"))
         return np.add(self.W, w_eff, out=w_eff), eps
 
     def backward_pass(self, cache, grad_out, grads):
@@ -207,32 +204,32 @@ class DropoutLayer:
         _require_same(layers)
         return cls(np.array([l.p for l in layers], dtype=np.float64).reshape(-1, 1, 1))
 
-    def buffers(self, batch: int, width: int) -> dict:
-        shape = (batch, width)
-        return {"u": np.empty(shape), "keep": np.empty(shape, dtype=bool),
-                "mask": np.empty(shape), "y": np.empty(shape)}
-
-    def forward_pass(self, x, rng, frozen=None, buffers=None):
-        buf = buffers or {}
+    def forward_pass(self, x, rng, frozen=None, cache=None):
+        """Returns (output, cache); like ``DenseLayer.forward_pass``."""
+        cache = {} if cache is None else cache
         if frozen is not None:
-            mask = frozen
-            return np.multiply(x, mask, out=buf.get("y")), {"mask": mask}
+            cache["mask"] = frozen
+            cache["y"] = np.multiply(x, frozen, out=cache.get("y"))
+            return cache["y"], cache
         if not np.any(self.p):
-            return x, {"mask": None}
+            cache["mask"] = None
+            return x, cache
         if rng is None:
             raise ValueError("dropout forward needs an rng (or a frozen mask)")
         p = self.p
         if np.ndim(p) == 0:
-            u = rng.random(size=x.shape, out=buf.get("u"))
+            u = rng.random(size=x.shape, out=cache.get("u"))
         else:
             # a member with p = 0 keeps u = 0 >= p: every unit, no draw
             u = np.zeros(np.broadcast_shapes(x.shape, p.shape))
             _draw_members([g if ps else None
                            for g, ps in zip(rng, p.ravel(), strict=True)],
                           u, "random")
-        keep = np.greater_equal(u, p, out=buf.get("keep"))
-        mask = np.divide(keep, 1.0 - p, out=buf.get("mask"))
-        return np.multiply(x, mask, out=buf.get("y")), {"mask": mask}
+        keep = np.greater_equal(u, p, out=cache.get("keep"))
+        mask = np.divide(keep, 1.0 - p, out=cache.get("mask"))
+        y = np.multiply(x, mask, out=cache.get("y"))
+        cache.update(u=u, keep=keep, mask=mask, y=y)
+        return y, cache
 
     def backward_pass(self, cache, grad_out, grads):
         mask = cache["mask"]

@@ -157,12 +157,14 @@ CONFIG_ERRORS = [
     ("benchmark", "split_fractions=0.5,0.25,0.2"),
     ("benchmark", "weight_decay_grid=0.01,inf"),
     ("benchmark", "families=deterministic,deterministic"),
+    ("benchmark", "seed=-1"),
     ("toy", "activation=gelu"),
     ("toy", "alpha_penalty_lambda=-1"),
     ("toy", "seeds=0,1,0"),
     ("toy", "passes=1"),
     ("toy", "lr=inf"),
     ("toy", "lr=nan"),
+    ("toy", "seeds=-1"),
     ("noise-sweep", "activation=gelu"),
     ("noise-sweep", "hidden="),
     ("noise-sweep", "noise_level=-0.1"),
@@ -172,6 +174,7 @@ CONFIG_ERRORS = [
     ("noise-sweep", "lr=inf"),
     ("noise-sweep", "noise_level=inf"),
     ("noise-sweep", "sigmas=0,inf"),
+    ("noise-sweep", "seeds=-3"),
     ("riskcov", "coverage_grid=0.5,0.9"),
     ("riskcov", "coverage_grid=0,1.0"),
     ("riskcov", "coverage_grid=0.5,1.5"),
@@ -181,8 +184,11 @@ CONFIG_ERRORS = [
     ("bench-time", "input_dim=0"),
     ("bench-time", "noise_level=-0.1"),
     ("bench-time", "dropout_p=1.0"),
+    ("bench-time", "seed=-2"),
+    ("bench-time", "t_list=1,1"),
     ("gpcheck", "seeds="),
     ("gpcheck", "seeds=0,0"),
+    ("gpcheck", "seeds=-1"),
     ("gpcheck", "widths="),
     ("gpcheck", "bias_std=inf"),
     ("gpcheck", "bias_std=nan"),
@@ -353,20 +359,28 @@ def test_unwritable_manifest_exits_4(tmp_path, capsys):
 
 def test_failed_second_output_leaves_no_manifest(tmp_path, capsys, monkeypatch):
     """A stale manifest goes before any output is written, so a run that
-    fails part way leaves none, not one that lists another run's files."""
+    fails part way leaves none, not one that lists another run's files. Its
+    outputs are renamed into place only once all are written, so the earlier
+    run's curve.csv stays as it was and no temporary file is left."""
     pred, unc = "pred,target\n1.0,1.0\n2.0,2.5\n", "uncertainty\n0.1\n0.2\n"
     manifest = tmp_path / "rc" / "manifest.json"
     assert run_riskcov_cli(tmp_path, pred, unc) == EXIT_OK
     assert manifest.exists()
+    curve = (tmp_path / "rc" / "curve.csv").read_bytes()
 
     def fail(path, obj):
         raise OSError(f"cannot write {path}")
 
     monkeypatch.setattr("mcni.experiments.write_json", fail)
+    # other predictions, so a curve.csv of this run would differ
+    pred = "pred,target\n3.0,1.0\n2.0,2.5\n"
     for _ in range(2):           # with a stale manifest, then with none
         assert run_riskcov_cli(tmp_path, pred, unc) == EXIT_RUNTIME
         assert "metrics.json" in capsys.readouterr().err
         assert not manifest.exists()
+        assert (tmp_path / "rc" / "curve.csv").read_bytes() == curve
+        assert sorted(p.name for p in (tmp_path / "rc").iterdir()) == [
+            "curve.csv", "metrics.json"]
 
 
 def test_unknown_subcommand_is_usage_error():

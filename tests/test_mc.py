@@ -239,11 +239,14 @@ def test_nan_probability_row_rejected():
 
 
 # ---------------------------------------------------------------------------
-# workspace path: bit-exact against plain allocating forward passes
+# reused traces: bit-exact against plain allocating forward passes
+
+FAMILIES = ["deterministic", "mc_dropout", "noise_fixed", "noise_learned"]
+
 
 def reference_passes(net, X, T, rng, transform=None):
     """mc_predict as a loop of plain net.forward calls over streams spawned
-    all at once, no workspace."""
+    all at once, each pass in a trace of its own."""
     outs = []
     for stream in rng.spawn(T):
         x = X
@@ -275,8 +278,7 @@ def head_net(family, activation, head, seed):
 
 @pytest.mark.parametrize("head", ["regression", "logits", "probabilities"])
 @pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
-@pytest.mark.parametrize("family", ["deterministic", "mc_dropout",
-                                    "noise_fixed", "noise_learned"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_workspace_passes_equal_plain_forward(family, activation, head):
     net = head_net(family, activation, head, 20)
     X = np.random.default_rng(21).normal(size=(9, 3)) * 2.0
@@ -333,21 +335,43 @@ def test_second_call_leaves_first_values_unchanged():
     assert not np.array_equal(first.values[0], first.values[-1])
 
 
-def test_workspace_trace_cannot_be_replayed_backward():
-    net = build_mlp("noise_learned", 3, [6], 1, rng=np.random.default_rng(33))
-    X = np.ones((4, 3))
-    out, trace = net.forward(X, np.random.default_rng(34),
-                             workspace=net.workspace(4))
-    with pytest.raises(ContractError):
-        net.backward(trace, np.ones_like(out))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_reused_trace_backward_equals_fresh_pass(family):
+    """A reused trace holds its latest pass as one consistent set of arrays,
+    so backward through it equals backward through a fresh pass on the same
+    stream, bit for bit."""
+    net = head_net(family, "tanh", "regression", 33)
+    X = np.random.default_rng(34).normal(size=(4, 3))
+    _, trace = net.forward(X + 1.0, np.random.default_rng(35))
+    out, trace = net.forward(X, np.random.default_rng(36), reuse=trace)
+    fresh_out, fresh = net.forward(X, np.random.default_rng(36))
+    grad_out = np.random.default_rng(37).normal(size=out.shape)
+    assert np.array_equal(out, fresh_out)
+    assert np.array_equal(net.backward(trace, grad_out),
+                          net.backward(fresh, grad_out))
 
 
-def test_workspace_must_fit_network_and_batch():
+@pytest.mark.parametrize("family", FAMILIES)
+def test_reused_pass_writes_into_the_trace_arrays(family):
+    """A reused pass returns the same trace and output, and every layer cache
+    holds the same objects as before the pass: nothing is reallocated."""
+    net = head_net(family, "sigmoid", "logits", 38)
+    X = np.random.default_rng(39).normal(size=(5, 3))
+    out, trace = net.forward(X, np.random.default_rng(40))
+    before = [dict(cache) for cache in trace.caches]
+    again, same = net.forward(X, np.random.default_rng(41), reuse=trace)
+    assert same is trace and again is out
+    for kept, cache in zip(before, trace.caches):
+        assert cache.keys() == kept.keys()
+        assert all(cache[key] is kept[key] for key in kept)
+
+
+def test_reused_trace_must_fit_network_and_batch():
     net = build_mlp("noise_fixed", 3, [6], 1, rng=np.random.default_rng(35))
     other = build_mlp("noise_fixed", 3, [6], 1, rng=np.random.default_rng(35))
+    _, foreign = other.forward(np.ones((4, 3)), np.random.default_rng(0))
+    _, trace = net.forward(np.ones((4, 3)), np.random.default_rng(0))
     with pytest.raises(ContractError):
-        net.forward(np.ones((4, 3)), np.random.default_rng(0),
-                    workspace=other.workspace(4))
+        net.forward(np.ones((4, 3)), np.random.default_rng(0), reuse=foreign)
     with pytest.raises(ShapeError):
-        net.forward(np.ones((5, 3)), np.random.default_rng(0),
-                    workspace=net.workspace(4))
+        net.forward(np.ones((5, 3)), np.random.default_rng(0), reuse=trace)
