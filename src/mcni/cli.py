@@ -1,16 +1,19 @@
 """Command-line front end.
 
-Subcommands: toy | benchmark | riskcov | noise-sweep | bench-time | gpcheck.
-
 The front end has two jobs: turning argv into a command's config, and
 turning the command's exceptions into exit codes. Each subcommand is
 declared once, in mcni.experiments.COMMANDS, with its config dataclass and
-its run_* function. Values are resolved in order: dataclass defaults, then
-the [command] section of an INI config file (--config), then --set
-key=value overrides, then dedicated flags, each named after the field it
-sets (--pred-file sets pred_file). The run_* function validates the
-resolved config before it writes anything, writes the data files and
-manifest.json, and returns the manifest digest that is printed last.
+its run_* function; the parser is built from that table. A subcommand's
+help is the first line of its config class's docstring, and besides
+--config, --set and --outdir it takes one dedicated flag for each field the
+class lists in FLAGS, named after that field (--pred-file sets pred_file).
+Values are resolved in order: dataclass defaults, then the [command]
+section of an INI config file (--config), then --set key=value overrides,
+then dedicated flags. Every value, whichever its source, is text read by
+one parser that takes the field's default as its type template; a value it
+cannot read is a config error. The run_* function validates the resolved
+config before it writes anything, writes the data files and manifest.json,
+and returns the manifest digest that is printed last.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 runtime error.
 """
@@ -24,8 +27,6 @@ import sys
 
 from .data import DataError
 from .experiments import COMMANDS, ConfigError
-from .gpcheck import NONLINEARITIES
-from .metrics import RISK_KINDS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -120,46 +121,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mcni",
         description="Weight-noise-injection uncertainty experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--outdir", help="output directory for data files")
+    for command, (cls, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=cls.__doc__.partition("\n")[0])
         p.add_argument("--config", help="INI config file with a [command] section")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config field (repeatable)")
-
-    p = sub.add_parser("toy", help="1-D interval comparison of the noisy models")
-    common(p)
-    p.add_argument("--seeds", help="comma-separated seed list")
-    p.add_argument("--passes", type=int, help="MC forward passes")
-    p.add_argument("--random-x", action="store_true",
-                   help="draw x uniformly instead of an even grid")
-
-    p = sub.add_parser("benchmark", help="grid-searched regression comparison")
-    common(p)
-    p.add_argument("--data", help="regression CSV (target column last by default)")
-    p.add_argument("--target", help="target column name or index")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--passes", type=int, help="MC forward passes")
-
-    p = sub.add_parser("riskcov", help="risk-coverage curve from prediction files")
-    common(p)
-    p.add_argument("--pred-file", help="CSV with pred,target columns")
-    p.add_argument("--unc-file", help="CSV with an uncertainty column")
-    p.add_argument("--risk-kind", choices=RISK_KINDS)
-
-    p = sub.add_parser("noise-sweep", help="entropy response to input corruption")
-    common(p)
-    p.add_argument("--seeds", help="comma-separated seed list")
-    p.add_argument("--passes", type=int, help="MC forward passes")
-
-    p = sub.add_parser("bench-time", help="inference wall-clock timing")
-    common(p)
-    p.add_argument("--seed", type=int, help="master seed")
-
-    p = sub.add_parser("gpcheck", help="wide-network vs kernel correspondence")
-    common(p)
-    p.add_argument("--seeds", help="comma-separated seed list")
-    p.add_argument("--nonlinearity", choices=NONLINEARITIES)
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        # only the flags given reach the namespace
+        for name in ("outdir", *cls.FLAGS):
+            kind = {"action": "store_true"} if isinstance(defaults[name], bool) else {}
+            p.add_argument(f"--{name.replace('_', '-')}", default=argparse.SUPPRESS,
+                           help=f"default: {defaults[name]!r}", **kind)
     return parser
 
 
@@ -172,9 +144,8 @@ def resolve_config(args: argparse.Namespace):
                f"config file {args.config}")
     _apply(cfg, _parse_set_args(args.set), "--set")
     # each dedicated flag is named after the config field it sets
-    flags = {f.name: str(value) for f in dataclasses.fields(cfg)
-             if (value := getattr(args, f.name, None)) is not None
-             and value is not False}
+    flags = {f.name: str(getattr(args, f.name)) for f in dataclasses.fields(cfg)
+             if hasattr(args, f.name)}
     _apply(cfg, flags, "command line")
     return cfg, runner
 

@@ -36,8 +36,7 @@ from .data import DataError, gaussian_corrupt, gen_toy, load_csv, read_table, \
 from .gpcheck import NONLINEARITIES, KernelMCConfig, WideNetProbe, correspondence_report
 from .mc import PredictiveSamples, mc_predict, summarize_classification, \
     summarize_regression
-from .metrics import RISK_KINDS, mpiw, msll, nll_gaussian, picp, risk_coverage, \
-    rmse
+from .metrics import RISK_KINDS, mpiw, nll_gaussian, picp, risk_coverage, rmse
 from .models import FAMILIES, build_mlp
 from .nn import ACTIVATIONS
 from .optim import TrainConfig, fit, grid_search
@@ -75,7 +74,8 @@ class Computed:
     measured_files: tuple[str, ...] = ()
 
 
-# command name -> (config class, run_* function), filled by ``_command``
+# command name -> (config class, run_* function), filled by ``_command``; the
+# CLI gives each command a flag for every field its config class lists in FLAGS
 COMMANDS: dict[str, tuple] = {}
 
 
@@ -220,6 +220,8 @@ def spearman_rho(xs, ys) -> float:
 class ToyConfig:
     """1-D heteroscedastic regression comparison of the three noisy models."""
 
+    FLAGS = ("seeds", "passes", "random_x")
+
     outdir: str = "runs/toy"
     n_points: int = 200
     random_x: bool = False
@@ -308,6 +310,8 @@ def run_toy(cfg: ToyConfig) -> Computed:
 class BenchmarkConfig:
     """Grid-searched regression comparison of the four model families."""
 
+    FLAGS = ("data", "target", "seed", "passes")
+
     data: str = ""
     target: str | int | None = None
     outdir: str = "runs/benchmark"
@@ -386,18 +390,15 @@ def run_benchmark(cfg: BenchmarkConfig) -> Computed:
     in_dim = train.X.shape[1]
     rows = []
     best_per_family: dict[str, dict] = {}
-    nll_store: dict[tuple[str, int], np.ndarray] = {}
 
     def score(net, result, mc_rng) -> dict:
         summ = summarize_regression(mc_predict(net, test.X, cfg.passes, mc_rng))
         y = test.Y[:, 0]
-        nll = nll_gaussian(y, summ.mean[:, 0], summ.sigma[:, 0])
         return {"val_loss": result.best_val_loss,
                 "test_rmse": rmse(summ.mean[:, 0], y),
-                "test_nll": nll.total,
+                "test_nll": nll_gaussian(y, summ.mean[:, 0], summ.sigma[:, 0]).total,
                 "test_picp": picp(y, summ.lower[:, 0], summ.upper[:, 0]),
-                "test_mpiw": mpiw(summ.lower[:, 0], summ.upper[:, 0]),
-                "_nll_per_point": nll.per_point}
+                "test_mpiw": mpiw(summ.lower[:, 0], summ.upper[:, 0])}
 
     def fit_stack(family: str, configs: list[dict], rngs: list) -> list[dict]:
         # configs of one family share an architecture: train them as one
@@ -432,7 +433,6 @@ def run_benchmark(cfg: BenchmarkConfig) -> Computed:
 
         result = grid_search(evaluate, _family_grid(cfg, family), seed=cfg.seed)
         for row in result.rows:
-            nll_store[(family, row["config_index"])] = row.pop("_nll_per_point")
             rows.append([family,
                          row["lr"], row["weight_decay"],
                          row.get("dropout_p", ""), row.get("noise_level", ""),
@@ -443,15 +443,13 @@ def run_benchmark(cfg: BenchmarkConfig) -> Computed:
 
     metrics: dict = {"data": str(cfg.data), "passes": cfg.passes,
                      "seed": cfg.seed, "families": {}}
-    baseline_nll = None
-    if "mc_dropout" in best_per_family:
-        b = best_per_family["mc_dropout"]
-        baseline_nll = nll_store[("mc_dropout", b["config_index"])]
+    baseline = best_per_family.get("mc_dropout")
     for family in cfg.families:
         entry = dict(best_per_family[family])
-        if baseline_nll is not None:
-            own = nll_store[(family, entry["config_index"])]
-            entry["msll_vs_mc_dropout"] = msll(own, baseline_nll)
+        if baseline is not None:
+            # test_nll is summed per config, so this is metrics.msll of the
+            # two per-point NLL vectors
+            entry["msll_vs_mc_dropout"] = entry["test_nll"] - baseline["test_nll"]
         metrics["families"][family] = entry
     if "noise_fixed" in metrics["families"] and "deterministic" in metrics["families"]:
         det = metrics["families"]["deterministic"]["test_rmse"]
@@ -471,6 +469,8 @@ def run_benchmark(cfg: BenchmarkConfig) -> Computed:
 @dataclass
 class RiskCovConfig:
     """Selective-prediction curve from prediction and uncertainty files."""
+
+    FLAGS = ("pred_file", "unc_file", "risk_kind")
 
     pred_file: str = ""
     unc_file: str = ""
@@ -529,6 +529,8 @@ def run_riskcov(cfg: RiskCovConfig) -> Computed:
 @dataclass
 class SweepConfig:
     """Input-corruption sweep of a small noisy classifier."""
+
+    FLAGS = ("seeds", "passes")
 
     outdir: str = "runs/noise_sweep"
     sigmas: tuple[float, ...] = (0.0, 0.05, 0.1, 0.2, 0.4)
@@ -624,6 +626,8 @@ def run_noise_sweep(cfg: SweepConfig) -> Computed:
 class TimingConfig:
     """Wall-clock inference timing over repeated T-pass predictions."""
 
+    FLAGS = ("seed",)
+
     outdir: str = "runs/bench_time"
     batch: int = 500
     input_dim: int = 10
@@ -698,6 +702,8 @@ def run_bench_time(cfg: TimingConfig) -> Computed:
 @dataclass
 class GpCheckConfig:
     """Wide-network covariance vs GP kernel comparison."""
+
+    FLAGS = ("seeds", "nonlinearity")
 
     outdir: str = "runs/gpcheck"
     nonlinearity: str = "relu"

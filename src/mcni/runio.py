@@ -1,18 +1,16 @@
-"""Output plumbing: atomic file writes, stable formatting, content hashes.
+"""Output plumbing: file writes, stable formatting, content hashes.
 
-Every file is written to a temp name in the target directory and renamed
-into place, so readers never observe a partial file. Files are created with
-mode 0o666 less the umask, as ``open()`` creates them. Floats serialize with
-repr (shortest round-trip form), keeping reruns byte-identical.
+Each writer writes its path directly with ``open()``, so files get mode
+0o666 less the umask. Atomicity is the caller's: the driver skeleton in
+``mcni.experiments`` writes each output under a temporary name and renames
+them all into place once every one is written. Floats serialize with repr
+(shortest round-trip form), keeping reruns byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import secrets
-from pathlib import Path
 
 import numpy as np
 
@@ -50,30 +48,18 @@ def jsonable(obj):
     return obj
 
 
-def atomic_write_text(path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f"{path.name}.{secrets.token_hex(6)}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(fmt_cell(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_json(path, obj) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **jsonable(obj)}
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def sha256_file(path) -> str:

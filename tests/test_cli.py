@@ -115,6 +115,53 @@ def test_every_option_sets_a_field_of_its_command():
         assert "outdir" in dests
 
 
+# each command's dedicated flags: one added or dropped must show here
+DEDICATED_FLAGS = {
+    "toy": {"--seeds", "--passes", "--random-x"},
+    "benchmark": {"--data", "--target", "--seed", "--passes"},
+    "riskcov": {"--pred-file", "--unc-file", "--risk-kind"},
+    "noise-sweep": {"--seeds", "--passes"},
+    "bench-time": {"--seed"},
+    "gpcheck": {"--seeds", "--nonlinearity"},
+}
+
+
+def test_each_command_has_exactly_its_flags():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(DEDICATED_FLAGS)
+    for command, parser in sub.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings}
+        assert flags == {"-h", "--help", "--config", "--set", "--outdir",
+                         *DEDICATED_FLAGS[command]}, command
+
+
+def test_each_flag_parses_like_set():
+    """A flag's text goes through the same parser as a --set value."""
+    texts = {"seeds": "3,4", "passes": "7", "data": "d.csv", "target": "2",
+             "seed": "5", "pred_file": "p.csv", "unc_file": "u.csv",
+             "risk_kind": "accuracy", "nonlinearity": "tanh"}
+    for command, flags in DEDICATED_FLAGS.items():
+        for flag in flags:
+            name = flag[2:].replace("-", "_")
+            text = texts.get(name, "true")
+            given = [flag] if text == "true" else [flag, text]
+            assert (resolve([command, *given])
+                    == resolve([command, "--set", f"{name}={text}"])
+                    != resolve([command])), flag
+
+
+def test_command_help_shows_docstring_and_flag_defaults(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["toy", "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "default: 500" in out and "default: (0, 1, 2, 3, 4)" in out
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "Grid-searched regression comparison" in capsys.readouterr().out
+
+
 def test_resolve_config_does_not_validate():
     # the runner validates; resolving an invalid config is not an error yet
     assert resolve(["toy", "--set", "epochs=0"]).epochs == 0
@@ -204,6 +251,27 @@ def test_config_error_exits_2_before_writing(tmp_path, capsys, command, setting)
     outdir = tmp_path / "never"
     code = main([command, "--outdir", str(outdir), *NEEDED.get(command, []),
                  "--set", setting])
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+BAD_FLAGS = [
+    ("riskcov", "--risk-kind", "mae"),
+    ("gpcheck", "--nonlinearity", "sigmoid"),
+    ("toy", "--passes", "abc"),
+    ("noise-sweep", "--seeds", "0,x"),
+    ("benchmark", "--seed", "1.5"),
+    ("bench-time", "--seed", "1.5"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", BAD_FLAGS)
+def test_bad_flag_value_exits_2_before_writing(tmp_path, capsys, command, flag,
+                                                value):
+    outdir = tmp_path / "never"
+    code = main([command, "--outdir", str(outdir), *NEEDED.get(command, []),
+                 flag, value])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not outdir.exists()

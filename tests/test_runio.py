@@ -1,4 +1,4 @@
-"""File output plumbing: formatting, atomic writes, digests."""
+"""File output plumbing: formatting, file writes, digests."""
 
 import hashlib
 import json
@@ -7,8 +7,8 @@ import os
 import numpy as np
 import pytest
 
-from mcni.runio import (atomic_write_text, fmt_cell, fmt_float, jsonable,
-                        manifest_digest, sha256_file, write_csv, write_json)
+from mcni.runio import (fmt_cell, fmt_float, jsonable, manifest_digest,
+                        sha256_file, write_csv, write_json)
 
 
 def test_fmt_float_round_trips():
@@ -34,31 +34,32 @@ def test_jsonable_strips_numpy_types():
     json.dumps(out)  # must be serializable as-is
 
 
-def test_atomic_write_leaves_no_temp_files(tmp_path):
-    target = tmp_path / "sub" / "out.txt"
-    atomic_write_text(target, "hello\n")
-    assert target.read_text() == "hello\n"
-    leftovers = [p for p in target.parent.iterdir() if p.name != "out.txt"]
-    assert leftovers == []
+def test_writers_write_only_their_path(tmp_path):
+    write_csv(tmp_path / "t.csv", ["x"], [[1.0]])
+    write_json(tmp_path / "m.json", {"x": 1.0})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json", "t.csv"]
 
 
-def test_atomic_write_replaces_existing(tmp_path):
-    target = tmp_path / "out.txt"
-    atomic_write_text(target, "first")
-    atomic_write_text(target, "second")
-    assert target.read_text() == "second"
+def test_writers_replace_an_existing_file(tmp_path):
+    # a shorter second write leaves nothing of the first
+    csv, js = tmp_path / "t.csv", tmp_path / "m.json"
+    write_csv(csv, ["x"], [[1.0], [2.0]])
+    write_csv(csv, ["y"], [])
+    write_json(js, {"x": list(range(50))})
+    write_json(js, {})
+    assert csv.read_text() == "y\n"
+    assert js.read_text() == '{\n  "schema_version": 1\n}\n'
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_outputs_are_created_like_open_under_the_umask(tmp_path, umask, mode):
     old = os.umask(umask)
     try:
-        atomic_write_text(tmp_path / "out.txt", "text\n")
         write_csv(tmp_path / "t.csv", ["x"], [[1.0]])
         write_json(tmp_path / "m.json", {"x": 1.0})
     finally:
         os.umask(old)
-    for name in ("out.txt", "t.csv", "m.json"):
+    for name in ("t.csv", "m.json"):
         assert (tmp_path / name).stat().st_mode & 0o777 == mode, name
 
 
