@@ -13,24 +13,35 @@ into place, and returns a RunOutput that carries the manifest digest.
 Commands are deterministic functions of (config, seeds): all randomness
 flows from np.random.default_rng seeded with [seed, tag] pairs, and files
 are written with repr-formatted floats, so reruns are byte-identical. The
-digest excludes the manifest's wall-clock timings. The one data file whose
-payload is a measurement, the timing benchmark's timing.csv, has its hash
-recorded under those timings, outside the digest.
+digest excludes the manifest's wall-clock timings and its environment block
+(versions, usable CPUs, worker processes, BLAS thread variables). The one
+data file whose payload is a measurement, the timing benchmark's
+timing.csv, has its hash recorded under those timings, outside the digest.
+
+The benchmark, toy and noise-sweep drivers cut their fits into independent
+tasks and run them on every usable CPU in forked worker processes
+(``_run_tasks``). Each task draws only from its own streams and results are
+kept in task order, so the outputs are the same at any CPU count.
 """
 
 from __future__ import annotations
 
+import fcntl
 import functools
 import json
 import math
 import os
+import pickle
+import platform
 import secrets
+import signal
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .data import DataError, gaussian_corrupt, gen_toy, load_csv, read_table, \
     split, standardize_fit_apply
 from .gpcheck import NONLINEARITIES, KernelMCConfig, WideNetProbe, correspondence_report
@@ -39,7 +50,7 @@ from .mc import PredictiveSamples, mc_predict, summarize_classification, \
 from .metrics import RISK_KINDS, mpiw, nll_gaussian, picp, risk_coverage, rmse
 from .models import FAMILIES, build_mlp
 from .nn import ACTIVATIONS
-from .optim import TrainConfig, fit, grid_search
+from .optim import TrainConfig, fit, grid_assignments, grid_search
 from .runio import jsonable, manifest_digest, sha256_file, write_csv, \
     write_json
 
@@ -72,6 +83,8 @@ class Computed:
     timings: dict[str, float] = field(default_factory=dict)
     # names in outputs whose payload is a wall-clock measurement
     measured_files: tuple[str, ...] = ()
+    # worker processes the driver's fits ran on (see ``_run_tasks``)
+    processes: int = 1
 
 
 # command name -> (config class, run_* function), filled by ``_command``; the
@@ -132,6 +145,7 @@ def _command(command: str, config_cls):
                     "results": done.metrics,
                     "timings": ({**timings, "outputs": measured} if measured
                                 else timings),
+                    "environment": _environment(done.processes),
                 }
                 write_json(staged["manifest.json"], manifest)
                 for name, path in files.items():
@@ -145,6 +159,19 @@ def _command(command: str, config_cls):
         COMMANDS[command] = (config_cls, run)
         return run
     return register
+
+
+# the variables that set the BLAS library's thread count
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment(processes: int) -> dict:
+    """Where a run ran; like timings, the manifest digest excludes it."""
+    return {"mcni": __version__, "python": platform.python_version(),
+            "numpy": np.__version__, "usable_cpus": len(os.sched_getaffinity(0)),
+            "worker_processes": processes,
+            "blas_threads": {name: os.environ.get(name)
+                             for name in _BLAS_THREAD_VARS}}
 
 
 def _non_finite_paths(value, path: str = "") -> list[str]:
@@ -213,6 +240,113 @@ def spearman_rho(xs, ys) -> float:
 
 
 # ---------------------------------------------------------------------------
+# worker processes
+
+
+def _run_tasks(tasks: list) -> tuple[list, int]:
+    """Call every task; return their results in task order and the number
+    of worker processes, min(usable CPUs, len(tasks)).
+
+    The calling process is one worker; the others are ``os.fork()``
+    children. The workers share a queue: the task indices, written in order
+    into a pipe before the first fork, from which each worker reads the next
+    index whenever it is free (a read that small is atomic). A worker stops
+    at its first exception. A child sends its results, or that exception,
+    pickled through a pipe of its own and always leaves through
+    ``os._exit``, so it never returns into the caller's stack nor flushes
+    the caller's buffers. Every child is reaped before anything is raised;
+    then the exception of the lowest-numbered failed task is raised with
+    its type. A child that ends without a result (a signal, say, or the OOM
+    killer) counts as a RuntimeError naming how it ended. If the caller
+    itself is interrupted, the children are killed.
+    """
+    n = min(len(os.sched_getaffinity(0)), len(tasks))
+    queue, feed = os.pipe()
+    # one queue entry per task, or per block of tasks when the pipe is too
+    # small to take them all without blocking
+    block = max(1, -(-len(tasks) // (fcntl.fcntl(feed, fcntl.F_GETPIPE_SZ) // 4)))
+    os.write(feed, b"".join(i.to_bytes(4, "little")
+                            for i in range(0, len(tasks), block)))
+    os.close(feed)
+    pipes: dict[int, int] = {}      # child pid -> read end of its result pipe
+    blobs: dict[int, bytes] = {}
+    statuses: dict[int, int] = {}
+    try:
+        for _ in range(n - 1):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(tasks, queue, block, write_end)
+            os.close(write_end)
+            pipes[pid] = read_end
+        shares = [_share(tasks, queue, block)]
+        for pid, read_end in pipes.items():
+            with open(read_end, "rb", closefd=False) as fh:
+                blobs[pid] = fh.read()
+    except BaseException:
+        for pid in pipes:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(queue)
+        for pid, read_end in pipes.items():
+            os.close(read_end)
+            statuses[pid] = os.waitpid(pid, 0)[1]
+
+    for pid, blob in blobs.items():
+        if blob:
+            shares.append(pickle.loads(blob))
+        else:
+            code = os.waitstatus_to_exitcode(statuses[pid])
+            how = (f"was killed by {signal.Signals(-code).name}" if code < 0
+                   else f"exited with code {code}")
+            shares.append(([], (math.inf, RuntimeError(
+                f"worker process {pid} {how} without sending its results"))))
+    results = [None] * len(tasks)
+    failures = []
+    for done, failure in shares:
+        for index, result in done:
+            results[index] = result
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return results, n
+
+
+def _share(tasks: list, queue: int, block: int) -> tuple[list, tuple | None]:
+    """Run tasks from the queue until it is empty or one raises: the
+    (index, result) pairs, and (index, exception) for the task that raised,
+    if one did."""
+    done = []
+    while entry := os.read(queue, 4):
+        start = int.from_bytes(entry, "little")
+        for index in range(start, min(start + block, len(tasks))):
+            try:
+                done.append((index, tasks[index]()))
+            except Exception as exc:
+                return done, (index, exc)
+    return done, None
+
+
+def _child(tasks: list, queue: int, block: int, write_end: int):
+    """A forked worker's whole life: run its share, send it, ``os._exit``."""
+    code = 1
+    try:
+        share = _share(tasks, queue, block)
+        try:
+            blob = pickle.dumps(share)
+        except Exception as exc:
+            blob = pickle.dumps(([], (math.inf, RuntimeError(
+                f"worker process could not send its results: {exc!r}"))))
+        with open(write_end, "wb") as fh:
+            fh.write(blob)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+# ---------------------------------------------------------------------------
 # toy
 
 
@@ -256,28 +390,35 @@ TOY_MODELS = ("noise_fixed", "noise_learned", "mc_dropout")
 def run_toy(cfg: ToyConfig) -> Computed:
     train_cfg = TrainConfig(lr=cfg.lr, max_epochs=cfg.epochs,
                             batch_size=cfg.batch_size, patience=0)
+    toys = {seed: gen_toy(cfg.n_points, seed=seed, random_x=cfg.random_x)
+            for seed in cfg.seeds}
+
+    def fit_one(seed: int, tag: int, model: str) -> tuple:
+        ds = toys[seed]
+        build_rng, fit_rng, mc_rng = np.random.default_rng([seed, tag]).spawn(3)
+        # build_mlp uses only the knobs that apply to the model
+        net = build_mlp(model, 1, [cfg.hidden], 1, task="regression",
+                        activation=cfg.activation, rng=build_rng,
+                        dropout_p=cfg.dropout_p, noise_level=cfg.noise_level,
+                        alpha_penalty_lambda=cfg.alpha_penalty_lambda)
+        fit(net, ds.X, ds.Y, train_cfg, rng=fit_rng)
+        summ = summarize_regression(mc_predict(net, ds.X, cfg.passes, mc_rng))
+        return summ.mean[:, 0], summ.sigma[:, 0], summ.lower[:, 0], summ.upper[:, 0]
+
+    runs = [(seed, tag, model) for seed in cfg.seeds
+            for tag, model in enumerate(TOY_MODELS)]
+    results, processes = _run_tasks([functools.partial(fit_one, *run)
+                                     for run in runs])
     pred_rows, int_rows = [], []
     per_model: dict[str, dict] = {m: {"per_seed": {}} for m in TOY_MODELS}
-
-    for seed in cfg.seeds:
-        ds = gen_toy(cfg.n_points, seed=seed, random_x=cfg.random_x)
-        for tag, model in enumerate(TOY_MODELS):
-            build_rng, fit_rng, mc_rng = np.random.default_rng([seed, tag]).spawn(3)
-            # build_mlp uses only the knobs that apply to the model
-            net = build_mlp(model, 1, [cfg.hidden], 1, task="regression",
-                            activation=cfg.activation, rng=build_rng,
-                            dropout_p=cfg.dropout_p, noise_level=cfg.noise_level,
-                            alpha_penalty_lambda=cfg.alpha_penalty_lambda)
-            fit(net, ds.X, ds.Y, train_cfg, rng=fit_rng)
-            summ = summarize_regression(mc_predict(net, ds.X, cfg.passes, mc_rng))
-            mean, sigma = summ.mean[:, 0], summ.sigma[:, 0]
-            lower, upper = summ.lower[:, 0], summ.upper[:, 0]
-            per_model[model]["per_seed"][str(seed)] = {
-                "picp": picp(ds.Y[:, 0], lower, upper), "mpiw": mpiw(lower, upper)}
-            for i in range(cfg.n_points):
-                x, y = ds.X[i, 0], ds.Y[i, 0]
-                pred_rows.append([seed, model, x, y, mean[i], sigma[i]])
-                int_rows.append([seed, model, x, lower[i], upper[i]])
+    for (seed, _, model), (mean, sigma, lower, upper) in zip(runs, results):
+        ds = toys[seed]
+        per_model[model]["per_seed"][str(seed)] = {
+            "picp": picp(ds.Y[:, 0], lower, upper), "mpiw": mpiw(lower, upper)}
+        for i in range(cfg.n_points):
+            x, y = ds.X[i, 0], ds.Y[i, 0]
+            pred_rows.append([seed, model, x, y, mean[i], sigma[i]])
+            int_rows.append([seed, model, x, lower[i], upper[i]])
 
     for model in TOY_MODELS:
         stats = per_model[model]["per_seed"].values()
@@ -299,7 +440,7 @@ def run_toy(cfg: ToyConfig) -> Computed:
                                           "sigma"], pred_rows),
                      "intervals.csv": (["seed", "model", "x", "lower", "upper"],
                                        int_rows),
-                     "metrics.json": metrics}, metrics)
+                     "metrics.json": metrics}, metrics, processes=processes)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +509,9 @@ _FAMILY_KNOBS = {"mc_dropout": ("dropout_p", "dropout_grid", "dropout_p"),
                 "noise_learned": ("alpha_init", "alpha_init_grid", "noise_level")}
 
 
-# the most configs one stacked fit trains at once: a family's grid is fitted
-# in sub-stacks of this size, one after another, which bounds peak memory
+# the most configs one stacked fit trains at once: a family's grid is cut
+# into sub-stacks of this size, which bounds each worker's peak memory; the
+# size never depends on the CPU count, so neither do the outputs
 _STACK_MEMBERS = 32
 
 
@@ -424,14 +566,21 @@ def run_benchmark(cfg: BenchmarkConfig) -> Computed:
         return [score(net, result, mc_rng)
                 for net, result, mc_rng in zip(nets, results, mc_rngs)]
 
+    searches, tasks = [], []
+    step = _STACK_MEMBERS
     for family in cfg.families:
-        def evaluate(configs: list[dict], rngs: list, family=family) -> list[dict]:
-            step = _STACK_MEMBERS
-            return [row for lo in range(0, len(configs), step)
-                    for row in fit_stack(family, configs[lo:lo + step],
-                                         rngs[lo:lo + step])]
+        assignments, rngs = grid_assignments(_family_grid(cfg, family),
+                                             seed=cfg.seed)
+        searches.append((family, assignments))
+        tasks += [functools.partial(fit_stack, family, assignments[lo:lo + step],
+                                    rngs[lo:lo + step])
+                  for lo in range(0, len(assignments), step)]
+    stacks, processes = _run_tasks(tasks)
+    # the sub-stacks' score rows, in assignment order
+    scores = (row for stack in stacks for row in stack)
 
-        result = grid_search(evaluate, _family_grid(cfg, family), seed=cfg.seed)
+    for family, assignments in searches:
+        result = grid_search(assignments, [next(scores) for _ in assignments])
         for row in result.rows:
             rows.append([family,
                          row["lr"], row["weight_decay"],
@@ -459,7 +608,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> Computed:
 
     return Computed({"leaderboard.csv": (LEADERBOARD_HEADER, rows),
                      "metrics.json": metrics}, metrics,
-                    inputs={"data": Path(cfg.data)})
+                    inputs={"data": Path(cfg.data)}, processes=processes)
 
 
 # ---------------------------------------------------------------------------
@@ -583,9 +732,8 @@ def corrupted_predict(net, X, sigma: float, T: int, rng) -> PredictiveSamples:
 def run_noise_sweep(cfg: SweepConfig) -> Computed:
     train_cfg = TrainConfig(lr=cfg.lr, max_epochs=cfg.epochs,
                             batch_size=cfg.batch_size, patience=0)
-    rows = []
-    per_seed: dict[str, dict] = {}
-    for seed in cfg.seeds:
+
+    def sweep_one(seed: int) -> tuple[list, dict]:
         X_train, y_train = gen_blobs(cfg.n_train, [seed, 11])
         X_eval, y_eval = gen_blobs(cfg.n_eval, [seed, 12])
         build_rng, fit_rng = np.random.default_rng([seed, 10]).spawn(2)
@@ -595,7 +743,7 @@ def run_noise_sweep(cfg: SweepConfig) -> Computed:
         fit(net, X_train, y_train, train_cfg, rng=fit_rng)
 
         sweep_streams = np.random.default_rng([seed, 13]).spawn(len(cfg.sigmas))
-        mean_entropy = []
+        rows, mean_entropy = [], []
         for sigma, stream in zip(cfg.sigmas, sweep_streams):
             summ = summarize_classification(
                 corrupted_predict(net, X_eval, sigma, cfg.passes, stream))
@@ -605,8 +753,12 @@ def run_noise_sweep(cfg: SweepConfig) -> Computed:
                              int(summ.predicted[i]), summ.entropy[i],
                              summ.mean_probs[i, 0], summ.mean_probs[i, 1]])
         rho = spearman_rho(cfg.sigmas, mean_entropy)
-        per_seed[str(seed)] = {"mean_entropy_per_sigma": mean_entropy,
-                               "spearman_rho": rho}
+        return rows, {"mean_entropy_per_sigma": mean_entropy, "spearman_rho": rho}
+
+    results, processes = _run_tasks([functools.partial(sweep_one, seed)
+                                     for seed in cfg.seeds])
+    rows = [row for seed_rows, _ in results for row in seed_rows]
+    per_seed = {str(seed): entry for seed, (_, entry) in zip(cfg.seeds, results)}
 
     metrics = {"sigmas": list(cfg.sigmas), "passes": cfg.passes,
                "per_seed": per_seed,
@@ -615,7 +767,7 @@ def run_noise_sweep(cfg: SweepConfig) -> Computed:
     header = ["seed", "sigma", "point", "label", "predicted", "entropy",
               "mean_p0", "mean_p1"]
     return Computed({"sweep.csv": (header, rows), "metrics.json": metrics},
-                    metrics)
+                    metrics, processes=processes)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,10 @@ operation equals what it computes alone, so a member's parameters, history
 and early stop are bit-identical to a lone fit. A best-epoch snapshot is a
 copy of the member's row of the stack's block, and is written back into
 the member's own block. A single net is a stack of one; there is no second
-training loop. ``grid_search`` hands all of a grid's assignments to
-``evaluate`` in one call, so that a driver can train them as one stack.
+training loop. A grid search is two steps around the driver's own fits:
+``grid_assignments`` makes every assignment of a grid with its sub-stream,
+and ``grid_search`` ranks the driver's results for them, so that the
+driver can fit the assignments in whatever stacks and processes it likes.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -360,20 +362,11 @@ class GridResult:
     rows: list[dict] = field(repr=False)
 
 
-def grid_search(evaluate: Callable[[list[dict], list[np.random.Generator]],
-                                   list[dict]],
-                grid: Mapping[str, Sequence], seed: int = 0) -> GridResult:
-    """Exhaustive search over the Cartesian product of ``grid``.
-
-    ``evaluate`` receives every hyperparameter assignment, in declaration
-    order, plus one sub-stream per assignment derived from (seed, config
-    index), in one call, so that it can train them together. It returns one
-    dict per assignment, each containing at least 'val_loss'. Ranking:
-    smallest val_loss, ties broken by smaller learning rate, then by
-    declaration order. A non-finite val_loss (NaN or +-inf, e.g. from a
-    diverged fit) ranks after every finite one; among themselves such rows
-    fall to the same tie-breaks.
-    """
+def grid_assignments(grid: Mapping[str, Sequence], seed: int = 0
+                     ) -> tuple[list[dict], list[np.random.Generator]]:
+    """Every assignment of the Cartesian product of ``grid``, in declaration
+    order, and one sub-stream per assignment derived from (seed, config
+    index)."""
     if not grid:
         raise ValueError("empty grid")
     for key, values in grid.items():
@@ -382,16 +375,27 @@ def grid_search(evaluate: Callable[[list[dict], list[np.random.Generator]],
     keys = list(grid.keys())
     assignments = [dict(zip(keys, values))
                    for values in itertools.product(*(grid[k] for k in keys))]
-    sub_rngs = [np.random.default_rng([seed, idx])
-                for idx in range(len(assignments))]
-    results = evaluate([dict(a) for a in assignments], sub_rngs)
+    return assignments, [np.random.default_rng([seed, idx])
+                         for idx in range(len(assignments))]
+
+
+def grid_search(assignments: list[dict], results: list[dict]) -> GridResult:
+    """Rank one result per assignment of ``grid_assignments``, given in
+    assignment order.
+
+    Each result contains at least 'val_loss'. Ranking: smallest val_loss,
+    ties broken by smaller learning rate, then by declaration order. A
+    non-finite val_loss (NaN or +-inf, e.g. from a diverged fit) ranks after
+    every finite one; among themselves such rows fall to the same
+    tie-breaks.
+    """
     if len(results) != len(assignments):
-        raise ValueError(f"evaluate returned {len(results)} results for "
-                         f"{len(assignments)} assignments")
+        raise ValueError(f"{len(results)} results for {len(assignments)} "
+                         f"assignments")
     rows = []
     for idx, (assignment, result) in enumerate(zip(assignments, results)):
         if "val_loss" not in result:
-            raise ValueError("evaluate must report 'val_loss'")
+            raise ValueError("every result must report 'val_loss'")
         rows.append({"config_index": idx, **assignment, **result})
 
     def rank(r):

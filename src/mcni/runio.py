@@ -71,12 +71,15 @@ def sha256_file(path) -> str:
 
 
 def manifest_digest(manifest: dict) -> str:
-    """Content hash of a manifest with wall-clock fields removed.
+    """Content hash of a manifest without its timings and environment.
 
-    Timings are real measurements and vary between reruns; everything else
-    in a manifest is a pure function of (config, seed, inputs), so this
-    digest is stable across reruns and usable as a reproducibility check.
+    Timings are real measurements and vary between reruns, and the
+    environment block names the versions and CPUs a run had; everything
+    else in a manifest is a pure function of (config, seed, inputs), so
+    this digest is stable across reruns and CPU counts and usable as a
+    reproducibility check.
     """
-    view = {k: v for k, v in jsonable(manifest).items() if k != "timings"}
+    view = {k: v for k, v in jsonable(manifest).items()
+            if k not in ("timings", "environment")}
     blob = json.dumps(view, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

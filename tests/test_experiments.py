@@ -1,20 +1,30 @@
 """Experiment drivers: file layout, metrics schema, reproducibility."""
 
 import ast
+import functools
 import json
+import os
+import platform
+import select
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mcni
 import mcni.experiments
+from mcni.cli import EXIT_DATA, main
 from mcni.data import DataError, load_csv, split, standardize_fit_apply
 from mcni.experiments import (BenchmarkConfig, ConfigError, GpCheckConfig,
                               RiskCovConfig, SweepConfig, TimingConfig,
-                              ToyConfig, _family_grid, config_to_dict,
-                              corrupted_predict, gen_blobs, run_bench_time,
-                              run_benchmark, run_gpcheck, run_noise_sweep,
-                              run_riskcov, run_toy, spearman_rho)
+                              ToyConfig, _family_grid, _run_tasks,
+                              config_to_dict, corrupted_predict, gen_blobs,
+                              run_bench_time, run_benchmark, run_gpcheck,
+                              run_noise_sweep, run_riskcov, run_toy,
+                              spearman_rho)
 from mcni.mc import mc_predict, summarize_regression
 from mcni.metrics import mpiw, msll, nll_gaussian, picp, rmse
 from mcni.models import build_mlp
@@ -251,12 +261,60 @@ def test_benchmark_sub_stacks_equal_one_stack(tmp_path, monkeypatch):
 
     monkeypatch.setattr(mcni.experiments, "fit", counting_fit)
     monkeypatch.setattr(mcni.experiments, "_STACK_MEMBERS", 2)
+    fake_cpus(monkeypatch, 1)          # a forked worker's fits are not counted
     split_run = run_benchmark(tiny_benchmark(tmp_path / "split", **kw))
     assert sizes == [2, 1] * 4                  # three configs per family
     for name in ("leaderboard.csv", "metrics.json"):
         a = whole.files[name].read_text().replace(str(tmp_path / "whole"), "")
         b = split_run.files[name].read_text().replace(str(tmp_path / "split"), "")
         assert a == b, name
+
+
+def fake_cpus(monkeypatch, n):
+    monkeypatch.setattr(mcni.experiments.os, "sched_getaffinity",
+                        lambda pid: set(range(n)))
+
+
+def assert_same_files_at_any_cpu_count(tmp_path, monkeypatch, run, make_cfg,
+                                       names, n_tasks):
+    """The run's files at 1 CPU equal those at 2 and 8, and the manifest
+    names the worker processes each run used."""
+    texts = {}
+    for cpus in (1, 2, 8):
+        fake_cpus(monkeypatch, cpus)
+        (tmp_path / f"cpus{cpus}").mkdir()
+        out = run(make_cfg(tmp_path / f"cpus{cpus}"))
+        texts[cpus] = [out.files[name].read_text().replace(
+            str(tmp_path / f"cpus{cpus}"), "") for name in names]
+        env = json.loads(out.files["manifest.json"].read_text())["environment"]
+        assert env["usable_cpus"] == cpus
+        assert env["worker_processes"] == min(cpus, n_tasks)
+    assert texts[2] == texts[1]
+    assert texts[8] == texts[1]
+
+
+def test_benchmark_files_equal_at_any_cpu_count(tmp_path, monkeypatch):
+    # three configs per family in sub-stacks of 2: eight tasks
+    monkeypatch.setattr(mcni.experiments, "_STACK_MEMBERS", 2)
+    kw = dict(hidden=(5,), lr_grid=(0.05, 0.01, 0.02), max_epochs=6,
+              patience=2, passes=5, seed=3)
+    assert_same_files_at_any_cpu_count(
+        tmp_path, monkeypatch, run_benchmark,
+        lambda path: tiny_benchmark(path, **kw),
+        ("leaderboard.csv", "metrics.json"), n_tasks=8)
+
+
+def test_toy_files_equal_at_any_cpu_count(tmp_path, monkeypatch):
+    assert_same_files_at_any_cpu_count(
+        tmp_path, monkeypatch, run_toy, tiny_toy,
+        ("predictions.csv", "intervals.csv", "metrics.json"), n_tasks=6)
+
+
+def test_sweep_files_equal_at_any_cpu_count(tmp_path, monkeypatch):
+    assert_same_files_at_any_cpu_count(
+        tmp_path, monkeypatch, run_noise_sweep,
+        lambda path: tiny_sweep(path, seeds=(0, 1, 2)),
+        ("sweep.csv", "metrics.json"), n_tasks=3)
 
 
 def test_benchmark_config_validation(tmp_path):
@@ -304,6 +362,24 @@ def test_riskcov_rmse_hand_case(tmp_path):
     assert np.allclose(risks, expected, atol=1e-12)
     assert out.metrics["risk_at_full_coverage"] == pytest.approx(expected[-1])
     assert out.metrics["n_points"] == 4
+
+
+def test_manifest_environment_block(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    pred_path, unc_path = write_riskcov_files(
+        tmp_path, pred=[1.0, 2.0], target=[1.0, 2.5], unc=[0.1, 0.2])
+    out = run_riskcov(RiskCovConfig(pred_file=str(pred_path),
+                                    unc_file=str(unc_path),
+                                    outdir=str(tmp_path / "rc")))
+    env = json.loads(out.files["manifest.json"].read_text())["environment"]
+    assert env["mcni"] == mcni.__version__
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert env["usable_cpus"] == len(os.sched_getaffinity(0))
+    assert env["worker_processes"] == 1            # riskcov fits nothing
+    assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert env["blas_threads"]["OMP_NUM_THREADS"] is None
 
 
 def test_riskcov_error_rate_counts_mismatches(tmp_path):
@@ -558,3 +634,135 @@ def test_no_unseeded_generator_in_package():
     assert sorted(package.glob("*.py"))
     assert unseeded_generators(package) == []
 
+
+# ---------------------------------------------------------------------------
+# worker processes
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_with(exc):
+    def task():
+        raise exc
+    return task
+
+
+class Gate:
+    """Makes a test's tasks reach a forked worker: a task that calls
+    ``in_child`` there opens the gate, and in the calling process waits
+    for it to open, so the caller cannot take every task itself."""
+
+    def __init__(self):
+        self.parent = os.getpid()
+        self.read_end, self.write_end = os.pipe()
+
+    def in_child(self) -> bool:
+        if os.getpid() != self.parent:
+            os.write(self.write_end, b"x")
+            return True
+        select.select([self.read_end], [], [], 30.0)
+        return False
+
+
+@pytest.fixture
+def gate():
+    g = Gate()
+    yield g
+    os.close(g.read_end)
+    os.close(g.write_end)
+
+
+def test_run_tasks_keeps_task_order_and_leaves_no_child(monkeypatch, gate):
+    fake_cpus(monkeypatch, 3)
+
+    def task(i):
+        gate.in_child()
+        return i, os.getpid()
+
+    results, processes = _run_tasks([functools.partial(task, i) for i in range(7)])
+    assert processes == 3
+    assert [i for i, _ in results] == list(range(7))
+    pids = {pid for _, pid in results}
+    assert len(pids - {os.getpid()}) in (1, 2)      # forked workers ran tasks
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [ValueError("bad value in a child"),
+                                 DataError("bad data in a child")])
+def test_run_tasks_raises_a_childs_exception_with_its_type(monkeypatch, gate,
+                                                           exc):
+    fake_cpus(monkeypatch, 2)
+
+    def task():
+        if gate.in_child():
+            raise exc
+        return 0
+
+    with pytest.raises(type(exc), match="in a child") as info:
+        _run_tasks([task] * 3)
+    assert type(info.value) is type(exc)
+    assert_no_child_left()
+
+
+def test_run_tasks_raises_the_lowest_failed_task(monkeypatch):
+    fake_cpus(monkeypatch, 2)
+    tasks = [lambda: 0, fail_with(DataError("task 1")),
+             fail_with(ValueError("task 2"))]
+    with pytest.raises(DataError, match="task 1"):
+        _run_tasks(tasks)
+    assert_no_child_left()
+
+
+def test_run_tasks_names_the_signal_that_killed_a_child(monkeypatch, gate):
+    fake_cpus(monkeypatch, 2)
+
+    def task():
+        if gate.in_child():
+            os.kill(os.getpid(), signal.SIGKILL)
+        return 0
+
+    with pytest.raises(RuntimeError, match="killed by SIGKILL"):
+        _run_tasks([task] * 2)
+    assert_no_child_left()
+
+
+def test_child_error_keeps_its_cli_exit_code(tmp_path, monkeypatch, capsys,
+                                             gate):
+    def failing_fit(nets, *args, **kwargs):
+        if gate.in_child():
+            raise DataError("bad rows in a forked fit")
+        return fit(nets, *args, **kwargs)
+
+    fake_cpus(monkeypatch, 2)
+    monkeypatch.setattr(mcni.experiments, "fit", failing_fit)
+    monkeypatch.setattr(mcni.experiments, "_STACK_MEMBERS", 2)
+    data = write_regression_csv(tmp_path / "reg.csv")
+    argv = ["benchmark", "--data", str(data), "--outdir", str(tmp_path / "out"),
+            "--set", "hidden=4", "--set", "lr_grid=0.05,0.01,0.02",
+            "--set", "max_epochs=2", "--set", "passes=3"]
+    assert main(argv) == EXIT_DATA
+    assert "bad rows in a forked fit" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+    assert_no_child_left()
+
+
+def test_children_never_return_into_the_caller(tmp_path):
+    # stdout is a pipe here, so the first line sits in the caller's buffer
+    # while the children run; a child that left any other way than
+    # os._exit would flush it a second time or print its own lines
+    script = (
+        "import functools, os, sys\n"
+        "from mcni.experiments import _run_tasks\n"
+        "sys.stdout.write('buffered\\n')\n"
+        "os.sched_getaffinity = lambda pid: {0, 1, 2, 3}\n"
+        "results, n = _run_tasks([functools.partial(int, i) for i in range(6)])\n"
+        "sys.stdout.write(f'{results} {n}\\n')\n")
+    src = str(Path(mcni.experiments.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "buffered\n[0, 1, 2, 3, 4, 5] 4\n"
+    assert done.stderr == ""

@@ -8,7 +8,8 @@ from mcni.nn import DenseLayer, Network, loss_mse
 from mcni.noise import NoiseSpec, NoisyDenseLayer, sample_noise
 from mcni.models import FAMILIES, build_mlp
 from mcni.optim import (Adam, FitResult, Penalty, TrainConfig, fit,
-                        grid_search, task_loss, training_loss_and_grads)
+                        grid_assignments, grid_search, task_loss,
+                        training_loss_and_grads)
 
 from oracles import adam_steps_oracle
 
@@ -591,15 +592,16 @@ def test_stacked_optimizer_rows_equal_separate_optimizers():
 # ---------------------------------------------------------------------------
 # grid search
 
-def each(fn):
-    """A batch ``evaluate`` that applies fn(config, rng) to every assignment."""
-    return lambda configs, rngs: [fn(c, r) for c, r in zip(configs, rngs)]
+def search(fn, grid, seed=0):
+    """A grid search that scores every assignment with fn(config, rng)."""
+    assignments, rngs = grid_assignments(grid, seed=seed)
+    return grid_search(assignments, [fn(c, r) for c, r in zip(assignments, rngs)])
 
 
 def test_single_point_grid_returns_it():
     def evaluate(config, rng):
         return {"val_loss": 1.0}
-    result = grid_search(each(evaluate), {"lr": [0.01]})
+    result = search(evaluate, {"lr": [0.01]})
     assert result.best["lr"] == 0.01
     assert result.best["config_index"] == 0
     assert len(result.rows) == 1
@@ -608,48 +610,40 @@ def test_single_point_grid_returns_it():
 def test_scripted_lower_loss_wins():
     def evaluate(config, rng):
         return {"val_loss": 0.1 if config["wd"] == 0.5 else 0.9}
-    result = grid_search(each(evaluate), {"lr": [0.01], "wd": [0.1, 0.5]})
+    result = search(evaluate, {"lr": [0.01], "wd": [0.1, 0.5]})
     assert result.best["wd"] == 0.5
 
 
 def test_leaderboard_length_is_grid_product():
-    calls, batches = [], []
-
-    def evaluate(configs, rngs):
-        batches.append(len(configs))
-        calls.extend(dict(c) for c in configs)
-        return [{"val_loss": 1.0} for _ in configs]
-
-    result = grid_search(evaluate, {"a": [1, 2, 3], "b": [10, 20]})
+    assignments, rngs = grid_assignments({"a": [1, 2, 3], "b": [10, 20]})
+    assert assignments == [{"a": a, "b": b} for a in (1, 2, 3) for b in (10, 20)]
+    assert len(rngs) == 6
+    result = grid_search(assignments, [{"val_loss": 1.0} for _ in assignments])
     assert len(result.rows) == 6
-    assert len(calls) == 6
-    assert batches == [6]                  # every assignment in one call
-    assert calls == [{"a": a, "b": b} for a in (1, 2, 3) for b in (10, 20)]
     assert [r["config_index"] for r in result.rows] == list(range(6))
 
 
 def test_ties_break_toward_smaller_lr_then_declaration_order():
     def evaluate(config, rng):
         return {"val_loss": 1.0}
-    result = grid_search(each(evaluate), {"lr": [0.01, 0.001]})
+    result = search(evaluate, {"lr": [0.01, 0.001]})
     assert result.best["lr"] == 0.001
-    result = grid_search(each(evaluate), {"lr": [0.01], "wd": [0.3, 0.7]})
+    result = search(evaluate, {"lr": [0.01], "wd": [0.3, 0.7]})
     assert result.best["wd"] == 0.3        # earlier declaration wins the tie
 
 
 def test_grid_sub_seeds_are_deterministic():
     def evaluate(config, rng):
         return {"val_loss": float(rng.random())}
-    a = grid_search(each(evaluate), {"lr": [0.1, 0.2], "wd": [0.0, 1.0]}, seed=5)
-    b = grid_search(each(evaluate), {"lr": [0.1, 0.2], "wd": [0.0, 1.0]}, seed=5)
+    a = search(evaluate, {"lr": [0.1, 0.2], "wd": [0.0, 1.0]}, seed=5)
+    b = search(evaluate, {"lr": [0.1, 0.2], "wd": [0.0, 1.0]}, seed=5)
     assert [r["val_loss"] for r in a.rows] == [r["val_loss"] for r in b.rows]
 
 
 def test_grid_sub_streams_follow_seed_and_config_index():
     def evaluate(config, rng):
         return {"val_loss": float(rng.random())}
-    result = grid_search(each(evaluate), {"lr": [0.1, 0.2], "wd": [0.0, 1.0]},
-                         seed=5)
+    result = search(evaluate, {"lr": [0.1, 0.2], "wd": [0.0, 1.0]}, seed=5)
     expected = [float(np.random.default_rng([5, idx]).random())
                 for idx in range(4)]
     assert [r["val_loss"] for r in result.rows] == expected
@@ -661,10 +655,10 @@ def test_non_finite_val_loss_ranks_last(bad):
 
     def evaluate(config, rng):
         return {"val_loss": losses[config["wd"]]}
-    result = grid_search(each(evaluate), {"lr": [0.01], "wd": [0, 1, 2]})
+    result = search(evaluate, {"lr": [0.01], "wd": [0, 1, 2]})
     assert result.best["config_index"] == 2
     losses[2] = bad
-    result = grid_search(each(evaluate), {"lr": [0.01], "wd": [0, 1, 2]})
+    result = search(evaluate, {"lr": [0.01], "wd": [0, 1, 2]})
     assert result.best["config_index"] == 1
 
 
@@ -674,20 +668,18 @@ def test_all_non_finite_falls_to_lr_then_declaration_order():
 
     def evaluate(config, rng):
         return {"val_loss": losses[config["lr"], config["wd"]]}
-    result = grid_search(each(evaluate), {"lr": [0.01, 0.001], "wd": [0, 1]})
+    result = search(evaluate, {"lr": [0.01, 0.001], "wd": [0, 1]})
     assert result.best["lr"] == 0.001
     assert result.best["config_index"] == 2
 
 
 def test_grid_rejects_bad_specs():
-    def evaluate(config, rng):
-        return {}
     with pytest.raises(ValueError):
-        grid_search(each(evaluate), {})
+        grid_assignments({})
     with pytest.raises(ValueError):
-        grid_search(each(evaluate), {"lr": []})
-    with pytest.raises(ValueError):
-        grid_search(each(evaluate), {"lr": [0.1]})       # no val_loss reported
+        grid_assignments({"lr": []})
+    with pytest.raises(ValueError, match="val_loss"):
+        search(lambda config, rng: {}, {"lr": [0.1]})    # no val_loss reported
     with pytest.raises(ValueError, match="2 assignments"):
-        grid_search(lambda configs, rngs: [{"val_loss": 1.0}],
-                    {"lr": [0.1, 0.2]})                  # one result short
+        grid_search(grid_assignments({"lr": [0.1, 0.2]})[0],
+                  [{"val_loss": 1.0}])                   # one result short

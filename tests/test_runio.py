@@ -106,6 +106,18 @@ def test_manifest_digest_ignores_timings():
     assert d1 == d2 == d3
 
 
+def test_manifest_digest_ignores_environment():
+    base = {"command": "toy", "config": {"seed": 3}, "results": {"x": 1.0}}
+    env = {"mcni": "0.1.0", "python": "3.11.7", "numpy": "2.4.6",
+           "usable_cpus": 2, "worker_processes": 2,
+           "blas_threads": {"OPENBLAS_NUM_THREADS": "1"}}
+    d1 = manifest_digest({**base, "environment": env})
+    d2 = manifest_digest({**base, "environment": {**env, "usable_cpus": 64,
+                                                  "worker_processes": 15,
+                                                  "blas_threads": {}}})
+    assert d1 == d2 == manifest_digest(base)
+
+
 def test_manifest_digest_sensitive_to_content():
     base = {"command": "toy", "config": {"seed": 3}}
     assert manifest_digest(base) != manifest_digest({**base, "config": {"seed": 4}})

@@ -6,12 +6,27 @@ and ``runio.write_json`` leave at their first argument. A change that
 breaks one of these is caught here, not only when the benchmark runs.
 """
 
+import importlib
+import json
 import sys
 from pathlib import Path
 
 from mcni import cli, experiments, runio
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def test_every_per_layer_span_names_an_mcni_function():
+    # a traced run fails when a per-layer metric's function is missing
+    for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]:
+        module, *path, stat = metric["name"].split(".")
+        if stat not in ("calls", "self_s") or not path:
+            continue            # counters, ratios and whole-module sums
+        obj = importlib.import_module(f"mcni.{module}")
+        for part in path:
+            obj = getattr(obj, part)
+        assert callable(obj), metric["name"]
 
 
 def test_tracer_spans_a_riskcov_run_and_uninstalls(tmp_path, monkeypatch):
