@@ -20,21 +20,18 @@ timing.csv, has its hash recorded under those timings, outside the digest.
 
 The benchmark, toy and noise-sweep drivers cut their fits into independent
 tasks and run them on every usable CPU in forked worker processes
-(``_run_tasks``). Each task draws only from its own streams and results are
+(``run_tasks``). Each task draws only from its own streams and results are
 kept in task order, so the outputs are the same at any CPU count.
 """
 
 from __future__ import annotations
 
-import fcntl
 import functools
 import json
 import math
 import os
-import pickle
 import platform
 import secrets
-import signal
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -53,6 +50,7 @@ from .nn import ACTIVATIONS
 from .optim import TrainConfig, fit, grid_assignments, grid_search
 from .runio import jsonable, manifest_digest, sha256_file, write_csv, \
     write_json
+from .workers import run_tasks
 
 
 class ConfigError(ValueError):
@@ -83,7 +81,7 @@ class Computed:
     timings: dict[str, float] = field(default_factory=dict)
     # names in outputs whose payload is a wall-clock measurement
     measured_files: tuple[str, ...] = ()
-    # worker processes the driver's fits ran on (see ``_run_tasks``)
+    # worker processes the driver's tasks ran on (see ``run_tasks``)
     processes: int = 1
 
 
@@ -219,16 +217,9 @@ def spearman_rho(xs, ys) -> float:
         raise ValueError("spearman_rho expects two equal-length 1-D arrays")
 
     def ranks(v):
-        order = np.argsort(v, kind="stable")
-        r = np.empty(v.size, dtype=float)
-        i = 0
-        while i < v.size:
-            j = i
-            while j + 1 < v.size and v[order[j + 1]] == v[order[i]]:
-                j += 1
-            r[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-            i = j + 1
-        return r
+        # a tie group's average rank: its last rank less half its extent
+        _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+        return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
     rx, ry = ranks(xs), ranks(ys)
     rx -= rx.mean()
@@ -237,113 +228,6 @@ def spearman_rho(xs, ys) -> float:
     if denom == 0.0:
         return 0.0
     return float(rx @ ry) / denom
-
-
-# ---------------------------------------------------------------------------
-# worker processes
-
-
-def _run_tasks(tasks: list) -> tuple[list, int]:
-    """Call every task; return their results in task order and the number
-    of worker processes, min(usable CPUs, len(tasks)).
-
-    The calling process is one worker; the others are ``os.fork()``
-    children. The workers share a queue: the task indices, written in order
-    into a pipe before the first fork, from which each worker reads the next
-    index whenever it is free (a read that small is atomic). A worker stops
-    at its first exception. A child sends its results, or that exception,
-    pickled through a pipe of its own and always leaves through
-    ``os._exit``, so it never returns into the caller's stack nor flushes
-    the caller's buffers. Every child is reaped before anything is raised;
-    then the exception of the lowest-numbered failed task is raised with
-    its type. A child that ends without a result (a signal, say, or the OOM
-    killer) counts as a RuntimeError naming how it ended. If the caller
-    itself is interrupted, the children are killed.
-    """
-    n = min(len(os.sched_getaffinity(0)), len(tasks))
-    queue, feed = os.pipe()
-    # one queue entry per task, or per block of tasks when the pipe is too
-    # small to take them all without blocking
-    block = max(1, -(-len(tasks) // (fcntl.fcntl(feed, fcntl.F_GETPIPE_SZ) // 4)))
-    os.write(feed, b"".join(i.to_bytes(4, "little")
-                            for i in range(0, len(tasks), block)))
-    os.close(feed)
-    pipes: dict[int, int] = {}      # child pid -> read end of its result pipe
-    blobs: dict[int, bytes] = {}
-    statuses: dict[int, int] = {}
-    try:
-        for _ in range(n - 1):
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _child(tasks, queue, block, write_end)
-            os.close(write_end)
-            pipes[pid] = read_end
-        shares = [_share(tasks, queue, block)]
-        for pid, read_end in pipes.items():
-            with open(read_end, "rb", closefd=False) as fh:
-                blobs[pid] = fh.read()
-    except BaseException:
-        for pid in pipes:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.close(queue)
-        for pid, read_end in pipes.items():
-            os.close(read_end)
-            statuses[pid] = os.waitpid(pid, 0)[1]
-
-    for pid, blob in blobs.items():
-        if blob:
-            shares.append(pickle.loads(blob))
-        else:
-            code = os.waitstatus_to_exitcode(statuses[pid])
-            how = (f"was killed by {signal.Signals(-code).name}" if code < 0
-                   else f"exited with code {code}")
-            shares.append(([], (math.inf, RuntimeError(
-                f"worker process {pid} {how} without sending its results"))))
-    results = [None] * len(tasks)
-    failures = []
-    for done, failure in shares:
-        for index, result in done:
-            results[index] = result
-        if failure is not None:
-            failures.append(failure)
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return results, n
-
-
-def _share(tasks: list, queue: int, block: int) -> tuple[list, tuple | None]:
-    """Run tasks from the queue until it is empty or one raises: the
-    (index, result) pairs, and (index, exception) for the task that raised,
-    if one did."""
-    done = []
-    while entry := os.read(queue, 4):
-        start = int.from_bytes(entry, "little")
-        for index in range(start, min(start + block, len(tasks))):
-            try:
-                done.append((index, tasks[index]()))
-            except Exception as exc:
-                return done, (index, exc)
-    return done, None
-
-
-def _child(tasks: list, queue: int, block: int, write_end: int):
-    """A forked worker's whole life: run its share, send it, ``os._exit``."""
-    code = 1
-    try:
-        share = _share(tasks, queue, block)
-        try:
-            blob = pickle.dumps(share)
-        except Exception as exc:
-            blob = pickle.dumps(([], (math.inf, RuntimeError(
-                f"worker process could not send its results: {exc!r}"))))
-        with open(write_end, "wb") as fh:
-            fh.write(blob)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +291,8 @@ def run_toy(cfg: ToyConfig) -> Computed:
 
     runs = [(seed, tag, model) for seed in cfg.seeds
             for tag, model in enumerate(TOY_MODELS)]
-    results, processes = _run_tasks([functools.partial(fit_one, *run)
-                                     for run in runs])
+    results, processes = run_tasks([functools.partial(fit_one, *run)
+                                    for run in runs])
     pred_rows, int_rows = [], []
     per_model: dict[str, dict] = {m: {"per_seed": {}} for m in TOY_MODELS}
     for (seed, _, model), (mean, sigma, lower, upper) in zip(runs, results):
@@ -575,19 +459,14 @@ def run_benchmark(cfg: BenchmarkConfig) -> Computed:
         tasks += [functools.partial(fit_stack, family, assignments[lo:lo + step],
                                     rngs[lo:lo + step])
                   for lo in range(0, len(assignments), step)]
-    stacks, processes = _run_tasks(tasks)
+    stacks, processes = run_tasks(tasks)
     # the sub-stacks' score rows, in assignment order
     scores = (row for stack in stacks for row in stack)
 
     for family, assignments in searches:
         result = grid_search(assignments, [next(scores) for _ in assignments])
         for row in result.rows:
-            rows.append([family,
-                         row["lr"], row["weight_decay"],
-                         row.get("dropout_p", ""), row.get("noise_level", ""),
-                         row.get("alpha_init", ""),
-                         row["val_loss"], row["test_rmse"], row["test_nll"],
-                         row["test_picp"], row["test_mpiw"]])
+            rows.append([family, *(row.get(k, "") for k in LEADERBOARD_HEADER[1:])])
         best_per_family[family] = result.best
 
     metrics: dict = {"data": str(cfg.data), "passes": cfg.passes,
@@ -755,8 +634,8 @@ def run_noise_sweep(cfg: SweepConfig) -> Computed:
         rho = spearman_rho(cfg.sigmas, mean_entropy)
         return rows, {"mean_entropy_per_sigma": mean_entropy, "spearman_rho": rho}
 
-    results, processes = _run_tasks([functools.partial(sweep_one, seed)
-                                     for seed in cfg.seeds])
+    results, processes = run_tasks([functools.partial(sweep_one, seed)
+                                    for seed in cfg.seeds])
     rows = [row for seed_rows, _ in results for row in seed_rows]
     per_seed = {str(seed): entry for seed, (_, entry) in zip(cfg.seeds, results)}
 
@@ -887,6 +766,7 @@ def run_gpcheck(cfg: GpCheckConfig) -> Computed:
     input_dim = len(cfg.probes[0])
     rows = []
     per_seed = {}
+    processes = 1
     for seed in cfg.seeds:
         probe = WideNetProbe(width=cfg.width, n_networks=cfg.n_networks,
                              probe_inputs=cfg.probes)
@@ -902,6 +782,7 @@ def run_gpcheck(cfg: GpCheckConfig) -> Computed:
         per_seed[str(seed)] = {
             "max_rel_deviation": report.max_rel_deviation,
             "convergence": report.convergence}
+        processes = max(processes, report.worker_processes)
 
     # what the deviations are measured against: the same for every seed
     metrics = {"nonlinearity": cfg.nonlinearity,
@@ -909,7 +790,7 @@ def run_gpcheck(cfg: GpCheckConfig) -> Computed:
                "width": cfg.width, "per_seed": per_seed}
     return Computed({"convergence.csv": (["width", "n_networks", "max_rel_dev",
                                           "seed"], rows),
-                     "metrics.json": metrics}, metrics)
+                     "metrics.json": metrics}, metrics, processes=processes)
 
 
 def config_to_dict(cfg) -> dict:

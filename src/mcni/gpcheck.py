@@ -21,33 +21,31 @@ the spread of that deviation only slightly.
 Execution. wide_net_covariance cuts its networks into chunks whose size
 depends only on the probe shape, the width and ``_NETWORK_BUDGET``, and
 draws each chunk's w1, b1 and v from its own sub-stream (``rng.spawn``, one
-per chunk). The chunks run on one thread per usable CPU
-(``os.sched_getaffinity``), the calling thread included; numpy releases the
-GIL while it draws and computes, so they overlap. Each chunk writes its own
-rows of the output matrix and the covariance is reduced from that matrix in
-a fixed order, so the result is bit-for-bit the same at any thread count.
-correspondence_report runs the widths one after another.
+per chunk). The chunks are tasks for ``workers.run_tasks``: they run on one
+process per usable CPU (``os.sched_getaffinity``), the calling process and
+forked children, and come back in chunk order. The covariance is reduced
+from their rows in a fixed order, so the result is bit-for-bit the same at
+any process count. correspondence_report runs the widths one after another.
 
-Each worker thread draws into its own buffers, allocated on its first chunk
-of a call, and computes the hidden layer a few networks at a time, in a
-block of about ``_BLOCK_BUDGET`` doubles. So one worker holds at most about
-8 MB of arrays; at width 4096 with 3 two-dimensional probes a chunk is 34
-networks, 4.5 MB of draws. The tanh kernel draws on the calling thread in
-chunks of at most ``_CHUNK_BUDGET`` doubles (about 27 MB for 1e6 samples
-and 3 two-dimensional probes).
+Each worker process draws into its own buffers, allocated on its first
+chunk of a call, and computes the hidden layer a few networks at a time, in
+a block of about ``_BLOCK_BUDGET`` doubles. So one worker holds at most
+about 8 MB of arrays; at width 4096 with 3 two-dimensional probes a chunk
+is 34 networks, 4.5 MB of draws. The tanh kernel draws in the calling
+process in chunks of at most ``_CHUNK_BUDGET`` doubles (about 27 MB for 1e6
+samples and 3 two-dimensional probes).
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
 from .nn import apply_activation
+from .workers import run_tasks
 
 NONLINEARITIES = ("relu", "tanh", "identity")
 
@@ -171,18 +169,19 @@ def analytic_kernel_relu(probes, bias_std: float) -> np.ndarray:
 
 
 def _chunk_outputs(X: np.ndarray, width: int, cfg: KernelMCConfig,
-                   rng: np.random.Generator, out: np.ndarray, scratch) -> None:
-    """Draw len(out) networks from rng and write their outputs on X to out.
+                   rng: np.random.Generator, c: int, scratch) -> np.ndarray:
+    """The (c, P) outputs on X of c networks drawn from rng.
 
-    ``scratch()`` returns the calling thread's (w1, b1, v, hidden) buffers.
+    ``scratch()`` returns the calling worker's (w1, b1, v, hidden) buffers.
     """
     w1_buf, b1_buf, v_buf, h_buf = scratch()
-    (c, p), q, k = out.shape, X.shape[1], width
+    (p, q), k = X.shape, width
     w1 = rng.standard_normal(out=_view(w1_buf, c, q, k))
     b1 = rng.standard_normal(out=_view(b1_buf, c, 1, k))
     b1 *= cfg.bias_std
     v = rng.standard_normal(out=_view(v_buf, c, k))
     v /= np.sqrt(k)
+    out = np.empty((c, p), dtype=np.float64)
     block = len(h_buf) // (p * k)
     for s in range(0, c, block):
         e = min(c, s + block)
@@ -191,17 +190,20 @@ def _chunk_outputs(X: np.ndarray, width: int, cfg: KernelMCConfig,
         hidden += b1[s:e]
         apply_activation(cfg.nonlinearity, hidden, out=hidden)
         np.einsum("cpk,ck->cp", hidden, v[s:e], out=out[s:e])
+    return out
 
 
 def wide_net_covariance(probe: WideNetProbe, cfg: KernelMCConfig,
-                        rng: np.random.Generator) -> np.ndarray:
+                        rng: np.random.Generator, *,
+                        process_counts: list | None = None) -> np.ndarray:
     """Empirical output covariance across prior-sampled finite networks.
 
     Output weights are N(0, 1/width) so the hidden sum carries the same
     1/width normalization as the kernel's MC average; the scalar outputs
     across networks then estimate the kernel on the probe set. The networks
     are drawn in chunks, each from its own sub-stream of rng, on all usable
-    CPUs (see the module docstring).
+    CPUs (see the module docstring). The number of worker processes they
+    ran on is appended to ``process_counts``, if given.
     """
     if probe.n_networks < 2:
         raise ValueError("covariance estimation needs at least 2 networks")
@@ -213,19 +215,21 @@ def wide_net_covariance(probe: WideNetProbe, cfg: KernelMCConfig,
     chunk = max(1, _NETWORK_BUDGET // ((q + p + 2) * k))
     size = min(chunk, probe.n_networks)
     block = max(1, min(size, _BLOCK_BUDGET // (p * k)))
-    local = threading.local()
+    bufs = []       # a worker's own: children are forked before any chunk runs
 
     def scratch():
-        if not hasattr(local, "bufs"):
-            local.bufs = (np.empty(size * q * k), np.empty(size * k),
-                          np.empty(size * k), np.empty(block * p * k))
-        return local.bufs
+        if not bufs:
+            bufs.extend((np.empty(size * q * k), np.empty(size * k),
+                         np.empty(size * k), np.empty(block * p * k)))
+        return bufs
 
-    outputs = np.empty((probe.n_networks, p), dtype=np.float64)
-    starts = range(0, probe.n_networks, chunk)
-    _run_concurrently([
-        partial(_chunk_outputs, X, k, cfg, stream, outputs[s:s + chunk], scratch)
-        for s, stream in zip(starts, rng.spawn(len(starts)))])
+    sizes = list(_chunks(probe.n_networks, chunk))
+    rows, processes = run_tasks([
+        partial(_chunk_outputs, X, k, cfg, stream, c, scratch)
+        for c, stream in zip(sizes, rng.spawn(len(sizes)))])
+    if process_counts is not None:
+        process_counts.append(processes)
+    outputs = np.concatenate(rows)
     centered = outputs - outputs.mean(axis=0)
     cov = np.empty((p, p), dtype=np.float64)
     for i in range(p):
@@ -241,42 +245,6 @@ def relative_deviation(covariance: np.ndarray, kernel: np.ndarray) -> np.ndarray
     return np.abs(covariance - kernel) / (np.abs(kernel) + 1e-9)
 
 
-def _run_concurrently(tasks: list) -> None:
-    """Call every task, starting them in list order, on min(usable CPUs,
-    len(tasks)) threads, the calling thread being one of them.
-
-    On the gp_check benchmark a ThreadPoolExecutor, which runs every task off
-    the calling thread, peaked 3-8 MB higher. The first exception a task
-    raises is re-raised once every thread has stopped; tasks not yet started
-    then never start.
-    """
-    pending = iter(tasks)
-    errors = []
-    lock = threading.Lock()
-
-    def work():
-        while not errors:
-            with lock:
-                task = next(pending, None)
-            if task is None:
-                return
-            try:
-                task()
-            except BaseException as exc:  # re-raised in the calling thread
-                errors.append(exc)
-
-    n_threads = min(len(os.sched_getaffinity(0)), len(tasks))
-    helpers = [threading.Thread(target=work, daemon=True)
-               for _ in range(n_threads - 1)]
-    for t in helpers:
-        t.start()
-    work()
-    for t in helpers:
-        t.join()
-    if errors:
-        raise errors[0]
-
-
 @dataclass
 class CorrespondenceReport:
     kernel: np.ndarray = field(repr=False)
@@ -284,6 +252,8 @@ class CorrespondenceReport:
     max_rel_deviation: float = 0.0
     convergence: list[dict] = field(default_factory=list)
     kernel_source: str = "closed_form"     # or "monte_carlo"
+    # the most worker processes any width's chunks ran on
+    worker_processes: int = 1
 
 
 def correspondence_report(probe: WideNetProbe, cfg: KernelMCConfig,
@@ -298,7 +268,7 @@ def correspondence_report(probe: WideNetProbe, cfg: KernelMCConfig,
     Every width estimates the same kernel without bias, so each table entry
     measures the sampling deviation of probe.n_networks networks (plus, for
     tanh, the kernel estimate's own error), not a distance that shrinks with
-    width. The result does not depend on the number of threads.
+    width. The result does not depend on the number of worker processes.
     """
     X = probe.inputs()
     source = "closed_form"
@@ -313,8 +283,10 @@ def correspondence_report(probe: WideNetProbe, cfg: KernelMCConfig,
     table_widths = sorted(set(int(w) for w in widths) | {probe.width})
     convergence = []
     headline = None
+    process_counts = []
     for width, stream in zip(table_widths, rng.spawn(len(table_widths))):
-        cov = wide_net_covariance(replace(probe, width=width), cfg, stream)
+        cov = wide_net_covariance(replace(probe, width=width), cfg, stream,
+                                  process_counts=process_counts)
         dev = relative_deviation(cov, kernel)
         convergence.append({
             "width": width,
@@ -326,4 +298,5 @@ def correspondence_report(probe: WideNetProbe, cfg: KernelMCConfig,
     cov, dev = headline
     return CorrespondenceReport(kernel=kernel, covariance=cov,
                                 max_rel_deviation=float(dev.max()),
-                                convergence=convergence, kernel_source=source)
+                                convergence=convergence, kernel_source=source,
+                                worker_processes=max(process_counts))

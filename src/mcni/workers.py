@@ -1,0 +1,118 @@
+"""Run independent tasks on every usable CPU in forked worker processes.
+
+``run_tasks`` is mcni's one way of spreading work over CPUs. The
+experiment drivers give it their fits, and ``gpcheck`` its covariance
+chunks. mcni starts no thread, so a child never inherits a lock that an
+mcni thread held; OpenBLAS stops its own thread pool around a fork.
+"""
+
+from __future__ import annotations
+
+import fcntl
+import math
+import os
+import pickle
+import signal
+
+
+def run_tasks(tasks: list) -> tuple[list, int]:
+    """Call every task; return their results in task order and the number
+    of worker processes, min(usable CPUs, len(tasks)).
+
+    The calling process is one worker; the others are ``os.fork()``
+    children. The workers share a queue: the task indices, written in order
+    into a pipe before the first fork, from which each worker reads the next
+    index whenever it is free (a read that small is atomic). A worker stops
+    at its first exception. A child sends its results, or that exception,
+    pickled through a pipe of its own and always leaves through
+    ``os._exit``, so it never returns into the caller's stack nor flushes
+    the caller's buffers. Every child is reaped before anything is raised;
+    then the exception of the lowest-numbered failed task is raised with
+    its type. A child that ends without a result (a signal, say, or the OOM
+    killer) counts as a RuntimeError naming how it ended. If the caller
+    itself is interrupted, the children are killed.
+    """
+    n = min(len(os.sched_getaffinity(0)), len(tasks))
+    queue, feed = os.pipe()
+    # one queue entry per task, or per block of tasks when the pipe is too
+    # small to take them all without blocking
+    block = max(1, -(-len(tasks) // (fcntl.fcntl(feed, fcntl.F_GETPIPE_SZ) // 4)))
+    os.write(feed, b"".join(i.to_bytes(4, "little")
+                            for i in range(0, len(tasks), block)))
+    os.close(feed)
+    pipes: dict[int, int] = {}      # child pid -> read end of its result pipe
+    blobs: dict[int, bytes] = {}
+    statuses: dict[int, int] = {}
+    try:
+        for _ in range(n - 1):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(tasks, queue, block, write_end)
+            os.close(write_end)
+            pipes[pid] = read_end
+        shares = [_share(tasks, queue, block)]
+        for pid, read_end in pipes.items():
+            with open(read_end, "rb", closefd=False) as fh:
+                blobs[pid] = fh.read()
+    except BaseException:
+        for pid in pipes:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(queue)
+        for pid, read_end in pipes.items():
+            os.close(read_end)
+            statuses[pid] = os.waitpid(pid, 0)[1]
+
+    for pid, blob in blobs.items():
+        if blob:
+            shares.append(pickle.loads(blob))
+        else:
+            code = os.waitstatus_to_exitcode(statuses[pid])
+            how = (f"was killed by {signal.Signals(-code).name}" if code < 0
+                   else f"exited with code {code}")
+            shares.append(([], (math.inf, RuntimeError(
+                f"worker process {pid} {how} without sending its results"))))
+    results = [None] * len(tasks)
+    failures = []
+    for done, failure in shares:
+        for index, result in done:
+            results[index] = result
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return results, n
+
+
+def _share(tasks: list, queue: int, block: int) -> tuple[list, tuple | None]:
+    """Run tasks from the queue until it is empty or one raises: the
+    (index, result) pairs, and (index, exception) for the task that raised,
+    if one did."""
+    done = []
+    while entry := os.read(queue, 4):
+        start = int.from_bytes(entry, "little")
+        for index in range(start, min(start + block, len(tasks))):
+            try:
+                done.append((index, tasks[index]()))
+            except Exception as exc:
+                return done, (index, exc)
+    return done, None
+
+
+def _child(tasks: list, queue: int, block: int, write_end: int):
+    """A forked worker's whole life: run its share, send it, ``os._exit``."""
+    code = 1
+    try:
+        share = _share(tasks, queue, block)
+        try:
+            blob = pickle.dumps(share)
+        except Exception as exc:
+            blob = pickle.dumps(([], (math.inf, RuntimeError(
+                f"worker process could not send its results: {exc!r}"))))
+        with open(write_end, "wb") as fh:
+            fh.write(blob)
+        code = 0
+    finally:
+        os._exit(code)

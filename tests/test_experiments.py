@@ -20,9 +20,9 @@ from mcni.cli import EXIT_DATA, main
 from mcni.data import DataError, load_csv, split, standardize_fit_apply
 from mcni.experiments import (BenchmarkConfig, ConfigError, GpCheckConfig,
                               RiskCovConfig, SweepConfig, TimingConfig,
-                              ToyConfig, _family_grid, _run_tasks,
-                              config_to_dict, corrupted_predict, gen_blobs,
-                              run_bench_time, run_benchmark, run_gpcheck,
+                              ToyConfig, _family_grid, config_to_dict,
+                              corrupted_predict, gen_blobs, run_bench_time,
+                              run_benchmark, run_gpcheck,
                               run_noise_sweep, run_riskcov, run_toy,
                               spearman_rho)
 from mcni.mc import mc_predict, summarize_regression
@@ -31,6 +31,7 @@ from mcni.models import build_mlp
 from mcni.nn import softmax
 from mcni.optim import TrainConfig, fit
 from mcni.runio import sha256_file
+from mcni.workers import run_tasks
 
 from oracles import benchmark_oracle, spearman_oracle
 
@@ -315,6 +316,17 @@ def test_sweep_files_equal_at_any_cpu_count(tmp_path, monkeypatch):
         tmp_path, monkeypatch, run_noise_sweep,
         lambda path: tiny_sweep(path, seeds=(0, 1, 2)),
         ("sweep.csv", "metrics.json"), n_tasks=3)
+
+
+def test_gpcheck_files_equal_at_any_cpu_count(tmp_path, monkeypatch):
+    # 1e6 // (6 * 4096) = 40 networks a chunk: three chunks at width 4096,
+    # one at width 8
+    assert_same_files_at_any_cpu_count(
+        tmp_path, monkeypatch, run_gpcheck,
+        lambda path: GpCheckConfig(outdir=str(path), n_networks=90, width=4096,
+                                   widths=(8, 4096),
+                                   probes=((1.0, 0.5), (0.8, 0.6))),
+        ("convergence.csv", "metrics.json"), n_tasks=3)
 
 
 def test_benchmark_config_validation(tmp_path):
@@ -681,7 +693,7 @@ def test_run_tasks_keeps_task_order_and_leaves_no_child(monkeypatch, gate):
         gate.in_child()
         return i, os.getpid()
 
-    results, processes = _run_tasks([functools.partial(task, i) for i in range(7)])
+    results, processes = run_tasks([functools.partial(task, i) for i in range(7)])
     assert processes == 3
     assert [i for i, _ in results] == list(range(7))
     pids = {pid for _, pid in results}
@@ -701,7 +713,7 @@ def test_run_tasks_raises_a_childs_exception_with_its_type(monkeypatch, gate,
         return 0
 
     with pytest.raises(type(exc), match="in a child") as info:
-        _run_tasks([task] * 3)
+        run_tasks([task] * 3)
     assert type(info.value) is type(exc)
     assert_no_child_left()
 
@@ -711,7 +723,7 @@ def test_run_tasks_raises_the_lowest_failed_task(monkeypatch):
     tasks = [lambda: 0, fail_with(DataError("task 1")),
              fail_with(ValueError("task 2"))]
     with pytest.raises(DataError, match="task 1"):
-        _run_tasks(tasks)
+        run_tasks(tasks)
     assert_no_child_left()
 
 
@@ -724,7 +736,7 @@ def test_run_tasks_names_the_signal_that_killed_a_child(monkeypatch, gate):
         return 0
 
     with pytest.raises(RuntimeError, match="killed by SIGKILL"):
-        _run_tasks([task] * 2)
+        run_tasks([task] * 2)
     assert_no_child_left()
 
 
@@ -754,10 +766,10 @@ def test_children_never_return_into_the_caller(tmp_path):
     # os._exit would flush it a second time or print its own lines
     script = (
         "import functools, os, sys\n"
-        "from mcni.experiments import _run_tasks\n"
+        "from mcni.workers import run_tasks\n"
         "sys.stdout.write('buffered\\n')\n"
         "os.sched_getaffinity = lambda pid: {0, 1, 2, 3}\n"
-        "results, n = _run_tasks([functools.partial(int, i) for i in range(6)])\n"
+        "results, n = run_tasks([functools.partial(int, i) for i in range(6)])\n"
         "sys.stdout.write(f'{results} {n}\\n')\n")
     src = str(Path(mcni.experiments.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,

@@ -1,9 +1,10 @@
 """GP kernels (closed form and Monte Carlo) vs wide-network covariance checks."""
 
 import math
+import os
+import select
 import sys
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -302,7 +303,7 @@ def test_covariance_equals_oracle_with_three_input_dims():
 
 
 def fake_cpus(monkeypatch, n):
-    monkeypatch.setattr(gpcheck.os, "sched_getaffinity",
+    monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(n)))
 
 
@@ -364,21 +365,29 @@ def test_report_under_thread_contention(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("failing", ["kernel_mc_matrix", "wide_net_covariance"])
 def test_task_error_reaches_caller_without_hang(monkeypatch, failing):
-    """A failure in the tanh kernel, or in one covariance chunk on a helper
-    thread, reaches the caller, and no thread outlives the call."""
+    """A failure in the tanh kernel, or in one covariance chunk in a forked
+    worker, reaches the caller with its type, and no child outlives the
+    call."""
     real_chunk = gpcheck._chunk_outputs
-    calling, failed_on = [], []
+    caller = os.getpid()
+    read_end, write_end = os.pipe()
 
     def planted_kernel(*args):
         raise RuntimeError("planted failure in kernel_mc_matrix")
 
     def planted_chunk(*args):
-        if threading.current_thread() is not calling[0]:
-            failed_on.append(threading.current_thread())
+        if os.getpid() != caller:
+            os.write(write_end, b"x")
             raise RuntimeError("planted failure in wide_net_covariance")
-        time.sleep(0.01)    # leave chunks for the helper threads
+        # leave chunks for the children: wait until one has taken a chunk
+        select.select([read_end], [], [], 30.0)
         return real_chunk(*args)
 
     if failing == "kernel_mc_matrix":
@@ -391,30 +400,27 @@ def test_task_error_reaches_caller_without_hang(monkeypatch, failing):
         probe = WideNetProbe(width=1500, n_networks=1000, probe_inputs=PROBES3)
         c, widths = cfg(), (1500,)
     fake_cpus(monkeypatch, 4)
-    threads_before = threading.active_count()
-
-    def call():
-        calling.append(threading.current_thread())
-        return correspondence_report(probe, c, np.random.default_rng(32),
-                                     widths=widths)
-
-    _, error = call_with_timeout(call)
-    assert isinstance(error, RuntimeError)
-    assert str(error) == f"planted failure in {failing}"
-    if failing == "wide_net_covariance":
-        assert failed_on and calling[0] not in failed_on
-    assert threading.active_count() == threads_before
+    try:
+        with pytest.raises(RuntimeError) as info:
+            correspondence_report(probe, c, np.random.default_rng(32),
+                                  widths=widths)
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    assert type(info.value) is RuntimeError
+    assert str(info.value) == f"planted failure in {failing}"
+    assert_no_child_left()
 
 
-def spy_chunks(monkeypatch, delay=0.0):
-    """Record (thread, rows, buffers) for every covariance chunk run."""
+def spy_chunks(monkeypatch):
+    """Record (rows, buffers) for every covariance chunk the calling process
+    runs; a forked worker records only in its own copy."""
     real = gpcheck._chunk_outputs
     runs = []
 
-    def spy(X, width, c, rng, out, buffers):
-        runs.append((threading.current_thread(), len(out), buffers()))
-        time.sleep(delay)
-        return real(X, width, c, rng, out, buffers)
+    def spy(X, width, c, rng, n, scratch):
+        runs.append((n, tuple(scratch())))
+        return real(X, width, c, rng, n, scratch)
 
     monkeypatch.setattr(gpcheck, "_chunk_outputs", spy)
     return runs
@@ -426,21 +432,16 @@ def test_covariance_chunks_start_in_stream_order_partial_last(monkeypatch):
     probe = WideNetProbe(width=4096, n_networks=300, probe_inputs=PROBES3)
     wide_net_covariance(probe, cfg(), np.random.default_rng(33))
     # chunk = 1e6 // (7 * 4096) = 34 networks
-    assert [rows for _, rows, _ in runs] == [34] * 8 + [28]
-    assert {t for t, _, _ in runs} == {threading.current_thread()}
+    assert [rows for rows, _ in runs] == [34] * 8 + [28]
 
 
-def test_each_worker_thread_draws_into_its_own_buffers(monkeypatch):
-    fake_cpus(monkeypatch, 2)
-    runs = spy_chunks(monkeypatch, delay=0.01)
+def test_every_chunk_of_a_worker_reuses_its_buffers(monkeypatch):
+    fake_cpus(monkeypatch, 1)
+    runs = spy_chunks(monkeypatch)
     probe = WideNetProbe(width=4096, n_networks=300, probe_inputs=PROBES3)
     got = wide_net_covariance(probe, cfg(), np.random.default_rng(34))
     want = wide_net_covariance_oracle(probe, cfg(), np.random.default_rng(34))
     assert np.array_equal(got, want)
-    by_thread = {}
-    for thread, _, bufs in runs:
-        by_thread.setdefault(thread, set()).add(tuple(id(b) for b in bufs))
-    assert len(by_thread) == 2
-    assert all(len(ids) == 1 for ids in by_thread.values())
-    first, second = (next(iter(ids)) for ids in by_thread.values())
-    assert not set(first) & set(second)
+    assert len(runs) == 9
+    # runs holds every buffer it saw, so equal ids are the same arrays
+    assert len({tuple(map(id, bufs)) for _, bufs in runs}) == 1
