@@ -2,12 +2,9 @@
 
 Each pass gets its own child stream spawned from the caller's generator
 (pass t gets child t), so a fixed master seed reproduces the sample block
-bit-for-bit and the passes could in principle run concurrently. The streams
-are spawned STREAM_BLOCK at a time, not all T at once; each spawn advances
-the generator's child counter, so the blocks hand out the same children in
-the same order. A live stream costs about 1 KB, so whatever T is, the
-streams held at once stay under STREAM_BLOCK KB and the only memory that
-grows with T is the (T, N, D) sample block.
+bit-for-bit and the passes could in principle run concurrently. Pass t
+spawns child t as it starts, so the call holds one pass stream at a time
+and the only memory that grows with T is the (T, N, D) sample block.
 
 Summaries reduce over the pass axis with a sequential Welford recurrence in
 a fixed order; besides numerical robustness this makes the variance of
@@ -30,8 +27,6 @@ import numpy as np
 from .nn import Network, softmax
 
 PROB_TOLERANCE = 1e-6
-# pass streams spawned per spawn call; any fixed value gives the same bits
-STREAM_BLOCK = 256
 
 
 @dataclass
@@ -70,30 +65,29 @@ def mc_predict(net: Network, X, T: int, rng: np.random.Generator, *,
     and the second for the network.
 
     Pass t runs on child t of ``rng``, which has spawned exactly T children
-    afterwards. The children are spawned STREAM_BLOCK at a time, so besides
-    the returned (T, N, D) block the call holds at most STREAM_BLOCK streams
-    (about 1 KB each) and one forward trace, whatever T is.
+    afterwards; the call holds one pass stream at a time.
     """
     if isinstance(T, bool) or not isinstance(T, (int, np.integer)):
         raise TypeError(f"the pass count must be an integer, got {T!r}")
     if T < 1:
         raise ValueError("need at least one Monte Carlo pass")
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy Generator, got {rng!r}")
     X = np.asarray(X, dtype=np.float64)
     needs_softmax = net.task == "classification"
     outs = np.empty((T,) + (X.shape[0], net.fan_out), dtype=np.float64)
     trace = None
-    for start in range(0, T, STREAM_BLOCK):
-        for t, stream in enumerate(
-                rng.spawn(min(STREAM_BLOCK, T - start)), start):
-            x = X
-            if transform is not None:
-                input_rng, stream = stream.spawn(2)
-                x = transform(X, input_rng)
-            out, trace = net.forward(x, stream, reuse=trace)
-            if needs_softmax:
-                softmax(out, out=outs[t])
-            else:
-                outs[t] = out
+    for t in range(T):
+        stream, = rng.spawn(1)
+        x = X
+        if transform is not None:
+            input_rng, stream = stream.spawn(2)
+            x = transform(X, input_rng)
+        out, trace = net.forward(x, stream, reuse=trace)
+        if needs_softmax:
+            softmax(out, out=outs[t])
+        else:
+            outs[t] = out
     return PredictiveSamples(values=outs, task=net.task)
 
 

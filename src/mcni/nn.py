@@ -266,8 +266,9 @@ class Network:
                 frozen_noise=None, reuse: ForwardTrace | None = None):
         """Run the stack; returns (output, ForwardTrace).
 
-        Noise and dropout draw from ``rng``; a member stack takes one
-        generator per member. A net without stochastic layers needs none.
+        Noise and dropout draw from ``rng``: a single net takes one generator
+        (or a one-element sequence), a member stack one generator per member.
+        A net without stochastic layers needs none.
         ``frozen_noise`` is a per-layer list of pre-drawn noise (weight noise
         eps or dropout masks); used by gradient checks so finite differences
         see a smooth deterministic function.
@@ -295,9 +296,13 @@ class Network:
             first = self._dense[0][0]
             raise ShapeError(
                 f"layer {first} expects {self.fan_in} features, got {x.shape[-1]}")
-        if (self.members is not None and rng is not None
-                and len(rng) != self.members):
-            raise ContractError("a member stack needs one generator per member")
+        if self.members is None and isinstance(rng, Sequence) and len(rng) == 1:
+            rng, = rng
+        # a sequence for a single net, a lone generator or a miscount for a stack
+        if rng is not None and (isinstance(rng, Sequence) is (self.members is None)
+                                or self.members and len(rng) != self.members):
+            raise ContractError("a single net takes one generator, a member "
+                                "stack one generator per member")
         if frozen_noise is not None and len(frozen_noise) != len(self.layers):
             raise ContractError("frozen_noise must have one entry per layer")
         if reuse is not None:

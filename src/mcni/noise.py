@@ -52,10 +52,10 @@ class NoiseSpec:
         if self.mode not in ("fixed", "learned"):
             raise ValueError("noise mode must be 'fixed' or 'learned'")
         # written so that NaN fails too
-        if not self.alpha_init >= 0.0:
-            raise ValueError("alpha_init must be non-negative")
-        if not self.alpha_penalty_lambda >= 0.0:
-            raise ValueError("alpha_penalty_lambda must be non-negative")
+        if not 0.0 <= self.alpha_init < math.inf:
+            raise ValueError("alpha_init must be finite and >= 0")
+        if not 0.0 <= self.alpha_penalty_lambda < math.inf:
+            raise ValueError("alpha_penalty_lambda must be finite and >= 0")
 
 
 def layer_weight_std(W: np.ndarray) -> float:
@@ -73,7 +73,7 @@ def layer_weight_std(W: np.ndarray) -> float:
         raise ShapeError("weight matrix is empty")
     stacked, n = W.ndim == 3, W.shape[-2] * W.shape[-1]
     d = W - W.sum(axis=(-2, -1), keepdims=stacked) / n
-    var = (d * d).sum(axis=(-2, -1), keepdims=stacked) / n
+    var = np.multiply(d, d, out=d).sum(axis=(-2, -1), keepdims=stacked) / n
     return np.sqrt(var) if stacked else math.sqrt(var)
 
 

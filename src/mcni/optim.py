@@ -154,8 +154,8 @@ class Penalty:
 
     def __init__(self, net: Network, weight_decay):
         decay = np.asarray(weight_decay, dtype=np.float64)
-        if not (decay >= 0.0).all():
-            raise ValueError("weight decay must be non-negative")
+        if not ((decay >= 0.0) & (decay < np.inf)).all():
+            raise ValueError("weight decay must be finite and non-negative")
         self._work = np.empty_like(net.flat)
         two_c = np.zeros_like(net.flat)
         coefficients, squares = net.views(two_c), net.views(self._work)

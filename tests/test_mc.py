@@ -5,9 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mcni.mc import (STREAM_BLOCK, PredictiveSamples, mc_predict,
-                     summarize_classification, summarize_regression,
-                     welford_mean_var)
+from mcni.mc import (PredictiveSamples, mc_predict, summarize_classification,
+                     summarize_regression, welford_mean_var)
 from mcni.models import build_mlp
 from mcni.noise import NoiseSpec, NoisyDenseLayer
 from mcni.nn import ContractError, Network, ShapeError
@@ -149,10 +148,19 @@ def test_pass_count_must_be_an_integer(T):
     assert rng.bit_generator.seed_seq.n_children_spawned == 0
 
 
+def test_rng_must_be_a_generator():
+    net = build_mlp("noise_fixed", 2, [4], 1, rng=np.random.default_rng(9))
+    seen = []
+    with pytest.raises(TypeError, match="Generator"):
+        mc_predict(net, np.zeros((1, 2)), 2, [np.random.default_rng(0)],
+                   transform=lambda X, r: seen.append(X) or X)
+    assert seen == []                                   # no pass ran
+
+
 def test_pass_streams_are_consecutive_children_of_the_generator():
     """Pass t runs on child t, and the caller's generator has spawned exactly
     T children afterwards, however the streams are grouped into blocks."""
-    T = 2 * STREAM_BLOCK + 3
+    T = 515
     net = build_mlp("noise_fixed", 2, [4], 1, rng=np.random.default_rng(12))
     rng = np.random.default_rng(13)
     mc_predict(net, np.ones((2, 2)), T, rng)
@@ -294,12 +302,13 @@ def test_workspace_passes_equal_plain_forward(family, activation, head):
 
 
 @pytest.mark.parametrize("head", ["regression", "logits"])
-def test_passes_across_stream_blocks_equal_plain_forward(head):
-    """Past one block of streams, the passes still equal plain forward passes
-    over streams spawned all at once, with a per-pass input transform too."""
+def test_many_passes_equal_plain_forward(head):
+    """Hundreds of passes, each spawning its own stream, equal plain forward
+    passes over streams spawned all at once, with a per-pass input transform
+    too."""
     net = head_net("noise_learned", "relu", head, 23)
     X = np.random.default_rng(24).normal(size=(3, 3))
-    T = 2 * STREAM_BLOCK + 3
+    T = 515
     transform = None
     if head == "logits":
         transform = lambda X, r: X + 0.1 * r.standard_normal(X.shape)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mcni.models import build_mlp
 from mcni.nn import (ContractError, DenseLayer, Network,
                      ShapeError, loss_cross_entropy, loss_cross_entropy_grad,
                      loss_mse, loss_mse_grad, softmax, stack_networks)
@@ -70,6 +71,28 @@ def test_forward_rejects_a_stale_call():
         net.forward(x, [rng, "eval"])
     net.forward(x, rng)
     net.forward(x, [rng])
+
+
+def test_stack_rejects_a_lone_generator():
+    nets = [build_mlp("noise_fixed", 2, [3], 1, rng=np.random.default_rng(s))
+            for s in (1, 2)]
+    with pytest.raises(ContractError, match="one generator per member"):
+        stack_networks(nets).forward(np.ones((1, 2)), np.random.default_rng(0))
+
+
+def test_single_net_rejects_several_generators():
+    """Four generators for a 4-[4]-4 net once drew each weight row from a
+    different generator, silently."""
+    net = build_mlp("noise_fixed", 4, [4], 4, rng=np.random.default_rng(3))
+    rngs = [np.random.default_rng(s) for s in range(4)]
+    with pytest.raises(ContractError, match="one generator"):
+        net.forward(np.ones((2, 4)), rngs)
+    with pytest.raises(ContractError, match="one generator"):
+        net.forward(np.ones((2, 4)), rngs[:2])
+    # a one-element sequence is that generator
+    alone, _ = net.forward(np.ones((2, 4)), np.random.default_rng(5))
+    wrapped, _ = net.forward(np.ones((2, 4)), [np.random.default_rng(5)])
+    assert np.array_equal(alone, wrapped)
 
 
 def test_softmax_is_not_a_layer_activation():

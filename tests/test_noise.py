@@ -44,14 +44,23 @@ def test_std_matches_two_pass_loop():
 @settings(max_examples=200, deadline=None)
 @given(rows=st.integers(1, 40), cols=st.integers(1, 40),
        log_scale=st.floats(-8.0, 6.0), offset=st.floats(-1e3, 1e3),
-       transpose=st.booleans(), seed=st.integers(0, 2**32 - 1))
+       transpose=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       members=st.integers(1, 4))
 def test_std_is_bit_identical_to_np_std(rows, cols, log_scale, offset,
-                                        transpose, seed):
-    W = np.random.default_rng(seed).normal(size=(rows, cols))
+                                        transpose, seed, members):
+    rng = np.random.default_rng(seed)
+    W = rng.normal(size=(rows, cols))
     W = W * 10.0 ** log_scale + offset
     if transpose:
         W = W.T                  # non-contiguous input
     assert layer_weight_std(W) == float(np.std(W))
+    # a stack's weights: a (S, fan_in, fan_out) view of a parameter block
+    block = rng.normal(size=(members, rows * cols + 3))
+    block = block * 10.0 ** log_scale + offset
+    stacked = np.reshape(block[:, 2:-1], (members, rows, cols), copy=False)
+    std = layer_weight_std(stacked)
+    assert std.shape == (members, 1, 1)
+    assert list(std.ravel()) == [np.std(w) for w in stacked]
 
 
 def test_empty_weight_matrix_rejected():
@@ -302,8 +311,10 @@ def test_alpha_penalty_negative_lambda_rejected():
 
 @pytest.mark.parametrize("field", ["alpha_init", "alpha_penalty_lambda"])
 def test_nan_noise_setting_rejected(field):
-    with pytest.raises(ValueError, match=field):
-        NoiseSpec(mode="learned", **{field: float("nan")})
+    # an infinite alpha makes every pass NaN
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=field):
+            NoiseSpec(mode="learned", **{field: value})
 
 
 # ---------------------------------------------------------------------------

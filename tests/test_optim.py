@@ -211,6 +211,12 @@ def test_weight_decay_is_one_float_per_member():
             rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("decay", [float("inf"), float("nan"), -1.0])
+def test_penalty_rejects_a_non_finite_or_negative_weight_decay(decay):
+    with pytest.raises(ValueError, match="weight decay"):
+        Penalty(linear_net(1.0), decay)
+
+
 def test_weight_decay_never_reaches_alpha():
     rng = np.random.default_rng(5)
     spec = NoiseSpec(mode="learned", alpha_init=0.5)
