@@ -99,9 +99,9 @@ def _command(command: str, config_cls):
     Every file is first written under a temporary name and renamed into
     place only once all of them are written: a run that fails part way
     leaves no manifest and no temporary file, and an earlier run's outputs
-    as they were. A config value that holds a NaN or infinite float is a
-    ConfigError, and metrics that hold one raise FloatingPointError, both
-    before anything is written.
+    as they were. A config value that holds a NaN or infinite float, or an
+    ``outdir`` that cannot be made, is a ConfigError, and metrics that hold
+    one raise FloatingPointError, both before anything is written.
     """
     def register(driver):
         @functools.wraps(driver)
@@ -111,7 +111,10 @@ def _command(command: str, config_cls):
             cfg.validate()
             _require(str(cfg.outdir).strip() != "", "outdir must not be empty")
             outdir = Path(cfg.outdir)
-            outdir.mkdir(parents=True, exist_ok=True)
+            try:
+                outdir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create outdir {outdir}: {exc}") from None
             t0 = time.perf_counter()
             done = driver(cfg)
             bad = _non_finite_paths(jsonable(done.metrics))

@@ -16,15 +16,17 @@ training and at prediction time alike: they are part of the model, not a
 training trick. A noise-free pass is an alpha = 0 or p = 0 twin of the net,
 or a pass with ``frozen_noise``.
 
-Member stacks: several same-shape networks can run as one network whose
-parameters carry a leading member axis (``stack_networks``): weights
-(S, fan_in, fan_out), biases (S, 1, fan_out), and a parameter block (S, P)
-whose row s is member s's block. Every layer computes through
-``np.matmul``, ``swapaxes(-1, -2)`` and reductions over the trailing axes,
-so the same code serves a single net (2-D weights) and a stack; each
-member's slice of a stacked result equals, bit for bit, what that member
-computes alone. A stack takes per-member inputs (S, batch, features) or
-one shared (batch, features) input, and one generator per member.
+Member stacks: same-shape networks run as one network whose parameters carry
+a leading member axis. ``stack_networks`` builds each layer by one rule,
+which ``Network.take`` inverts: numeric fields are stacked and padded to 3-D
+(W (S, fan_in, fan_out), b (S, 1, fan_out), alpha and p (S, 1, 1)), other
+fields must be equal, and row s of the (S, P) parameter block is member s's
+block. Every layer computes through ``np.matmul``, ``swapaxes(-1, -2)`` and
+reductions over the trailing axes, so the same code serves a single net (2-D
+weights) and a stack; each member's slice of a stacked result equals, bit
+for bit, what that member computes alone. A stack takes per-member inputs
+(S, batch, features) or one shared (batch, features) input, and one
+generator per member.
 
 Repeated passes at one batch size (Monte Carlo inference) reuse the trace
 of the first pass: ``forward(..., reuse=trace)`` writes every intermediate
@@ -131,14 +133,6 @@ class DenseLayer:
         W = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         return cls(W=W, b=np.zeros(fan_out), activation=activation)
 
-    @classmethod
-    def stack(cls, layers) -> "DenseLayer":
-        """One layer holding ``layers`` (same shape and activation) as members."""
-        _require_same(layers, "activation")
-        return cls(W=np.stack([l.W for l in layers]),
-                   b=np.stack([l.b[None] for l in layers]),
-                   activation=layers[0].activation)
-
     @property
     def fan_in(self) -> int:
         return self.W.shape[-2]
@@ -171,16 +165,6 @@ class DenseLayer:
         np.matmul(np.swapaxes(cache["x"], -1, -2), grad_z, out=grads["W"])
         grad_z.sum(axis=-2, keepdims=self.W.ndim == 3, out=grads["b"])
         return grad_z @ np.swapaxes(cache["w_eff"], -1, -2)
-
-
-def _require_same(layers, *names) -> None:
-    first = layers[0]
-    for layer in layers[1:]:
-        if type(layer) is not type(first):
-            raise ShapeError("stacked members must have the same layer types")
-        for name in names:
-            if getattr(layer, name) != getattr(first, name):
-                raise ShapeError(f"stacked members differ in {name}")
 
 
 @dataclass
@@ -341,12 +325,31 @@ class Network:
         return grad
 
 
+def _stack_layers(layers):
+    """One layer holding ``layers`` as members, by the rule of the module
+    docstring; ``Network.take`` is its inverse."""
+    first = layers[0]
+    if any(type(l) is not type(first) for l in layers):
+        raise ShapeError("stacked members must have the same layer types")
+    values = {}
+    for f in fields(first):
+        column = [getattr(l, f.name) for l in layers]
+        if np.issubdtype(np.asarray(column[0]).dtype, np.number):
+            v = np.stack(column, dtype=np.float64)
+            values[f.name] = np.expand_dims(v, tuple(range(1, 4 - v.ndim)))
+        elif any(c != column[0] for c in column):
+            raise ShapeError(f"stacked members differ in {f.name}")
+        else:
+            values[f.name] = column[0]
+    return type(first)(**values)
+
+
 def stack_networks(nets) -> Network:
     """One network whose parameters carry a leading member axis.
 
-    The nets must share their layer types, shapes and activations; per-member
-    values (weights, biases, noise levels, drop rates) go into the stack.
-    The stack holds copies: training it leaves the member nets untouched.
+    The nets must share task, layer types, shapes and non-numeric fields
+    (activation, noise spec); per-member values (weights, biases, noise
+    levels, drop rates) go into the stack, which holds copies of them.
     """
     nets = list(nets)
     if not nets:
@@ -355,7 +358,7 @@ def stack_networks(nets) -> Network:
         raise ShapeError("only single nets can be stacked")
     if len({(n.task, len(n.layers)) for n in nets}) != 1:
         raise ShapeError("stacked members differ in task or depth")
-    return Network([type(group[0]).stack(group)
+    return Network([_stack_layers(group)
                     for group in zip(*(n.layers for n in nets))],
                    task=nets[0].task)
 

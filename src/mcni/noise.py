@@ -15,21 +15,22 @@ A pass that reuses a trace (repeated passes over frozen weights) draws eps
 into the trace's array and scales it by the sigma_l that the trace's first
 pass computed, so sigma_l is computed once per run of passes.
 
-In a member stack (see ``nn.stack_networks``) alpha, sigma_l and the drop
-rate carry the leading member axis, shaped (S, 1, 1) where they are one
-value per member. Each member still draws one eps per pass, shared across
-its batch, from its own generator into its own slice, so a member's draws
-are exactly the ones it would make alone.
+In a member stack (built by the one rule of ``nn.stack_networks``, whose
+inverse is ``Network.take``) alpha, sigma_l and the drop rate are one value
+per member, shaped (S, 1, 1); members must have equal specs, which leave
+alpha_init out. Each member still draws one eps per pass, shared across its
+batch, from its own generator into its own slice, so a member's draws are
+exactly the ones it would make alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import DenseLayer, ShapeError, _require_same
+from .nn import DenseLayer, ShapeError
 
 
 @dataclass(frozen=True)
@@ -42,10 +43,12 @@ class NoiseSpec:
     (see ``optim.Penalty``); it is subtracted, so a positive lambda pushes
     alpha away from zero instead of collapsing it. A fixed alpha is not a
     parameter, so its lambda has no effect.
+    alpha_init, only where alpha starts, is left out of equality and the
+    hash, so members that start from different levels can stack.
     """
 
     mode: str = "fixed"
-    alpha_init: float = 0.05
+    alpha_init: float = field(default=0.05, compare=False)
     alpha_penalty_lambda: float = 0.0
 
     def __post_init__(self):
@@ -143,18 +146,6 @@ class NoisyDenseLayer(DenseLayer):
         base = DenseLayer.create(fan_in, fan_out, activation, rng)
         return cls(W=base.W, b=base.b, activation=activation, spec=spec)
 
-    @classmethod
-    def stack(cls, layers) -> "NoisyDenseLayer":
-        """Members may differ in alpha; their specs must agree otherwise."""
-        _require_same(layers, "activation")
-        specs = {replace(l.spec, alpha_init=0.0) for l in layers}
-        if len(specs) != 1:
-            raise ShapeError("stacked members differ in their noise spec")
-        base = DenseLayer.stack(layers)
-        return cls(W=base.W, b=base.b, activation=base.activation,
-                   spec=layers[0].spec,
-                   alpha=np.array([l.alpha for l in layers]).reshape(-1, 1, 1))
-
     def weight_std(self) -> float:
         return layer_weight_std(self.W)
 
@@ -199,11 +190,6 @@ class DropoutLayer:
         if not np.all((0.0 <= np.asarray(self.p)) & (np.asarray(self.p) < 1.0)):
             raise ValueError("drop probability must lie in [0, 1)")
 
-    @classmethod
-    def stack(cls, layers) -> "DropoutLayer":
-        _require_same(layers)
-        return cls(np.array([l.p for l in layers], dtype=np.float64).reshape(-1, 1, 1))
-
     def forward_pass(self, x, rng, frozen=None, cache=None):
         """Returns (output, cache); like ``DenseLayer.forward_pass``."""
         cache = {} if cache is None else cache
@@ -217,14 +203,12 @@ class DropoutLayer:
         if rng is None:
             raise ValueError("dropout forward needs an rng (or a frozen mask)")
         p = self.p
-        if np.ndim(p) == 0:
-            u = rng.random(size=x.shape, out=cache.get("u"))
-        else:
-            # a member with p = 0 keeps u = 0 >= p: every unit, no draw
-            u = np.zeros(np.broadcast_shapes(x.shape, p.shape))
-            _draw_members([g if ps else None
-                           for g, ps in zip(rng, p.ravel(), strict=True)],
-                          u, "random")
+        u = cache["u"] if "u" in cache else np.zeros(np.broadcast(x, p).shape)
+        # a stack member with p = 0 keeps u = 0 >= p: every unit, no draw
+        _draw_members(rng if np.ndim(p) == 0 else
+                      [g if ps else None
+                       for g, ps in zip(rng, p.ravel(), strict=True)],
+                      u, "random")
         keep = np.greater_equal(u, p, out=cache.get("keep"))
         mask = np.divide(keep, 1.0 - p, out=cache.get("mask"))
         y = np.multiply(x, mask, out=cache.get("y"))

@@ -288,6 +288,20 @@ def test_empty_outdir_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys,
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_outdir_at_or_under_a_file_exits_2_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    blocker = tmp_path / "taken"
+    blocker.write_bytes(b"not a directory\n")
+    for outdir in (blocker, blocker / "run"):
+        code = main([command, "--outdir", str(outdir), *NEEDED.get(command, [])])
+        assert code == EXIT_CONFIG
+        assert "cannot create outdir" in capsys.readouterr().err
+        assert blocker.read_bytes() == b"not a directory\n"
+        assert list(tmp_path.iterdir()) == [blocker]
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_gpcheck_overflow_exits_4_without_writing_results(tmp_path, capsys):
@@ -404,14 +418,6 @@ def test_riskcov_repeated_header_name_exits_3(tmp_path, capsys):
                            "uncertainty,uncertainty\n0.1,0.2\n0.3,0.4\n")
     assert code == EXIT_DATA
     assert "repeated column names ['uncertainty']" in capsys.readouterr().err
-
-
-def test_unwritable_outdir_exits_4(tmp_path, capsys):
-    blocker = tmp_path / "blocked"
-    blocker.write_text("plain file where a directory should go\n")
-    code = main(["toy", "--outdir", str(blocker), *TINY_TOY])
-    assert code == EXIT_RUNTIME
-    assert "runtime error" in capsys.readouterr().err
 
 
 def test_unwritable_manifest_exits_4(tmp_path, capsys):

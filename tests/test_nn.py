@@ -1,9 +1,13 @@
 """Forward/backward correctness of the dense network core."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcni.models import build_mlp
+from mcni.models import FAMILIES, build_mlp
 from mcni.nn import (ContractError, DenseLayer, Network,
                      ShapeError, loss_cross_entropy, loss_cross_entropy_grad,
                      loss_mse, loss_mse_grad, softmax, stack_networks)
@@ -228,6 +232,105 @@ def test_take_gives_the_block_rows_kept():
     assert np.array_equal(kept.flat, stack.flat[[3, 1]])
     assert np.shares_memory(kept.layers[0].W, kept.flat)
     assert np.array_equal(kept.layers[0].alpha, stack.layers[0].alpha[[3, 1]])
+
+
+def mlp(family="deterministic", seed=0, output_dim=1, **kw):
+    return build_mlp(family, 2, [3], output_dim,
+                     rng=np.random.default_rng(seed), **kw)
+
+
+def relevel(net, alpha):
+    """``net`` with every noise level set to ``alpha``, its spec unchanged."""
+    for layer in net.layers:
+        if hasattr(layer, "alpha"):
+            layer.alpha[...] = alpha
+    return net
+
+
+# pairs of members that must not stack, and the words of the refusal
+UNSTACKABLE = {
+    "activation": (lambda: mlp(activation="relu"),
+                   lambda: mlp(activation="tanh"), "activation"),
+    "noise mode": (lambda: mlp("noise_fixed"), lambda: mlp("noise_learned"),
+                   "spec"),
+    "alpha penalty": (lambda: mlp("noise_learned", alpha_penalty_lambda=0.0),
+                      lambda: mlp("noise_learned", alpha_penalty_lambda=0.1),
+                      "spec"),
+    "layer type": (lambda: mlp("deterministic"), lambda: mlp("noise_fixed"),
+                   "layer types"),
+    "task": (lambda: mlp(output_dim=2),
+             lambda: mlp(output_dim=2, task="classification"), "task"),
+    "a stack": (lambda: stack_networks([mlp(seed=1), mlp(seed=2)]),
+                lambda: mlp(seed=3), "single nets"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNSTACKABLE))
+def test_stack_rejects_members_that_differ_beyond_their_values(case):
+    first, second, words = UNSTACKABLE[case]
+    with pytest.raises(ShapeError, match=words):
+        stack_networks([first(), second()])
+
+
+STACKABLE = {
+    "weights": [mlp(seed=s) for s in (1, 2)],
+    "alpha_init": [mlp("noise_learned", seed=1, noise_level=0.01),
+                   mlp("noise_learned", seed=1, noise_level=0.3)],
+    "noise level": [relevel(mlp("noise_fixed", seed=s), a)
+                    for s, a in ((1, 0.0), (2, 0.2))],
+    "drop rate": [mlp("mc_dropout", seed=s, dropout_p=p)
+                  for s, p in ((1, 0.0), (2, 0.5), (3, 0.1))],
+}
+
+
+@pytest.mark.parametrize("case", sorted(STACKABLE))
+def test_stack_holds_members_that_differ_in_values(case):
+    nets = STACKABLE[case]
+    stack = stack_networks(nets)
+    assert stack.members == len(nets)
+    for row, net in enumerate(nets):
+        assert np.array_equal(stack.flat[row], net.flat)
+        for lone, stacked in zip(net.layers, stack.layers):
+            for name in ("alpha", "p"):
+                if hasattr(lone, name):
+                    assert getattr(stacked, name)[row] == getattr(lone, name)
+
+
+def test_stacked_dropout_passes_on_a_reused_trace_equal_fresh_ones():
+    """A reused trace keeps its uniform draws' array, in which the p = 0
+    member's slice stays zero: every unit of that member is kept."""
+    stack = stack_networks(STACKABLE["drop rate"])
+    x = np.random.default_rng(40).normal(size=(4, 2))
+    _, trace = stack.forward(x, [np.random.default_rng(s) for s in (1, 2, 3)])
+    for seed in (4, 5):
+        out, _ = stack.forward(x, [np.random.default_rng([seed, m])
+                                   for m in range(3)], reuse=trace)
+        fresh, _ = stack.forward(x, [np.random.default_rng([seed, m])
+                                     for m in range(3)])
+        assert np.array_equal(out, fresh)
+        assert np.all(trace.caches[1]["u"][0] == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), family=st.sampled_from(FAMILIES),
+       members=st.integers(1, 5))
+def test_take_of_a_stack_is_the_stack_of_the_kept(data, family, members):
+    levels = st.sampled_from([0.0, 0.01, 0.3])
+    nets = [relevel(mlp(family, seed=s, dropout_p=data.draw(levels)),
+                    data.draw(levels)) for s in range(members)]
+    order = data.draw(st.permutations(range(members)))
+    keep = order[:data.draw(st.integers(1, members))]
+    kept = stack_networks(nets).take(keep)
+    direct = stack_networks([nets[k] for k in keep])
+    assert np.array_equal(kept.flat, direct.flat)
+    for a, b in zip(kept.layers, direct.layers):
+        assert type(a) is type(b)
+        for f in fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, np.ndarray):
+                assert x.shape == y.shape and np.array_equal(x, y), f.name
+            else:
+                assert x == y, f.name
 
 
 def test_mixed_decay_penalty_leaves_negative_zero_gradients():
