@@ -27,11 +27,13 @@ forked children, and come back in chunk order. The covariance is reduced
 from their rows in a fixed order, so the result is bit-for-bit the same at
 any process count. correspondence_report runs the widths one after another.
 
-Each worker process draws into its own buffers, allocated on its first
-chunk of a call, and computes the hidden layer a few networks at a time, in
-a block of about ``_BLOCK_BUDGET`` doubles. So one worker holds at most
-about 8 MB of arrays; at width 4096 with 3 two-dimensional probes a chunk
-is 34 networks, 4.5 MB of draws. The tanh kernel draws in the calling
+The buffers that a chunk draws into are allocated once per call, before
+the workers fork, and are not written until then, so each worker process
+fills its own copy and reuses it for every chunk it runs. A chunk computes
+the hidden layer a few networks at a time, in a block of about
+``_BLOCK_BUDGET`` doubles. So one worker holds at most about 8 MB of
+arrays; at width 4096 with 3 two-dimensional probes a chunk is 34
+networks, 4.5 MB of draws. The tanh kernel draws in the calling
 process in chunks of at most ``_CHUNK_BUDGET`` doubles (about 27 MB for 1e6
 samples and 3 two-dimensional probes).
 """
@@ -169,12 +171,10 @@ def analytic_kernel_relu(probes, bias_std: float) -> np.ndarray:
 
 
 def _chunk_outputs(X: np.ndarray, width: int, cfg: KernelMCConfig,
-                   rng: np.random.Generator, c: int, scratch) -> np.ndarray:
-    """The (c, P) outputs on X of c networks drawn from rng.
-
-    ``scratch()`` returns the calling worker's (w1, b1, v, hidden) buffers.
-    """
-    w1_buf, b1_buf, v_buf, h_buf = scratch()
+                   rng: np.random.Generator, c: int, bufs) -> np.ndarray:
+    """The (c, P) outputs on X of c networks drawn from rng, computed in
+    the (w1, b1, v, hidden) buffers ``bufs``."""
+    w1_buf, b1_buf, v_buf, h_buf = bufs
     (p, q), k = X.shape, width
     w1 = rng.standard_normal(out=_view(w1_buf, c, q, k))
     b1 = rng.standard_normal(out=_view(b1_buf, c, 1, k))
@@ -215,17 +215,12 @@ def wide_net_covariance(probe: WideNetProbe, cfg: KernelMCConfig,
     chunk = max(1, _NETWORK_BUDGET // ((q + p + 2) * k))
     size = min(chunk, probe.n_networks)
     block = max(1, min(size, _BLOCK_BUDGET // (p * k)))
-    bufs = []       # a worker's own: children are forked before any chunk runs
-
-    def scratch():
-        if not bufs:
-            bufs.extend((np.empty(size * q * k), np.empty(size * k),
-                         np.empty(size * k), np.empty(block * p * k)))
-        return bufs
-
+    # untouched until the workers fork, so each writes its own copy
+    bufs = (np.empty(size * q * k), np.empty(size * k), np.empty(size * k),
+            np.empty(block * p * k))
     sizes = list(_chunks(probe.n_networks, chunk))
     rows, processes = run_tasks([
-        partial(_chunk_outputs, X, k, cfg, stream, c, scratch)
+        partial(_chunk_outputs, X, k, cfg, stream, c, bufs)
         for c, stream in zip(sizes, rng.spawn(len(sizes)))])
     if process_counts is not None:
         process_counts.append(processes)

@@ -335,6 +335,8 @@ def _stack_layers(layers):
     for f in fields(first):
         column = [getattr(l, f.name) for l in layers]
         if np.issubdtype(np.asarray(column[0]).dtype, np.number):
+            if len({np.shape(c) for c in column}) != 1:
+                raise ShapeError(f"stacked members differ in {f.name} shape")
             v = np.stack(column, dtype=np.float64)
             values[f.name] = np.expand_dims(v, tuple(range(1, 4 - v.ndim)))
         elif any(c != column[0] for c in column):

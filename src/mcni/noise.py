@@ -8,7 +8,8 @@ backprop. Bias is never perturbed.
 
 Both mechanisms are live on every pass, in training and at prediction
 time; prediction-time stochasticity is the point. A noise-free pass is a
-twin at alpha = 0 or p = 0, which computes the plain net bit for bit, or a
+twin at alpha = 0 or p = 0, which computes the plain net bit for bit on
+the ordinary path (W + 0 * eps; a drawn dropout mask of exactly 1.0), or a
 pass with frozen noise.
 
 A pass that reuses a trace (repeated passes over frozen weights) draws eps
@@ -19,8 +20,8 @@ In a member stack (built by the one rule of ``nn.stack_networks``, whose
 inverse is ``Network.take``) alpha, sigma_l and the drop rate are one value
 per member, shaped (S, 1, 1); members must have equal specs, which leave
 alpha_init out. Each member still draws one eps per pass, shared across its
-batch, from its own generator into its own slice, so a member's draws are
-exactly the ones it would make alone.
+batch, and its dropout uniforms, from its own generator into its own slice,
+so a member's draws are exactly the ones it would make alone.
 """
 
 from __future__ import annotations
@@ -83,13 +84,12 @@ def layer_weight_std(W: np.ndarray) -> float:
 def _draw_members(rng, out: np.ndarray, method: str) -> None:
     """Fill ``out`` with the generator method ``method``: from one
     generator, or in a stack from one generator per member, each into its
-    own slice out[s] (a member whose generator is None draws nothing)."""
+    own slice out[s]."""
     if isinstance(rng, np.random.Generator):
         getattr(rng, method)(out=out)
         return
     for g, part in zip(rng, out, strict=True):
-        if g is not None:
-            getattr(g, method)(out=part)
+        getattr(g, method)(out=part)
 
 
 def sample_noise(layer: "NoisyDenseLayer", rng,
@@ -179,9 +179,9 @@ class NoisyDenseLayer(DenseLayer):
 class DropoutLayer:
     """Inverted dropout on activations: keep with prob 1-p, scale by 1/(1-p).
 
-    Live on every pass (the MC-dropout baseline predicts with dropout on);
-    identity at p = 0, bit-exactly. In a stack p is (S, 1, 1); a member with
-    p = 0 draws nothing and keeps every unit.
+    Live on every pass (the MC-dropout baseline predicts with dropout on).
+    At p = 0 the drawn mask keeps every unit and is exactly 1.0: the
+    identity, bit for bit. In a stack p is (S, 1, 1).
     """
 
     p: float
@@ -194,27 +194,20 @@ class DropoutLayer:
         """Returns (output, cache); like ``DenseLayer.forward_pass``."""
         cache = {} if cache is None else cache
         if frozen is not None:
-            cache["mask"] = frozen
-            cache["y"] = np.multiply(x, frozen, out=cache.get("y"))
-            return cache["y"], cache
-        if not np.any(self.p):
-            cache["mask"] = None
-            return x, cache
-        if rng is None:
+            mask = frozen
+        elif rng is None:
             raise ValueError("dropout forward needs an rng (or a frozen mask)")
-        p = self.p
-        u = cache["u"] if "u" in cache else np.zeros(np.broadcast(x, p).shape)
-        # a stack member with p = 0 keeps u = 0 >= p: every unit, no draw
-        _draw_members(rng if np.ndim(p) == 0 else
-                      [g if ps else None
-                       for g, ps in zip(rng, p.ravel(), strict=True)],
-                      u, "random")
-        keep = np.greater_equal(u, p, out=cache.get("keep"))
-        mask = np.divide(keep, 1.0 - p, out=cache.get("mask"))
+        else:
+            p = self.p
+            u = (cache["u"] if "u" in cache
+                 else np.empty(np.broadcast(x, p).shape))
+            _draw_members(rng, u, "random")
+            keep = np.greater_equal(u, p, out=cache.get("keep"))
+            mask = np.divide(keep, 1.0 - p, out=cache.get("mask"))
+            cache.update(u=u, keep=keep)
         y = np.multiply(x, mask, out=cache.get("y"))
-        cache.update(u=u, keep=keep, mask=mask, y=y)
+        cache.update(mask=mask, y=y)
         return y, cache
 
     def backward_pass(self, cache, grad_out, grads):
-        mask = cache["mask"]
-        return grad_out if mask is None else grad_out * mask
+        return grad_out * cache["mask"]

@@ -247,8 +247,8 @@ def fit(net, train_x, train_y, cfg, val_x=None, val_y=None, rng=None):
     stops at once, flagged ``diverged``. A stopped member leaves the stack,
     so the others do not pay for it. Shuffling and noise draw from separate
     sub-streams of each member's generator, so that a model whose noise
-    happens to be inert (alpha = 0) follows the exact trajectory of its
-    deterministic twin under the same seed.
+    happens to be inert (alpha = 0 or p = 0) follows the exact trajectory
+    of its deterministic twin under the same seed.
     """
     single = isinstance(net, Network)
     nets = [net] if single else list(net)

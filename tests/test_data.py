@@ -1,5 +1,8 @@
 """Toy generator, CSV ingestion, splits, standardization, corruption."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -81,6 +84,20 @@ def test_classification_labels_parsed_as_ints(tmp_path):
     ds = load_csv(path, task="classification")
     assert ds.Y.dtype == np.int64
     assert ds.Y.tolist() == [1, 0]
+
+
+def test_bundled_fixtures_regenerate_byte_for_byte(tmp_path):
+    """``datasets/make_fixtures.py`` rebuilds the bundled CSVs exactly; its
+    generators write into tmp_path, never into ``datasets/``."""
+    datasets = Path(__file__).resolve().parent.parent / "datasets"
+    spec = importlib.util.spec_from_file_location(
+        "make_fixtures", datasets / "make_fixtures.py")
+    fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fixtures)
+    for make, name in ((fixtures.regression, "synth_regression.csv"),
+                       (fixtures.classification, "synth_classification.csv")):
+        save_csv(make(), tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (datasets / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------

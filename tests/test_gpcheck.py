@@ -418,9 +418,9 @@ def spy_chunks(monkeypatch):
     real = gpcheck._chunk_outputs
     runs = []
 
-    def spy(X, width, c, rng, n, scratch):
-        runs.append((n, tuple(scratch())))
-        return real(X, width, c, rng, n, scratch)
+    def spy(X, width, c, rng, n, bufs):
+        runs.append((n, tuple(bufs)))
+        return real(X, width, c, rng, n, bufs)
 
     monkeypatch.setattr(gpcheck, "_chunk_outputs", spy)
     return runs

@@ -325,7 +325,7 @@ def test_dropout_p0_is_identity():
     x = np.random.default_rng(15).normal(size=(4, 6))
     out, cache = layer.forward_pass(x, np.random.default_rng(0))
     assert np.array_equal(out, x)
-    assert cache["mask"] is None
+    assert np.all(cache["mask"] == 1.0)
 
 
 def test_dropout_preserves_expectation():

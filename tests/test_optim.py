@@ -385,6 +385,29 @@ def test_alpha_zero_follows_deterministic_trajectory():
         assert np.array_equal(v, noisy.parameters()[k])
 
 
+@pytest.mark.parametrize("beside", [None, 0.2], ids=["alone", "stacked"])
+def test_p_zero_dropout_follows_deterministic_trajectory(beside):
+    """The p = 0 twin trains like the plain net, alone or in a stack beside
+    a live dropout member. Dropout layers hold no parameters, so the two
+    nets' flat parameter vectors line up."""
+    x, y = toy_regression(n=24, seed=12)
+    cfg = TrainConfig(lr=0.01, max_epochs=12, batch_size=8)
+    det = build_mlp("deterministic", 2, [5], 1, rng=np.random.default_rng(13))
+    twin = build_mlp("mc_dropout", 2, [5], 1, dropout_p=0.0,
+                     rng=np.random.default_rng(13))
+    fit(det, x, y, cfg, rng=np.random.default_rng(14))
+    if beside is None:
+        fit(twin, x, y, cfg, rng=np.random.default_rng(14))
+    else:
+        live = build_mlp("mc_dropout", 2, [5], 1, dropout_p=beside,
+                         rng=np.random.default_rng(13))
+        fit([twin, live], x, y, cfg,
+            rng=[np.random.default_rng(14), np.random.default_rng(14)])
+        # the same start and seed: only its live dropout moves it away
+        assert not np.array_equal(live.flat, det.flat)
+    assert np.array_equal(twin.flat, det.flat)
+
+
 # ---------------------------------------------------------------------------
 # stacked fit: several nets trained as one member stack
 
