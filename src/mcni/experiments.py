@@ -21,7 +21,10 @@ timing.csv, has its hash recorded under those timings, outside the digest.
 The benchmark, toy and noise-sweep drivers cut their fits into independent
 tasks and run them on every usable CPU in forked worker processes
 (``run_tasks``). Each task draws only from its own streams and results are
-kept in task order, so the outputs are the same at any CPU count.
+kept in task order, so the outputs are the same at any CPU count. A fit's
+own Monte Carlo predictions then run in its task's process; bench-time's
+timed predictions spread their passes over the CPUs themselves (see
+``mc``), and its manifest names the most processes one of them ran on.
 """
 
 from __future__ import annotations
@@ -689,16 +692,17 @@ class TimingConfig:
         _require(self.seed >= 0, "seed must be >= 0")
 
 
-def _seconds_per_prediction(net, X, T: int, reps: int, key) -> list[float]:
+def _seconds_per_prediction(net, X, T: int, reps: int, key) -> tuple[list[float], int]:
     """Wall-clock seconds of ``reps`` T-pass predictions, rep r seeded
-    [*key, r]."""
-    times = []
+    [*key, r], and the most worker processes one of them ran on."""
+    times, processes = [], 1
     for rep in range(reps):
         rng = np.random.default_rng([*key, rep])
         tic = time.perf_counter()
-        mc_predict(net, X, T, rng)
+        samples = mc_predict(net, X, T, rng)
         times.append(time.perf_counter() - tic)
-    return times
+        processes = max(processes, samples.worker_processes)
+    return times, processes
 
 
 @_command("bench-time", TimingConfig)
@@ -707,14 +711,16 @@ def run_bench_time(cfg: TimingConfig) -> Computed:
         (cfg.batch, cfg.input_dim))
     rows = []
     measured: dict[str, dict[str, float]] = {}
+    processes = 1
     for fam_idx, family in enumerate(cfg.families):
         net = build_mlp(family, cfg.input_dim, list(cfg.hidden), 1,
                         rng=np.random.default_rng([cfg.seed, fam_idx]),
                         noise_level=cfg.noise_level, dropout_p=cfg.dropout_p)
         t_values = (1,) if family == "deterministic" else cfg.t_list
         for T in t_values:
-            times = _seconds_per_prediction(net, X, T, cfg.reps,
-                                            [cfg.seed, fam_idx, T])
+            times, used = _seconds_per_prediction(net, X, T, cfg.reps,
+                                                  [cfg.seed, fam_idx, T])
+            processes = max(processes, used)
             mean_s = float(np.mean(times))
             std_s = float(np.std(times))
             rows.append([family, T, mean_s, std_s])
@@ -726,7 +732,8 @@ def run_bench_time(cfg: TimingConfig) -> Computed:
                "families": list(cfg.families), "t_list": list(cfg.t_list)}
     return Computed(
         {"timing.csv": (["model", "passes", "mean_seconds", "std_seconds"], rows)},
-        metrics, timings=measured, measured_files=("timing.csv",))
+        metrics, timings=measured, measured_files=("timing.csv",),
+        processes=processes)
 
 
 # ---------------------------------------------------------------------------

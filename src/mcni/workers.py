@@ -1,9 +1,16 @@
 """Run independent tasks on every usable CPU in forked worker processes.
 
 ``run_tasks`` is mcni's one way of spreading work over CPUs. The
-experiment drivers give it their fits, and ``gpcheck`` its covariance
-chunks. mcni starts no thread, so a child never inherits a lock that an
-mcni thread held; OpenBLAS stops its own thread pool around a fork.
+experiment drivers give it their fits, ``gpcheck`` its covariance chunks
+and ``mc_predict`` its blocks of Monte Carlo passes. mcni starts no thread,
+so a child never inherits a lock that an mcni thread held; OpenBLAS stops
+its own thread pool around a fork.
+
+Calls do not nest across processes: ``run_tasks`` called from inside a
+task (one that the caller runs itself, or one in a forked child) runs its
+own tasks in that process and forks nothing. So a fit that scores itself
+with ``mc_predict`` never forks from inside a fork, and the process count
+stays at one per usable CPU.
 """
 
 from __future__ import annotations
@@ -14,10 +21,15 @@ import os
 import pickle
 import signal
 
+# True while this process runs tasks: in a forked child for its whole life,
+# in the caller while its own share runs
+_in_task = False
+
 
 def run_tasks(tasks: list) -> tuple[list, int]:
     """Call every task; return their results in task order and the number
-    of worker processes, min(usable CPUs, len(tasks)).
+    of worker processes: min(usable CPUs, len(tasks)), or 1 when called
+    from inside a running task.
 
     The calling process is one worker; the others are ``os.fork()``
     children. The workers share a queue: the task indices, written in order
@@ -32,7 +44,7 @@ def run_tasks(tasks: list) -> tuple[list, int]:
     killer) counts as a RuntimeError naming how it ended. If the caller
     itself is interrupted, the children are killed.
     """
-    n = min(len(os.sched_getaffinity(0)), len(tasks))
+    n = min(1 if _in_task else len(os.sched_getaffinity(0)), len(tasks))
     queue, feed = os.pipe()
     # one queue entry per task, or per block of tasks when the pipe is too
     # small to take them all without blocking
@@ -90,15 +102,20 @@ def _share(tasks: list, queue: int, block: int) -> tuple[list, tuple | None]:
     """Run tasks from the queue until it is empty or one raises: the
     (index, result) pairs, and (index, exception) for the task that raised,
     if one did."""
+    global _in_task
+    outer, _in_task = _in_task, True
     done = []
-    while entry := os.read(queue, 4):
-        start = int.from_bytes(entry, "little")
-        for index in range(start, min(start + block, len(tasks))):
-            try:
-                done.append((index, tasks[index]()))
-            except Exception as exc:
-                return done, (index, exc)
-    return done, None
+    try:
+        while entry := os.read(queue, 4):
+            start = int.from_bytes(entry, "little")
+            for index in range(start, min(start + block, len(tasks))):
+                try:
+                    done.append((index, tasks[index]()))
+                except Exception as exc:
+                    return done, (index, exc)
+        return done, None
+    finally:
+        _in_task = outer
 
 
 def _child(tasks: list, queue: int, block: int, write_end: int):

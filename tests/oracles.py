@@ -140,6 +140,49 @@ def entropy_oracle(probs):
     return total
 
 
+def relu_net_predictive_oracle(x, W1, b1, alpha1, W2, b2, alpha2):
+    """Closed-form predictive mean and variance of one output of a noisy
+    one-hidden-layer ReLU net with a linear output, at one input row x.
+
+    Each layer multiplies by W + alpha * sigma * eps, sigma the population
+    std of W's entries and eps one standard normal per weight, shared by
+    every row; biases carry no noise. Hidden unit j's pre-activation is then
+    N(mu_j, s^2) with mu = x W1 + b1 and s = |alpha1| sigma1 |x|, and the
+    units are independent, because their eps columns are. The moments of a
+    rectified Gaussian (Frey & Hinton 1999), with a = mu / s,
+        E h   = mu Phi(a) + s phi(a)
+        E h^2 = (mu^2 + s^2) Phi(a) + mu s phi(a),
+    and output noise independent of h give
+        E f   = sum_j E h_j W2_j + b2
+        Var f = sum_j W2_j^2 Var h_j + alpha2^2 sigma2^2 sum_j E h_j^2.
+    W1 is fan_in rows of hidden values, b1 and W2 (one output column) hold
+    one value per hidden unit, b2 is a scalar. Returns (mean, variance).
+    """
+    def pop_std(values):
+        m = sum(values) / len(values)
+        return math.sqrt(sum((v - m) ** 2 for v in values) / len(values))
+
+    sigma1 = pop_std([w for row in W1 for w in row])
+    sigma2 = pop_std(list(W2))
+    s = abs(alpha1) * sigma1 * math.sqrt(sum(xi * xi for xi in x))
+    mean, var, second_total = b2, 0.0, 0.0
+    for j in range(len(b1)):
+        mu = sum(x[i] * W1[i][j] for i in range(len(x))) + b1[j]
+        if s == 0.0:
+            eh = max(mu, 0.0)
+            eh2 = eh * eh
+        else:
+            a = mu / s
+            cdf = 0.5 * (1.0 + math.erf(a / math.sqrt(2.0)))
+            pdf = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
+            eh = mu * cdf + s * pdf
+            eh2 = (mu * mu + s * s) * cdf + mu * s * pdf
+        mean += eh * W2[j]
+        var += W2[j] ** 2 * (eh2 - eh * eh)
+        second_total += eh2
+    return mean, var + (alpha2 * sigma2) ** 2 * second_total
+
+
 def adam_steps_oracle(p0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Scalar Adam trajectory for one parameter under a gradient sequence."""
     p, m, v = p0, 0.0, 0.0

@@ -4,12 +4,14 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import shlex
 import shutil
 from pathlib import Path
 
 import pytest
 
+import mcni.mc
 from mcni.cli import (COMMANDS, EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME,
                       build_parser, main, resolve_config)
 from mcni.experiments import ConfigError, RiskCovConfig, run_riskcov
@@ -569,6 +571,38 @@ GOLDEN_DIGESTS = {
     "gpcheck": "19e1ad8f2bfff4a80763024ab7f2455dde9ab693e170d8650fcecf2ef0ead551",
 }
 GOLDEN_LEADERBOARD = "6d3bec1dbd3c4ee5b67ebc4353c18f110570a0261332a0a19248c400c26eaeb3"
+
+
+def test_golden_benchmark_forks_only_for_its_outer_tasks(tmp_path, monkeypatch,
+                                                         capsys):
+    """At 2 CPUs the golden benchmark forks one child for its fits, and no
+    process forks again, although its scoring calls are cut into many
+    Monte Carlo blocks here: they run in their fit's process. The digest is
+    the golden one. Forks are counted in a file, so a child's count too."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(DATASETS / "synth_regression.csv", "synth_regression.csv")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(mcni.mc, "_PASS_BUDGET", 10_000)
+    log = tmp_path / "forks"
+    log.touch()
+    real_fork = os.fork
+
+    def logging_fork():
+        with open(log, "ab") as fh:
+            fh.write(b"x")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", logging_fork)
+    argv = ["benchmark", *shlex.split(GOLDEN_ARGS["benchmark"]),
+            "--outdir", "out/benchmark"]
+    assert main(argv) == EXIT_OK
+    assert digest_line(capsys.readouterr().out).split()[-1] == \
+        GOLDEN_DIGESTS["benchmark"]
+    manifest = json.loads(Path("out/benchmark/manifest.json").read_text())
+    assert manifest["environment"]["worker_processes"] == 2
+    assert log.read_bytes() == b"x"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_golden_manifest_digests(tmp_path, monkeypatch, capsys):

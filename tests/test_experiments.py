@@ -559,6 +559,20 @@ def test_bench_time_measured_file_hash_sits_under_timings(tmp_path):
     assert "outputs" not in out.timings
 
 
+def test_bench_time_names_the_processes_its_passes_ran_on(tmp_path, monkeypatch):
+    """At 2 CPUs, 100 passes of the default 10-50-50-1 net over 500 rows
+    are several blocks, so the timed passes run on 2 processes; 10 passes
+    are one block and run in the calling process."""
+    fake_cpus(monkeypatch, 2)
+    for t_list, processes in (((1, 10), 1), ((1, 100), 2)):
+        out = run_bench_time(TimingConfig(outdir=str(tmp_path / f"bt{t_list[-1]}"),
+                                          t_list=t_list, reps=2,
+                                          families=("noise_fixed",)))
+        env = json.loads(out.files["manifest.json"].read_text())["environment"]
+        assert env["worker_processes"] == processes, t_list
+        assert_no_child_left()
+
+
 def test_bench_time_config_validation():
     with pytest.raises(ConfigError):
         TimingConfig(reps=1).validate()
@@ -757,6 +771,33 @@ def test_child_error_keeps_its_cli_exit_code(tmp_path, monkeypatch, capsys,
     assert main(argv) == EXIT_DATA
     assert "bad rows in a forked fit" in capsys.readouterr().err
     assert not (tmp_path / "out" / "manifest.json").exists()
+    assert_no_child_left()
+
+
+def test_nested_run_tasks_runs_in_place(monkeypatch, gate):
+    """A task that calls run_tasks with 2 tasks at 2 CPUs, in the caller or
+    in a forked worker, gets processes == 1 and forks nothing."""
+    fake_cpus(monkeypatch, 2)
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+
+    def task(i):
+        gate.in_child()
+        before = len(forks)
+        inner, processes = run_tasks([functools.partial(int, i),
+                                      functools.partial(int, -i)])
+        return inner, processes, len(forks) - before, os.getpid()
+
+    results, processes = run_tasks([functools.partial(task, i) for i in range(4)])
+    assert processes == 2 and len(forks) == 1
+    assert [r[:3] for r in results] == [([i, -i], 1, 0) for i in range(4)]
+    assert {pid for *_, pid in results} - {os.getpid()}    # a child ran some
     assert_no_child_left()
 
 

@@ -1,17 +1,21 @@
 """Monte Carlo pass collection and predictive summaries."""
 
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import mcni.mc
 from mcni.mc import (PredictiveSamples, mc_predict, summarize_classification,
                      summarize_regression, welford_mean_var)
 from mcni.models import build_mlp
 from mcni.noise import NoiseSpec, NoisyDenseLayer
 from mcni.nn import ContractError, Network, ShapeError
+from mcni.optim import TrainConfig, fit
 
-from oracles import entropy_oracle, welford_scalar
+from oracles import entropy_oracle, relu_net_predictive_oracle, welford_scalar
+from test_experiments import assert_no_child_left, fake_cpus, gate  # noqa: F401
 
 
 def reg_samples(passes):
@@ -384,3 +388,135 @@ def test_reused_trace_must_fit_network_and_batch():
         net.forward(np.ones((4, 3)), np.random.default_rng(0), reuse=foreign)
     with pytest.raises(ShapeError):
         net.forward(np.ones((5, 3)), np.random.default_rng(0), reuse=trace)
+
+
+# ---------------------------------------------------------------------------
+# passes on worker processes
+
+def dense_work(net) -> int:
+    """Multiply-adds of one pass over one row: sum of fan_in x fan_out."""
+    return sum(l.W.size for l in net.layers if hasattr(l, "W"))
+
+
+@pytest.mark.parametrize("case", ["noise_fixed", "noise_learned", "mc_dropout",
+                                  "classification", "transform"])
+def test_samples_are_the_same_at_any_cpu_count(monkeypatch, case):
+    """24 passes of a 10-50-50 net over 500 rows are 3 blocks at the default
+    budget and 9 or 10 at a quarter of it. At 1, 2 and 8 CPUs the samples
+    are the bytes of a loop of plain passes, and afterwards the generator
+    has spawned exactly T children, its next one that of a fresh generator."""
+    family = case if case in FAMILIES else "noise_fixed"
+    task = "classification" if case == "classification" else "regression"
+    net = build_mlp(family, 10, [50, 50], 3 if task == "classification" else 1,
+                    task=task, noise_level=0.2, dropout_p=0.2,
+                    rng=np.random.default_rng(42))
+    X = np.random.default_rng(43).normal(size=(500, 10))
+    T = 24
+    transform = None
+    if case == "transform":
+        transform = lambda X, r: X + 0.1 * r.standard_normal(X.shape)
+    ref = reference_passes(net, X, T, np.random.default_rng(44), transform)
+    next_child = np.random.default_rng(44).spawn(T + 1)[T].integers(0, 2**62, 8)
+    for budget in (mcni.mc._PASS_BUDGET, mcni.mc._PASS_BUDGET // 4):
+        monkeypatch.setattr(mcni.mc, "_PASS_BUDGET", budget)
+        blocks = -(-T * X.shape[0] * dense_work(net) // budget)
+        assert blocks >= 3
+        for cpus in (1, 2, 8):
+            fake_cpus(monkeypatch, cpus)
+            rng = np.random.default_rng(44)
+            got = mc_predict(net, X, T, rng, transform=transform)
+            assert got.values.tobytes() == ref.tobytes(), (budget, cpus)
+            assert got.worker_processes == min(cpus, blocks)
+            assert rng.bit_generator.seed_seq.n_children_spawned == T
+            assert np.array_equal(rng.spawn(1)[0].integers(0, 2**62, 8),
+                                  next_child)
+            assert_no_child_left()
+
+
+def test_passes_start_at_the_generators_next_child(monkeypatch):
+    """A generator that spawned children before the call gives the passes
+    its next ones, with one pass per block on two processes."""
+    monkeypatch.setattr(mcni.mc, "_PASS_BUDGET", 1)
+    fake_cpus(monkeypatch, 2)
+    net = build_mlp("noise_fixed", 3, [5], 1, noise_level=0.2,
+                    rng=np.random.default_rng(45))
+    X = np.random.default_rng(46).normal(size=(4, 3))
+    rng, ref_rng = np.random.default_rng(47), np.random.default_rng(47)
+    rng.spawn(3)
+    ref_rng.spawn(3)
+    got = mc_predict(net, X, 7, rng)
+    assert got.worker_processes == 2
+    assert np.array_equal(got.values, reference_passes(net, X, 7, ref_rng))
+    assert rng.bit_generator.seed_seq.n_children_spawned == 10
+    assert_no_child_left()
+
+
+def test_a_pass_error_in_a_forked_worker_reaches_the_caller(monkeypatch, gate):
+    """A transform that raises in a forked worker (the caller's own passes
+    wait until one has) fails the call with that exception's type."""
+    monkeypatch.setattr(mcni.mc, "_PASS_BUDGET", 1)
+    fake_cpus(monkeypatch, 2)
+    net = build_mlp("noise_fixed", 3, [5], 1, rng=np.random.default_rng(48))
+
+    def transform(X, rng):
+        if gate.in_child():
+            raise ValueError("bad input in a forked worker")
+        return X
+
+    with pytest.raises(ValueError, match="in a forked worker") as info:
+        mc_predict(net, np.ones((2, 3)), 6, np.random.default_rng(49),
+                   transform=transform)
+    assert type(info.value) is ValueError
+    assert_no_child_left()
+
+
+def one_hidden_layer_net(which):
+    """A 4-32-1 ReLU noise net: two with set biases and noise levels, and
+    one trained on a smooth target."""
+    if which == "trained":
+        net = build_mlp("noise_fixed", 4, [32], 1, noise_level=0.2,
+                        rng=np.random.default_rng(50))
+        data = np.random.default_rng(51)
+        X = data.normal(size=(200, 4))
+        Y = np.sin(X @ np.array([[1.0], [-0.5], [0.3], [0.8]]))
+        fit(net, X, Y, TrainConfig(lr=0.01, max_epochs=40, batch_size=32,
+                                   patience=0), rng=np.random.default_rng(52))
+        return net
+    seed, alphas = {"even": (53, (0.3, 0.3)), "uneven": (54, (0.6, 0.15))}[which]
+    net = build_mlp("noise_fixed", 4, [32], 1, rng=np.random.default_rng(seed))
+    biases = np.random.default_rng(seed + 100)
+    for layer, alpha in zip(net.layers, alphas):
+        layer.alpha[...] = alpha
+        layer.b[...] = biases.normal(0.0, 0.3, size=layer.b.shape)
+    return net
+
+
+@pytest.mark.parametrize("which", ["even", "uneven", "trained"])
+def test_one_hidden_layer_predictive_matches_closed_form(which):
+    """At T = 10,000 each row's sample mean and variance lie within 4.5
+    standard errors of the closed form (oracles.relu_net_predictive_oracle).
+
+    The SE of the mean is sqrt(v / T), that of the unbiased variance
+    sqrt((m4 - v^2 (T - 3) / (T - 1)) / T), with v and m4 the sample
+    variance and fourth central moment. Over 3 nets x 16 rows x 2
+    statistics, a two-sided bound of 4.5 SE leaves a family-wise
+    false-alarm rate under 7e-4 (Bonferroni, normal estimates). The call,
+    10,000 passes of 16 rows through 4 x 32 + 32 weights, is two blocks,
+    so it runs on two processes where two CPUs are usable.
+    """
+    net = one_hidden_layer_net(which)
+    hidden, out = net.layers
+    X = np.random.default_rng(55).normal(size=(16, 4))
+    T = 10_000
+    assert T * X.shape[0] * dense_work(net) > mcni.mc._PASS_BUDGET
+    v = mc_predict(net, X, T, np.random.default_rng(56)).values[:, :, 0]
+    mean, var = v.mean(axis=0), v.var(axis=0, ddof=1)
+    m4 = ((v - mean) ** 4).mean(axis=0)
+    se_mean = np.sqrt(var / T)
+    se_var = np.sqrt((m4 - var ** 2 * (T - 3) / (T - 1)) / T)
+    for i, x in enumerate(X):
+        exact_mean, exact_var = relu_net_predictive_oracle(
+            list(x), hidden.W.tolist(), hidden.b.tolist(), float(hidden.alpha),
+            out.W[:, 0].tolist(), float(out.b[0]), float(out.alpha))
+        assert abs(mean[i] - exact_mean) < 4.5 * se_mean[i], (i, "mean")
+        assert abs(var[i] - exact_var) < 4.5 * se_var[i], (i, "variance")
