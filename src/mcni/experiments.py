@@ -23,8 +23,9 @@ tasks and run them on every usable CPU in forked worker processes
 (``run_tasks``). Each task draws only from its own streams and results are
 kept in task order, so the outputs are the same at any CPU count. A fit's
 own Monte Carlo predictions then run in its task's process; bench-time's
-timed predictions spread their passes over the CPUs themselves (see
-``mc``), and its manifest names the most processes one of them ran on.
+timed predictions and gpcheck's chunks spread over the CPUs themselves.
+The manifest names the most processes any ``run_tasks`` call of the run
+used: ``_command`` sets ``workers.most_processes`` to 1 before each run.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .nn import ACTIVATIONS
 from .optim import TrainConfig, fit, grid_assignments, grid_search
 from .runio import jsonable, manifest_digest, sha256_file, write_csv, \
     write_json
-from .workers import run_tasks
+from . import workers
 
 
 class ConfigError(ValueError):
@@ -84,8 +85,6 @@ class Computed:
     timings: dict[str, float] = field(default_factory=dict)
     # names in outputs whose payload is a wall-clock measurement
     measured_files: tuple[str, ...] = ()
-    # worker processes the driver's tasks ran on (see ``run_tasks``)
-    processes: int = 1
 
 
 # command name -> (config class, run_* function), filled by ``_command``; the
@@ -118,6 +117,7 @@ def _command(command: str, config_cls):
                 outdir.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise ConfigError(f"cannot create outdir {outdir}: {exc}") from None
+            workers.most_processes = 1
             t0 = time.perf_counter()
             done = driver(cfg)
             bad = _non_finite_paths(jsonable(done.metrics))
@@ -149,7 +149,7 @@ def _command(command: str, config_cls):
                     "results": done.metrics,
                     "timings": ({**timings, "outputs": measured} if measured
                                 else timings),
-                    "environment": _environment(done.processes),
+                    "environment": _environment(),
                 }
                 write_json(staged["manifest.json"], manifest)
                 for name, path in files.items():
@@ -169,11 +169,11 @@ def _command(command: str, config_cls):
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _environment(processes: int) -> dict:
+def _environment() -> dict:
     """Where a run ran; like timings, the manifest digest excludes it."""
     return {"mcni": __version__, "python": platform.python_version(),
-            "numpy": np.__version__, "usable_cpus": len(os.sched_getaffinity(0)),
-            "worker_processes": processes,
+            "numpy": np.__version__, "usable_cpus": workers.usable_cpus(),
+            "worker_processes": workers.most_processes,
             "blas_threads": {name: os.environ.get(name)
                              for name in _BLAS_THREAD_VARS}}
 
@@ -297,8 +297,8 @@ def run_toy(cfg: ToyConfig) -> Computed:
 
     runs = [(seed, tag, model) for seed in cfg.seeds
             for tag, model in enumerate(TOY_MODELS)]
-    results, processes = run_tasks([functools.partial(fit_one, *run)
-                                    for run in runs])
+    results = workers.run_tasks([functools.partial(fit_one, *run)
+                                 for run in runs])
     pred_rows, int_rows = [], []
     per_model: dict[str, dict] = {m: {"per_seed": {}} for m in TOY_MODELS}
     for (seed, _, model), (mean, sigma, lower, upper) in zip(runs, results):
@@ -330,7 +330,7 @@ def run_toy(cfg: ToyConfig) -> Computed:
                                           "sigma"], pred_rows),
                      "intervals.csv": (["seed", "model", "x", "lower", "upper"],
                                        int_rows),
-                     "metrics.json": metrics}, metrics, processes=processes)
+                     "metrics.json": metrics}, metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +465,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> Computed:
         tasks += [functools.partial(fit_stack, family, assignments[lo:lo + step],
                                     rngs[lo:lo + step])
                   for lo in range(0, len(assignments), step)]
-    stacks, processes = run_tasks(tasks)
+    stacks = workers.run_tasks(tasks)
     # the sub-stacks' score rows, in assignment order
     scores = (row for stack in stacks for row in stack)
 
@@ -493,7 +493,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> Computed:
 
     return Computed({"leaderboard.csv": (LEADERBOARD_HEADER, rows),
                      "metrics.json": metrics}, metrics,
-                    inputs={"data": Path(cfg.data)}, processes=processes)
+                    inputs={"data": Path(cfg.data)})
 
 
 # ---------------------------------------------------------------------------
@@ -640,8 +640,8 @@ def run_noise_sweep(cfg: SweepConfig) -> Computed:
         rho = spearman_rho(cfg.sigmas, mean_entropy)
         return rows, {"mean_entropy_per_sigma": mean_entropy, "spearman_rho": rho}
 
-    results, processes = run_tasks([functools.partial(sweep_one, seed)
-                                    for seed in cfg.seeds])
+    results = workers.run_tasks([functools.partial(sweep_one, seed)
+                                 for seed in cfg.seeds])
     rows = [row for seed_rows, _ in results for row in seed_rows]
     per_seed = {str(seed): entry for seed, (_, entry) in zip(cfg.seeds, results)}
 
@@ -652,7 +652,7 @@ def run_noise_sweep(cfg: SweepConfig) -> Computed:
     header = ["seed", "sigma", "point", "label", "predicted", "entropy",
               "mean_p0", "mean_p1"]
     return Computed({"sweep.csv": (header, rows), "metrics.json": metrics},
-                    metrics, processes=processes)
+                    metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -692,17 +692,16 @@ class TimingConfig:
         _require(self.seed >= 0, "seed must be >= 0")
 
 
-def _seconds_per_prediction(net, X, T: int, reps: int, key) -> tuple[list[float], int]:
+def _seconds_per_prediction(net, X, T: int, reps: int, key) -> list[float]:
     """Wall-clock seconds of ``reps`` T-pass predictions, rep r seeded
-    [*key, r], and the most worker processes one of them ran on."""
-    times, processes = [], 1
+    [*key, r]."""
+    times = []
     for rep in range(reps):
         rng = np.random.default_rng([*key, rep])
         tic = time.perf_counter()
-        samples = mc_predict(net, X, T, rng)
+        mc_predict(net, X, T, rng)
         times.append(time.perf_counter() - tic)
-        processes = max(processes, samples.worker_processes)
-    return times, processes
+    return times
 
 
 @_command("bench-time", TimingConfig)
@@ -711,16 +710,14 @@ def run_bench_time(cfg: TimingConfig) -> Computed:
         (cfg.batch, cfg.input_dim))
     rows = []
     measured: dict[str, dict[str, float]] = {}
-    processes = 1
     for fam_idx, family in enumerate(cfg.families):
         net = build_mlp(family, cfg.input_dim, list(cfg.hidden), 1,
                         rng=np.random.default_rng([cfg.seed, fam_idx]),
                         noise_level=cfg.noise_level, dropout_p=cfg.dropout_p)
         t_values = (1,) if family == "deterministic" else cfg.t_list
         for T in t_values:
-            times, used = _seconds_per_prediction(net, X, T, cfg.reps,
-                                                  [cfg.seed, fam_idx, T])
-            processes = max(processes, used)
+            times = _seconds_per_prediction(net, X, T, cfg.reps,
+                                            [cfg.seed, fam_idx, T])
             mean_s = float(np.mean(times))
             std_s = float(np.std(times))
             rows.append([family, T, mean_s, std_s])
@@ -732,8 +729,7 @@ def run_bench_time(cfg: TimingConfig) -> Computed:
                "families": list(cfg.families), "t_list": list(cfg.t_list)}
     return Computed(
         {"timing.csv": (["model", "passes", "mean_seconds", "std_seconds"], rows)},
-        metrics, timings=measured, measured_files=("timing.csv",),
-        processes=processes)
+        metrics, timings=measured, measured_files=("timing.csv",))
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +772,6 @@ def run_gpcheck(cfg: GpCheckConfig) -> Computed:
     input_dim = len(cfg.probes[0])
     rows = []
     per_seed = {}
-    processes = 1
     for seed in cfg.seeds:
         probe = WideNetProbe(width=cfg.width, n_networks=cfg.n_networks,
                              probe_inputs=cfg.probes)
@@ -792,7 +787,6 @@ def run_gpcheck(cfg: GpCheckConfig) -> Computed:
         per_seed[str(seed)] = {
             "max_rel_deviation": report.max_rel_deviation,
             "convergence": report.convergence}
-        processes = max(processes, report.worker_processes)
 
     # what the deviations are measured against: the same for every seed
     metrics = {"nonlinearity": cfg.nonlinearity,
@@ -800,7 +794,7 @@ def run_gpcheck(cfg: GpCheckConfig) -> Computed:
                "width": cfg.width, "per_seed": per_seed}
     return Computed({"convergence.csv": (["width", "n_networks", "max_rel_dev",
                                           "seed"], rows),
-                     "metrics.json": metrics}, metrics, processes=processes)
+                     "metrics.json": metrics}, metrics)
 
 
 def config_to_dict(cfg) -> dict:

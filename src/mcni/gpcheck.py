@@ -22,10 +22,10 @@ Execution. wide_net_covariance cuts its networks into chunks whose size
 depends only on the probe shape, the width and ``_NETWORK_BUDGET``, and
 draws each chunk's w1, b1 and v from its own sub-stream (``rng.spawn``, one
 per chunk). The chunks are tasks for ``workers.run_tasks``: they run on one
-process per usable CPU (``os.sched_getaffinity``), the calling process and
-forked children, and come back in chunk order. The covariance is reduced
-from their rows in a fixed order, so the result is bit-for-bit the same at
-any process count. correspondence_report runs the widths one after another.
+process per usable CPU, the calling process and forked children, and come
+back in chunk order. The covariance is reduced from their rows in a fixed
+order, so the result is bit-for-bit the same at any process count.
+correspondence_report runs the widths one after another.
 
 The buffers that a chunk draws into are allocated once per call, before
 the workers fork, and are not written until then, so each worker process
@@ -194,16 +194,14 @@ def _chunk_outputs(X: np.ndarray, width: int, cfg: KernelMCConfig,
 
 
 def wide_net_covariance(probe: WideNetProbe, cfg: KernelMCConfig,
-                        rng: np.random.Generator, *,
-                        process_counts: list | None = None) -> np.ndarray:
+                        rng: np.random.Generator) -> np.ndarray:
     """Empirical output covariance across prior-sampled finite networks.
 
     Output weights are N(0, 1/width) so the hidden sum carries the same
     1/width normalization as the kernel's MC average; the scalar outputs
     across networks then estimate the kernel on the probe set. The networks
     are drawn in chunks, each from its own sub-stream of rng, on all usable
-    CPUs (see the module docstring). The number of worker processes they
-    ran on is appended to ``process_counts``, if given.
+    CPUs (see the module docstring).
     """
     if probe.n_networks < 2:
         raise ValueError("covariance estimation needs at least 2 networks")
@@ -219,11 +217,8 @@ def wide_net_covariance(probe: WideNetProbe, cfg: KernelMCConfig,
     bufs = (np.empty(size * q * k), np.empty(size * k), np.empty(size * k),
             np.empty(block * p * k))
     sizes = list(_chunks(probe.n_networks, chunk))
-    rows, processes = run_tasks([
-        partial(_chunk_outputs, X, k, cfg, stream, c, bufs)
-        for c, stream in zip(sizes, rng.spawn(len(sizes)))])
-    if process_counts is not None:
-        process_counts.append(processes)
+    rows = run_tasks([partial(_chunk_outputs, X, k, cfg, stream, c, bufs)
+                      for c, stream in zip(sizes, rng.spawn(len(sizes)))])
     outputs = np.concatenate(rows)
     centered = outputs - outputs.mean(axis=0)
     cov = np.empty((p, p), dtype=np.float64)
@@ -247,8 +242,6 @@ class CorrespondenceReport:
     max_rel_deviation: float = 0.0
     convergence: list[dict] = field(default_factory=list)
     kernel_source: str = "closed_form"     # or "monte_carlo"
-    # the most worker processes any width's chunks ran on
-    worker_processes: int = 1
 
 
 def correspondence_report(probe: WideNetProbe, cfg: KernelMCConfig,
@@ -278,10 +271,8 @@ def correspondence_report(probe: WideNetProbe, cfg: KernelMCConfig,
     table_widths = sorted(set(int(w) for w in widths) | {probe.width})
     convergence = []
     headline = None
-    process_counts = []
     for width, stream in zip(table_widths, rng.spawn(len(table_widths))):
-        cov = wide_net_covariance(replace(probe, width=width), cfg, stream,
-                                  process_counts=process_counts)
+        cov = wide_net_covariance(replace(probe, width=width), cfg, stream)
         dev = relative_deviation(cov, kernel)
         convergence.append({
             "width": width,
@@ -293,5 +284,4 @@ def correspondence_report(probe: WideNetProbe, cfg: KernelMCConfig,
     cov, dev = headline
     return CorrespondenceReport(kernel=kernel, covariance=cov,
                                 max_rel_deviation=float(dev.max()),
-                                convergence=convergence, kernel_source=source,
-                                worker_processes=max(process_counts))
+                                convergence=convergence, kernel_source=source)

@@ -11,6 +11,7 @@ call's work, T x rows x sum(fan_in x fan_out), measured against
 ``_PASS_BUDGET``; a call within one budget is one block. The blocks are
 tasks for ``workers.run_tasks``, so they run on one process per usable CPU
 (the calling process and forked children) and come back in pass order.
+``workers`` alone records how many processes ran them.
 A process spawns each pass's stream from the generator as the pass starts
 (a forked child from its own copy of it), after spawning and dropping the
 children of any passes before its block that other processes ran. The
@@ -56,9 +57,6 @@ class PredictiveSamples:
     """T per-pass outputs, stacked (T, N, D). Classification rows are probabilities."""
 
     values: np.ndarray = field(repr=False)
-    task: str
-    # worker processes the passes ran on (see ``workers.run_tasks``)
-    worker_processes: int = 1
 
 
 @dataclass
@@ -89,8 +87,8 @@ def mc_predict(net: Network, X, T: int, rng: np.random.Generator, *,
     and the second for the network.
 
     Pass t runs on child n0 + t of ``rng``, which has spawned exactly T
-    more children afterwards; the passes may run in forked workers (see the
-    module docstring).
+    more children afterwards; the passes may run in forked workers, and the
+    samples are the same however many ran them (see the module docstring).
     """
     if isinstance(T, bool) or not isinstance(T, (int, np.integer)):
         raise TypeError(f"the pass count must be an integer, got {T!r}")
@@ -125,13 +123,12 @@ def mc_predict(net: Network, X, T: int, rng: np.random.Generator, *,
     work = T * X.shape[0] * sum(l.W.size for l in net.layers if hasattr(l, "W"))
     n_blocks = min(T, max(1, -(-work // _PASS_BUDGET)))
     bounds = [T * i // n_blocks for i in range(n_blocks + 1)]
-    blocks, processes = run_tasks([functools.partial(passes, lo, hi)
-                                   for lo, hi in zip(bounds, bounds[1:])])
+    blocks = run_tasks([functools.partial(passes, lo, hi)
+                        for lo, hi in zip(bounds, bounds[1:])])
     for _ in range(n0 + T - seq.n_children_spawned):   # passes only children ran
         seq.spawn(1)
     values = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    return PredictiveSamples(values=values, task=net.task,
-                             worker_processes=processes)
+    return PredictiveSamples(values)
 
 
 def welford_mean_var(values: np.ndarray):

@@ -10,7 +10,9 @@ Calls do not nest across processes: ``run_tasks`` called from inside a
 task (one that the caller runs itself, or one in a forked child) runs its
 own tasks in that process and forks nothing. So a fit that scores itself
 with ``mc_predict`` never forks from inside a fork, and the process count
-stays at one per usable CPU.
+stays at one per usable CPU. How many processes a call uses is decided here
+alone: callers get only results, and ``most_processes`` records the most
+any call in this process has used since it was last set to 1.
 """
 
 from __future__ import annotations
@@ -24,12 +26,19 @@ import signal
 # True while this process runs tasks: in a forked child for its whole life,
 # in the caller while its own share runs
 _in_task = False
+# the most worker processes any run_tasks call in this process has used
+most_processes = 1
 
 
-def run_tasks(tasks: list) -> tuple[list, int]:
-    """Call every task; return their results in task order and the number
-    of worker processes: min(usable CPUs, len(tasks)), or 1 when called
-    from inside a running task.
+def usable_cpus() -> int:
+    """The CPUs in this process's affinity mask."""
+    return len(os.sched_getaffinity(0))
+
+
+def run_tasks(tasks: list) -> list:
+    """Call every task; return their results in task order. The call runs
+    on min(usable CPUs, len(tasks)) worker processes, or 1 when called from
+    inside a running task, and raises ``most_processes`` to that count.
 
     The calling process is one worker; the others are ``os.fork()``
     children. The workers share a queue: the task indices, written in order
@@ -44,7 +53,9 @@ def run_tasks(tasks: list) -> tuple[list, int]:
     killer) counts as a RuntimeError naming how it ended. If the caller
     itself is interrupted, the children are killed.
     """
-    n = min(1 if _in_task else len(os.sched_getaffinity(0)), len(tasks))
+    global most_processes
+    n = min(1 if _in_task else usable_cpus(), len(tasks))
+    most_processes = max(most_processes, n)
     queue, feed = os.pipe()
     # one queue entry per task, or per block of tasks when the pipe is too
     # small to take them all without blocking
@@ -58,7 +69,12 @@ def run_tasks(tasks: list) -> tuple[list, int]:
     try:
         for _ in range(n - 1):
             read_end, write_end = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
             if pid == 0:
                 _child(tasks, queue, block, write_end)
             os.close(write_end)
@@ -95,7 +111,7 @@ def run_tasks(tasks: list) -> tuple[list, int]:
             failures.append(failure)
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
-    return results, n
+    return results
 
 
 def _share(tasks: list, queue: int, block: int) -> tuple[list, tuple | None]:

@@ -1,11 +1,11 @@
 """Experiment drivers: file layout, metrics schema, reproducibility."""
 
 import ast
+import errno
 import functools
 import json
 import os
 import platform
-import select
 import signal
 import subprocess
 import sys
@@ -31,8 +31,10 @@ from mcni.models import build_mlp
 from mcni.nn import softmax
 from mcni.optim import TrainConfig, fit
 from mcni.runio import sha256_file
+from mcni import workers
 from mcni.workers import run_tasks
 
+from conftest import assert_no_child_left, fake_cpus
 from oracles import benchmark_oracle, spearman_oracle
 
 
@@ -271,11 +273,6 @@ def test_benchmark_sub_stacks_equal_one_stack(tmp_path, monkeypatch):
         assert a == b, name
 
 
-def fake_cpus(monkeypatch, n):
-    monkeypatch.setattr(mcni.experiments.os, "sched_getaffinity",
-                        lambda pid: set(range(n)))
-
-
 def assert_same_files_at_any_cpu_count(tmp_path, monkeypatch, run, make_cfg,
                                        names, n_tasks):
     """The run's files at 1 CPU equal those at 2 and 8, and the manifest
@@ -379,6 +376,13 @@ def test_riskcov_rmse_hand_case(tmp_path):
 def test_manifest_environment_block(tmp_path, monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    # a command whose chunks run on 2 processes (100 networks at width 4096
+    # are 3 chunks) first: the next command's count starts again from 1
+    fake_cpus(monkeypatch, 2)
+    gp = run_gpcheck(GpCheckConfig(outdir=str(tmp_path / "gp"), n_networks=100,
+                                   width=4096, widths=(4096,)))
+    gp_env = json.loads(gp.files["manifest.json"].read_text())["environment"]
+    assert gp_env["worker_processes"] == 2
     pred_path, unc_path = write_riskcov_files(
         tmp_path, pred=[1.0, 2.0], target=[1.0, 2.5], unc=[0.1, 0.2])
     out = run_riskcov(RiskCovConfig(pred_file=str(pred_path),
@@ -664,40 +668,10 @@ def test_no_unseeded_generator_in_package():
 # ---------------------------------------------------------------------------
 # worker processes
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def fail_with(exc):
     def task():
         raise exc
     return task
-
-
-class Gate:
-    """Makes a test's tasks reach a forked worker: a task that calls
-    ``in_child`` there opens the gate, and in the calling process waits
-    for it to open, so the caller cannot take every task itself."""
-
-    def __init__(self):
-        self.parent = os.getpid()
-        self.read_end, self.write_end = os.pipe()
-
-    def in_child(self) -> bool:
-        if os.getpid() != self.parent:
-            os.write(self.write_end, b"x")
-            return True
-        select.select([self.read_end], [], [], 30.0)
-        return False
-
-
-@pytest.fixture
-def gate():
-    g = Gate()
-    yield g
-    os.close(g.read_end)
-    os.close(g.write_end)
 
 
 def test_run_tasks_keeps_task_order_and_leaves_no_child(monkeypatch, gate):
@@ -707,8 +681,9 @@ def test_run_tasks_keeps_task_order_and_leaves_no_child(monkeypatch, gate):
         gate.in_child()
         return i, os.getpid()
 
-    results, processes = run_tasks([functools.partial(task, i) for i in range(7)])
-    assert processes == 3
+    monkeypatch.setattr(workers, "most_processes", 1)
+    results = run_tasks([functools.partial(task, i) for i in range(7)])
+    assert workers.most_processes == 3
     assert [i for i, _ in results] == list(range(7))
     pids = {pid for _, pid in results}
     assert len(pids - {os.getpid()}) in (1, 2)      # forked workers ran tasks
@@ -754,6 +729,29 @@ def test_run_tasks_names_the_signal_that_killed_a_child(monkeypatch, gate):
     assert_no_child_left()
 
 
+def test_a_failed_fork_closes_its_result_pipe(monkeypatch):
+    """At 3 CPUs the second fork raises (EAGAIN, as under a process limit):
+    the call raises that error, leaves no file descriptor open and reaps
+    the child that the first fork started."""
+    fake_cpus(monkeypatch, 3)
+    forks = []
+    real_fork = os.fork
+
+    def failing_fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    before = set(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        run_tasks([functools.partial(int, i) for i in range(3)])
+    assert len(forks) == 2
+    assert set(os.listdir("/proc/self/fd")) == before
+    assert_no_child_left()
+
+
 def test_child_error_keeps_its_cli_exit_code(tmp_path, monkeypatch, capsys,
                                              gate):
     def failing_fit(nets, *args, **kwargs):
@@ -776,7 +774,7 @@ def test_child_error_keeps_its_cli_exit_code(tmp_path, monkeypatch, capsys,
 
 def test_nested_run_tasks_runs_in_place(monkeypatch, gate):
     """A task that calls run_tasks with 2 tasks at 2 CPUs, in the caller or
-    in a forked worker, gets processes == 1 and forks nothing."""
+    in a forked worker, runs on 1 process and forks nothing."""
     fake_cpus(monkeypatch, 2)
     forks = []
     real_fork = os.fork
@@ -790,12 +788,15 @@ def test_nested_run_tasks_runs_in_place(monkeypatch, gate):
     def task(i):
         gate.in_child()
         before = len(forks)
-        inner, processes = run_tasks([functools.partial(int, i),
-                                      functools.partial(int, -i)])
-        return inner, processes, len(forks) - before, os.getpid()
+        # the inner call's own count, leaving the outer call's record as it was
+        outer, workers.most_processes = workers.most_processes, 1
+        inner = run_tasks([functools.partial(int, i), functools.partial(int, -i)])
+        used, workers.most_processes = workers.most_processes, outer
+        return inner, used, len(forks) - before, os.getpid()
 
-    results, processes = run_tasks([functools.partial(task, i) for i in range(4)])
-    assert processes == 2 and len(forks) == 1
+    monkeypatch.setattr(workers, "most_processes", 1)
+    results = run_tasks([functools.partial(task, i) for i in range(4)])
+    assert workers.most_processes == 2 and len(forks) == 1
     assert [r[:3] for r in results] == [([i, -i], 1, 0) for i in range(4)]
     assert {pid for *_, pid in results} - {os.getpid()}    # a child ran some
     assert_no_child_left()
@@ -807,11 +808,11 @@ def test_children_never_return_into_the_caller(tmp_path):
     # os._exit would flush it a second time or print its own lines
     script = (
         "import functools, os, sys\n"
-        "from mcni.workers import run_tasks\n"
+        "from mcni import workers\n"
         "sys.stdout.write('buffered\\n')\n"
         "os.sched_getaffinity = lambda pid: {0, 1, 2, 3}\n"
-        "results, n = run_tasks([functools.partial(int, i) for i in range(6)])\n"
-        "sys.stdout.write(f'{results} {n}\\n')\n")
+        "results = workers.run_tasks([functools.partial(int, i) for i in range(6)])\n"
+        "sys.stdout.write(f'{results} {workers.most_processes}\\n')\n")
     src = str(Path(mcni.experiments.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=60, cwd=tmp_path,

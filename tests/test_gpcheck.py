@@ -16,6 +16,7 @@ from mcni.gpcheck import (NONLINEARITIES, KernelMCConfig, WideNetProbe,
                           analytic_kernel_identity, analytic_kernel_relu,
                           correspondence_report, kernel_mc_matrix,
                           relative_deviation, wide_net_covariance)
+from conftest import assert_no_child_left, fake_cpus
 from oracles import (correspondence_oracle, kernel_mc_matrix_oracle,
                      wide_net_covariance_oracle)
 
@@ -302,11 +303,6 @@ def test_covariance_equals_oracle_with_three_input_dims():
     assert np.array_equal(got, want)
 
 
-def fake_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(n)))
-
-
 def assert_report_equals_oracle(probe, c, seed, widths):
     report = correspondence_report(probe, c, np.random.default_rng(seed),
                                    widths=widths)
@@ -363,11 +359,6 @@ def test_report_under_thread_contention(monkeypatch):
             assert error is None
     finally:
         sys.setswitchinterval(interval)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("failing", ["kernel_mc_matrix", "wide_net_covariance"])

@@ -1,12 +1,12 @@
 """Monte Carlo pass collection and predictive summaries."""
 
-import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import mcni.mc
+from mcni import workers
 from mcni.mc import (PredictiveSamples, mc_predict, summarize_classification,
                      summarize_regression, welford_mean_var)
 from mcni.models import build_mlp
@@ -14,18 +14,18 @@ from mcni.noise import NoiseSpec, NoisyDenseLayer
 from mcni.nn import ContractError, Network, ShapeError
 from mcni.optim import TrainConfig, fit
 
+from conftest import assert_no_child_left, fake_cpus
 from oracles import entropy_oracle, relu_net_predictive_oracle, welford_scalar
-from test_experiments import assert_no_child_left, fake_cpus, gate  # noqa: F401
 
 
 def reg_samples(passes):
     values = np.asarray(passes, dtype=float).reshape(len(passes), 1, 1)
-    return PredictiveSamples(values=values, task="regression")
+    return PredictiveSamples(values=values)
 
 
 def cls_samples(rows):
     values = np.asarray(rows, dtype=float)[:, None, :]
-    return PredictiveSamples(values=values, task="classification")
+    return PredictiveSamples(values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +66,7 @@ def test_variance_needs_two_passes():
 
 def test_interval_symmetry_and_width():
     rng = np.random.default_rng(1)
-    samples = PredictiveSamples(values=rng.normal(size=(40, 7, 2)),
-                                task="regression")
+    samples = PredictiveSamples(values=rng.normal(size=(40, 7, 2)))
     summ = summarize_regression(samples)
     assert np.max(np.abs((summ.upper - summ.mean) - (summ.mean - summ.lower))) < 1e-12
     assert np.max(np.abs((summ.upper - summ.lower) - 6.0 * summ.sigma)) < 1e-12
@@ -222,7 +221,7 @@ def test_mean_probs_still_sum_to_one():
     probs = np.exp(logits)
     probs /= probs.sum(axis=-1, keepdims=True)
     summ = summarize_classification(
-        PredictiveSamples(values=probs, task="classification"))
+        PredictiveSamples(values=probs))
     assert np.max(np.abs(summ.mean_probs.sum(axis=-1) - 1.0)) < 1e-9
 
 
@@ -230,7 +229,7 @@ def test_entropy_matches_loop_oracle():
     rng = np.random.default_rng(11)
     probs = rng.dirichlet(np.ones(5), size=(8, 3))
     summ = summarize_classification(
-        PredictiveSamples(values=probs, task="classification"))
+        PredictiveSamples(values=probs))
     for i in range(3):
         ref = entropy_oracle(summ.mean_probs[i].tolist())
         assert abs(summ.entropy[i] - ref) < 1e-12
@@ -240,7 +239,7 @@ def test_non_probability_rows_rejected():
     logits = np.array([[[2.0, 1.0]], [[0.5, 0.5]]])
     with pytest.raises(ValueError):
         summarize_classification(
-            PredictiveSamples(values=logits, task="classification"))
+            PredictiveSamples(values=logits))
 
 
 def test_nan_probability_row_rejected():
@@ -423,10 +422,11 @@ def test_samples_are_the_same_at_any_cpu_count(monkeypatch, case):
         assert blocks >= 3
         for cpus in (1, 2, 8):
             fake_cpus(monkeypatch, cpus)
+            monkeypatch.setattr(workers, "most_processes", 1)
             rng = np.random.default_rng(44)
             got = mc_predict(net, X, T, rng, transform=transform)
             assert got.values.tobytes() == ref.tobytes(), (budget, cpus)
-            assert got.worker_processes == min(cpus, blocks)
+            assert workers.most_processes == min(cpus, blocks)
             assert rng.bit_generator.seed_seq.n_children_spawned == T
             assert np.array_equal(rng.spawn(1)[0].integers(0, 2**62, 8),
                                   next_child)
@@ -444,8 +444,9 @@ def test_passes_start_at_the_generators_next_child(monkeypatch):
     rng, ref_rng = np.random.default_rng(47), np.random.default_rng(47)
     rng.spawn(3)
     ref_rng.spawn(3)
+    monkeypatch.setattr(workers, "most_processes", 1)
     got = mc_predict(net, X, 7, rng)
-    assert got.worker_processes == 2
+    assert workers.most_processes == 2
     assert np.array_equal(got.values, reference_passes(net, X, 7, ref_rng))
     assert rng.bit_generator.seed_seq.n_children_spawned == 10
     assert_no_child_left()
