@@ -10,9 +10,12 @@ Two estimates of the same object are compared on a small probe set:
 * wide_net_covariance: the empirical output covariance of many single-hidden-
   layer networks sampled from the matching prior (hidden weights N(0,1),
   hidden bias N(0, s^2), output weights N(0, 1/width), no output bias).
+  Given a network's hidden layer H (probes x width), its outputs H v are
+  exactly N(0, H H^T / width), so they are drawn from that law: P standard
+  normals per network in place of width output weights.
 
-Because the output weights are drawn independently of the hidden features,
-the network-output covariance equals the kernel in expectation at every
+Because the output weights are independent of the hidden features, the
+network-output covariance equals the kernel in expectation at every
 width, not only in the limit. At a fixed number of sampled networks the
 convergence table therefore reports sampling deviation; width changes only
 the higher moments of the outputs, i.e. how Gaussian they are, and so moves
@@ -20,22 +23,25 @@ the spread of that deviation only slightly.
 
 Execution. wide_net_covariance cuts its networks into chunks whose size
 depends only on the probe shape, the width and ``_NETWORK_BUDGET``, and
-draws each chunk's w1, b1 and v from its own sub-stream (``rng.spawn``, one
-per chunk). The chunks are tasks for ``workers.run_tasks``: they run on one
-process per usable CPU, the calling process and forked children, and come
-back in chunk order. The covariance is reduced from their rows in a fixed
-order, so the result is bit-for-bit the same at any process count.
-correspondence_report runs the widths one after another.
+draws each chunk's hidden weights, then its output normals, from its own
+sub-stream (``rng.spawn``, one per chunk). A network's hidden weights and
+bias are one standard-normal (q + 1, width) block w on the probes augmented
+with the bias scale, [x, s], as in analytic_kernel_relu. The chunks are
+tasks for ``workers.run_tasks``: they run on one process per usable CPU,
+the calling process and forked children, and come back in chunk order.
+The covariance is reduced from their rows in a fixed order, so the result
+is bit-for-bit the same at any process count. correspondence_report runs
+the widths one after another.
 
 The buffers that a chunk draws into are allocated once per call, before
 the workers fork, and are not written until then, so each worker process
 fills its own copy and reuses it for every chunk it runs. A chunk computes
 the hidden layer a few networks at a time, in a block of about
-``_BLOCK_BUDGET`` doubles. So one worker holds at most about 8 MB of
-arrays; at width 4096 with 3 two-dimensional probes a chunk is 34
-networks, 4.5 MB of draws. The tanh kernel draws in the calling
-process in chunks of at most ``_CHUNK_BUDGET`` doubles (about 27 MB for 1e6
-samples and 3 two-dimensional probes).
+``_BLOCK_BUDGET`` doubles, and keeps only each network's P x P Gram. So
+one worker holds at most about 8 MB of arrays; at width 4096 with 3
+two-dimensional probes a chunk is 34 networks, 3.3 MB of draws. The tanh
+kernel draws in the calling process in chunks of at most ``_CHUNK_BUDGET``
+doubles (about 27 MB for 1e6 samples and 3 two-dimensional probes).
 """
 
 from __future__ import annotations
@@ -55,8 +61,10 @@ NONLINEARITIES = ("relu", "tanh", "identity")
 # sizes fix which samples share an accumulation, so they are part of the result
 _CHUNK_BUDGET = 4_000_000
 # wide_net_covariance draws in chunks of at most ~1e6 doubles (~8 MB), counted
-# at (q + p + 2) per network and hidden unit: the draws and a hidden layer; the
-# chunk sizes fix the sub-streams, so they are part of the result
+# at (q + p + 2) per network and hidden unit: the (q + 1) weight draws and a
+# p-probe hidden layer, with one to spare, so a chunk's draws take at most
+# (q + 1) / (q + p + 2) of the budget; the chunk sizes fix the sub-streams, so
+# they are part of the result
 _NETWORK_BUDGET = 1_000_000
 # hidden activations of one sub-block of networks: ~256 KB, cache-sized
 _BLOCK_BUDGET = 32_768
@@ -152,6 +160,11 @@ def analytic_kernel_identity(probes, bias_std: float) -> np.ndarray:
     return probes @ probes.T + bias_std ** 2
 
 
+def _augmented(probes: np.ndarray, bias_std: float) -> np.ndarray:
+    """The probes with the bias scale as one more input: rows [x, s]."""
+    return np.column_stack([probes, np.full(len(probes), float(bias_std))])
+
+
 def analytic_kernel_relu(probes, bias_std: float) -> np.ndarray:
     """Closed form for ReLU, the arc-cosine kernel (Cho & Saul 2009).
 
@@ -161,7 +174,7 @@ def analytic_kernel_relu(probes, bias_std: float) -> np.ndarray:
     between x~ and y~. A zero-norm x~ gives exactly 0.
     """
     probes = np.asarray(probes, dtype=np.float64)
-    aug = np.column_stack([probes, np.full(len(probes), float(bias_std))])
+    aug = _augmented(probes, bias_std)
     norms = np.linalg.norm(aug, axis=1)
     scale = np.outer(norms, norms)
     cos = np.divide(aug @ aug.T, scale, out=np.zeros_like(scale),
@@ -170,27 +183,37 @@ def analytic_kernel_relu(probes, bias_std: float) -> np.ndarray:
     return scale * (np.sin(theta) + (math.pi - theta) * cos) / (2.0 * math.pi)
 
 
+def _gram_root(gram: np.ndarray) -> np.ndarray:
+    """R with R R^T = gram, for each symmetric positive semi-definite
+    (P, P) matrix of a stack, from its eigendecomposition. Eigenvalues
+    below 0, which only rounding makes, count as 0, so a singular gram
+    (fewer units than probes, a probe where every unit is dead) is exact."""
+    lam, vecs = np.linalg.eigh(gram)
+    np.maximum(lam, 0.0, out=lam)
+    return vecs * np.sqrt(lam, out=lam)[..., None, :]
+
+
 def _chunk_outputs(X: np.ndarray, width: int, cfg: KernelMCConfig,
                    rng: np.random.Generator, c: int, bufs) -> np.ndarray:
-    """The (c, P) outputs on X of c networks drawn from rng, computed in
-    the (w1, b1, v, hidden) buffers ``bufs``."""
-    w1_buf, b1_buf, v_buf, h_buf = bufs
-    (p, q), k = X.shape, width
-    w1 = rng.standard_normal(out=_view(w1_buf, c, q, k))
-    b1 = rng.standard_normal(out=_view(b1_buf, c, 1, k))
-    b1 *= cfg.bias_std
-    v = rng.standard_normal(out=_view(v_buf, c, k))
-    v /= np.sqrt(k)
-    out = np.empty((c, p), dtype=np.float64)
+    """The (c, P) outputs of c networks drawn from rng, computed in the
+    (w, hidden) buffers ``bufs``. X holds the probes augmented with the bias
+    scale, [x, s], so a network's hidden layer is H = act(X w) with w a
+    standard normal (q + 1, k) block. Given H its outputs are exactly
+    N(0, H H^T / k), the law of H v for output weights v ~ N(0, 1/k), and
+    are drawn as R z from P standard normals z, R R^T = H H^T / k."""
+    w_buf, h_buf = bufs
+    (p, q1), k = X.shape, width
+    w = rng.standard_normal(out=_view(w_buf, c, q1, k))
+    z = rng.standard_normal((c, p))
+    gram = np.empty((c, p, p), dtype=np.float64)
     block = len(h_buf) // (p * k)
     for s in range(0, c, block):
         e = min(c, s + block)
-        hidden = np.einsum("pq,cqk->cpk", X, w1[s:e],
-                           out=_view(h_buf, e - s, p, k))
-        hidden += b1[s:e]
+        hidden = np.matmul(X, w[s:e], out=_view(h_buf, e - s, p, k))
         apply_activation(cfg.nonlinearity, hidden, out=hidden)
-        np.einsum("cpk,ck->cp", hidden, v[s:e], out=out[s:e])
-    return out
+        np.einsum("cpk,cqk->cpq", hidden, hidden, out=gram[s:e])
+    gram /= k
+    return np.einsum("cpj,cj->cp", _gram_root(gram), z)
 
 
 def wide_net_covariance(probe: WideNetProbe, cfg: KernelMCConfig,
@@ -199,9 +222,11 @@ def wide_net_covariance(probe: WideNetProbe, cfg: KernelMCConfig,
 
     Output weights are N(0, 1/width) so the hidden sum carries the same
     1/width normalization as the kernel's MC average; the scalar outputs
-    across networks then estimate the kernel on the probe set. The networks
-    are drawn in chunks, each from its own sub-stream of rng, on all usable
-    CPUs (see the module docstring).
+    across networks then estimate the kernel on the probe set. Each
+    network's outputs are drawn from their law given its hidden layer (see
+    _chunk_outputs), which is the law of that sum. The networks are drawn
+    in chunks, each from its own sub-stream of rng, on all usable CPUs (see
+    the module docstring).
     """
     if probe.n_networks < 2:
         raise ValueError("covariance estimation needs at least 2 networks")
@@ -214,10 +239,10 @@ def wide_net_covariance(probe: WideNetProbe, cfg: KernelMCConfig,
     size = min(chunk, probe.n_networks)
     block = max(1, min(size, _BLOCK_BUDGET // (p * k)))
     # untouched until the workers fork, so each writes its own copy
-    bufs = (np.empty(size * q * k), np.empty(size * k), np.empty(size * k),
-            np.empty(block * p * k))
+    bufs = (np.empty(size * (q + 1) * k), np.empty(block * p * k))
+    aug = _augmented(X, cfg.bias_std)
     sizes = list(_chunks(probe.n_networks, chunk))
-    rows = run_tasks([partial(_chunk_outputs, X, k, cfg, stream, c, bufs)
+    rows = run_tasks([partial(_chunk_outputs, aug, k, cfg, stream, c, bufs)
                       for c, stream in zip(sizes, rng.spawn(len(sizes)))])
     outputs = np.concatenate(rows)
     centered = outputs - outputs.mean(axis=0)

@@ -337,21 +337,31 @@ def arccos_kernel_oracle(probes, bias_std):
 
 
 def wide_net_covariance_oracle(probe, cfg, rng):
-    """One network chunk at a time, each drawn from its own spawned stream."""
+    """One network chunk at a time, each drawn from its own spawned stream.
+
+    A chunk draws every network's standard-normal hidden weights w, one
+    (q + 1, k) block on the augmented probes [x, s], then P standard normals
+    z per network. The hidden layer is H = act([X, s] w), and the outputs
+    are R z, where R = U diag(sqrt(max(lam, 0))) from the eigenvalues lam
+    and eigenvectors U of H H^T / k, so R R^T = H H^T / k.
+    """
     X = np.asarray(probe.probe_inputs, dtype=np.float64)
     p, q = X.shape
     k = probe.width
+    aug = np.column_stack([X, np.full(p, float(cfg.bias_std))])
     chunk = max(1, GP_NETWORK_BUDGET // ((q + p + 2) * k))
     sizes = list(_gp_chunks(probe.n_networks, chunk))
     outputs = np.empty((probe.n_networks, p), dtype=np.float64)
     done = 0
     for c, stream in zip(sizes, rng.spawn(len(sizes))):
-        w1 = stream.standard_normal((c, q, k))
-        b1 = cfg.bias_std * stream.standard_normal((c, 1, k))
-        v = stream.standard_normal((c, k)) / np.sqrt(k)
-        hidden = _gp_activation(cfg.nonlinearity,
-                                np.einsum("pq,cqk->cpk", X, w1) + b1)
-        outputs[done:done + c] = np.einsum("cpk,ck->cp", hidden, v)
+        w = stream.standard_normal((c, q + 1, k))
+        z = stream.standard_normal((c, p))
+        hidden = _gp_activation(cfg.nonlinearity, aug @ w)
+        gram = np.einsum("cpk,cqk->cpq", hidden, hidden) / k
+        for n in range(c):
+            lam, vecs = np.linalg.eigh(gram[n])
+            root = vecs * np.sqrt(np.maximum(lam, 0.0))
+            outputs[done + n] = np.einsum("pj,j->p", root, z[n])
         done += c
     centered = outputs - outputs.mean(axis=0)
     cov = np.empty((p, p), dtype=np.float64)

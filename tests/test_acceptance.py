@@ -17,7 +17,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from mcni.cli import EXIT_OK, main
 from mcni.experiments import (BenchmarkConfig, GpCheckConfig, SweepConfig,

@@ -568,7 +568,7 @@ GOLDEN_DIGESTS = {
     "noise-sweep": "8b2b9f24c3525526a452a69a9a0ecb1ca2a8f9a3eb392b0b552cf2baab59145d",
     "riskcov": "200a8b791f26f211740e8ea2dc9e1f4e1ba2aa8ecfff145417bbc211fc6b595e",
     "bench-time": "74607196c7b612f5481fb3614fe96ef84d61e43b7305dbc3efd3dec35141d21f",
-    "gpcheck": "19e1ad8f2bfff4a80763024ab7f2455dde9ab693e170d8650fcecf2ef0ead551",
+    "gpcheck": "81b9183ff373397dfaa70042c85182e4e5d095cdd93d8ee99e7f15b8a0ee2de3",
 }
 GOLDEN_LEADERBOARD = "6d3bec1dbd3c4ee5b67ebc4353c18f110570a0261332a0a19248c400c26eaeb3"
 
@@ -608,7 +608,8 @@ def test_golden_benchmark_forks_only_for_its_outer_tasks(tmp_path, monkeypatch,
 def test_golden_manifest_digests(tmp_path, monkeypatch, capsys):
     """All six commands at pinned small configs reproduce recorded digests.
 
-    The configs and digests are BENCH_6.json's ``digests`` records, made
+    The configs and digests are BENCH_6.json's ``digests`` records (gpcheck's
+    is BENCH_29.json's, recorded when the covariance's draws changed), made
     with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64); another BLAS build may
     round a matmul differently and move them. Each command runs in one
     work directory with the relative outdir ``out/<command>``, so the whole

@@ -256,6 +256,50 @@ def test_report_is_seed_reproducible():
 
 
 # ---------------------------------------------------------------------------
+# the output square root: given a network's (P, k) hidden layer H, its
+# outputs are N(0, H H^T / k), drawn as R z with R R^T = H H^T / k
+
+
+def relu_hidden(probes, bias_std, w):
+    aug = np.column_stack([probes, np.full(len(probes), bias_std)])
+    return np.maximum(aug @ w, 0.0)
+
+
+def gram_cases():
+    """(name, H H^T / k, rank-deficient) for hidden layers at 3 probes."""
+    rng = np.random.default_rng(40)
+    X = np.asarray(PROBES3)
+    layers = [(f"width {k}", relu_hidden(X, 1.0, rng.standard_normal((3, k))),
+               True) for k in (1, 2)]
+    # every unit dead at the first probe: flip the columns it would fire
+    aug0 = np.append(X[0], 1.0)
+    w = rng.standard_normal((3, 8))
+    w *= -np.sign(aug0 @ w)
+    layers.append(("all-dead probe", relu_hidden(X, 1.0, w), True))
+    origin = np.array([[0.0, 0.0], X[1], X[2]])
+    layers.append(("origin at bias_std 0",
+                   relu_hidden(origin, 0.0, rng.standard_normal((3, 8))), True))
+    layers.append(("full rank", relu_hidden(X, 1.0, rng.standard_normal((3, 64))),
+                   False))
+    return [(name, H @ H.T / H.shape[1], singular) for name, H, singular in layers]
+
+
+def test_output_root_reproduces_singular_and_full_rank_grams():
+    cases = gram_cases()
+    grams = np.stack([g for _, g, _ in cases])
+    roots = gpcheck._gram_root(grams)
+    z = np.random.default_rng(41).standard_normal((len(cases), 3))
+    outputs = np.einsum("cpj,cj->cp", roots, z)
+    assert np.isfinite(roots).all() and np.isfinite(outputs).all()
+    for (name, gram, singular), root in zip(cases, roots):
+        assert (np.linalg.matrix_rank(gram) < 3) == singular, name
+        err = np.abs(root @ root.T - gram).max()
+        assert err <= 1e-12 * np.abs(gram).max(), name
+    # the dead probe and the origin get outputs of 0 up to rounding
+    assert np.abs(outputs[2:4, 0]).max() <= 1e-12 * np.abs(outputs).max()
+
+
+# ---------------------------------------------------------------------------
 # bit-identity with the sequential estimates in tests/oracles.py
 
 
@@ -436,3 +480,5 @@ def test_every_chunk_of_a_worker_reuses_its_buffers(monkeypatch):
     assert len(runs) == 9
     # runs holds every buffer it saw, so equal ids are the same arrays
     assert len({tuple(map(id, bufs)) for _, bufs in runs}) == 1
+    # the (q + 1, k) weights of a full chunk, and sub-blocks of 2 hidden layers
+    assert [b.size for b in runs[0][1]] == [34 * 3 * 4096, 2 * 3 * 4096]

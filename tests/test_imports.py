@@ -1,4 +1,4 @@
-"""Every module-level import in ``src/mcni`` is used by its module.
+"""Every module-level import in ``src/mcni`` and ``tests`` is used by its file.
 
 A name that a refactor stops using stays importable and silently keeps
 its module coupled to another; this check reads each module's syntax tree
@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mcni"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "mcni"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,4 +36,9 @@ def test_the_check_names_an_unused_import():
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_test_file_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
