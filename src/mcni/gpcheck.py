@@ -33,14 +33,16 @@ The covariance is reduced from their rows in a fixed order, so the result
 is bit-for-bit the same at any process count. correspondence_report runs
 the widths one after another.
 
-The buffers that a chunk draws into are allocated once per call, before
-the workers fork, and are not written until then, so each worker process
-fills its own copy and reuses it for every chunk it runs. A chunk computes
-the hidden layer a few networks at a time, in a block of about
-``_BLOCK_BUDGET`` doubles, and keeps only each network's P x P Gram. So
-one worker holds at most about 8 MB of arrays; at width 4096 with 3
-two-dimensional probes a chunk is 34 networks, 3.3 MB of draws. The tanh
-kernel draws in the calling process in chunks of at most ``_CHUNK_BUDGET``
+A chunk works through its networks a few at a time, in sub-blocks whose
+hidden layers take about ``_BLOCK_BUDGET`` doubles: it draws a sub-block's
+hidden weights just before it uses them and keeps only each network's
+P x P Gram. The two buffers of a sub-block, its weights and its hidden
+layers, are allocated once per call, before the workers fork, and are not
+written until then, so each worker process fills its own copy and reuses
+it for every chunk it runs. So ``_BLOCK_BUDGET`` bounds a worker's draws
+as well as its hidden layers: at width 4096 with 3 two-dimensional probes
+a sub-block is 2 networks, and each buffer holds 0.2 MB. The tanh kernel
+draws in the calling process in chunks of at most ``_CHUNK_BUDGET``
 doubles (about 27 MB for 1e6 samples and 3 two-dimensional probes).
 """
 
@@ -60,13 +62,13 @@ NONLINEARITIES = ("relu", "tanh", "identity")
 # kernel_mc_matrix draws in chunks of at most ~4e6 doubles (~32 MB); the chunk
 # sizes fix which samples share an accumulation, so they are part of the result
 _CHUNK_BUDGET = 4_000_000
-# wide_net_covariance draws in chunks of at most ~1e6 doubles (~8 MB), counted
-# at (q + p + 2) per network and hidden unit: the (q + 1) weight draws and a
-# p-probe hidden layer, with one to spare, so a chunk's draws take at most
-# (q + 1) / (q + p + 2) of the budget; the chunk sizes fix the sub-streams, so
-# they are part of the result
+# wide_net_covariance cuts its networks into chunks of ~1e6 doubles, counted
+# at (q + p + 2) per network and hidden unit; the chunk sizes fix the
+# sub-streams, so they are part of the result. A chunk holds one sub-block of
+# networks at a time, so _BLOCK_BUDGET, not this budget, sets the memory
 _NETWORK_BUDGET = 1_000_000
-# hidden activations of one sub-block of networks: ~256 KB, cache-sized
+# hidden activations of one sub-block of networks: ~256 KB, cache-sized; the
+# sub-block's (q + 1)-row weight draws take (q + 1) / p times as much
 _BLOCK_BUDGET = 32_768
 
 
@@ -196,23 +198,26 @@ def _gram_root(gram: np.ndarray) -> np.ndarray:
 def _chunk_outputs(X: np.ndarray, width: int, cfg: KernelMCConfig,
                    rng: np.random.Generator, c: int, bufs) -> np.ndarray:
     """The (c, P) outputs of c networks drawn from rng, computed in the
-    (w, hidden) buffers ``bufs``. X holds the probes augmented with the bias
-    scale, [x, s], so a network's hidden layer is H = act(X w) with w a
-    standard normal (q + 1, k) block. Given H its outputs are exactly
-    N(0, H H^T / k), the law of H v for output weights v ~ N(0, 1/k), and
-    are drawn as R z from P standard normals z, R R^T = H H^T / k."""
+    (w, hidden) buffers ``bufs`` of one sub-block each. X holds the probes
+    augmented with the bias scale, [x, s], so a network's hidden layer is
+    H = act(X w) with w a standard normal (q + 1, k) block. Given H its
+    outputs are exactly N(0, H H^T / k), the law of H v for output weights
+    v ~ N(0, 1/k), and are drawn as R z from P standard normals z,
+    R R^T = H H^T / k. The sub-blocks draw their w in network order, right
+    before their hidden layers, and z follows the last of them, so rng
+    yields the same normals in the same order as one draw of every w."""
     w_buf, h_buf = bufs
     (p, q1), k = X.shape, width
-    w = rng.standard_normal(out=_view(w_buf, c, q1, k))
-    z = rng.standard_normal((c, p))
     gram = np.empty((c, p, p), dtype=np.float64)
     block = len(h_buf) // (p * k)
     for s in range(0, c, block):
         e = min(c, s + block)
-        hidden = np.matmul(X, w[s:e], out=_view(h_buf, e - s, p, k))
+        w = rng.standard_normal(out=_view(w_buf, e - s, q1, k))
+        hidden = np.matmul(X, w, out=_view(h_buf, e - s, p, k))
         apply_activation(cfg.nonlinearity, hidden, out=hidden)
         np.einsum("cpk,cqk->cpq", hidden, hidden, out=gram[s:e])
     gram /= k
+    z = rng.standard_normal((c, p))
     return np.einsum("cpj,cj->cp", _gram_root(gram), z)
 
 
@@ -236,10 +241,9 @@ def wide_net_covariance(probe: WideNetProbe, cfg: KernelMCConfig,
     p, q = X.shape
     k = probe.width
     chunk = max(1, _NETWORK_BUDGET // ((q + p + 2) * k))
-    size = min(chunk, probe.n_networks)
-    block = max(1, min(size, _BLOCK_BUDGET // (p * k)))
+    block = max(1, min(chunk, probe.n_networks, _BLOCK_BUDGET // (p * k)))
     # untouched until the workers fork, so each writes its own copy
-    bufs = (np.empty(size * (q + 1) * k), np.empty(block * p * k))
+    bufs = (np.empty(block * (q + 1) * k), np.empty(block * p * k))
     aug = _augmented(X, cfg.bias_std)
     sizes = list(_chunks(probe.n_networks, chunk))
     rows = run_tasks([partial(_chunk_outputs, aug, k, cfg, stream, c, bufs)

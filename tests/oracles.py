@@ -140,6 +140,11 @@ def entropy_oracle(probs):
     return total
 
 
+def _pop_std(values):
+    m = sum(values) / len(values)
+    return math.sqrt(sum((v - m) ** 2 for v in values) / len(values))
+
+
 def relu_net_predictive_oracle(x, W1, b1, alpha1, W2, b2, alpha2):
     """Closed-form predictive mean and variance of one output of a noisy
     one-hidden-layer ReLU net with a linear output, at one input row x.
@@ -158,12 +163,8 @@ def relu_net_predictive_oracle(x, W1, b1, alpha1, W2, b2, alpha2):
     W1 is fan_in rows of hidden values, b1 and W2 (one output column) hold
     one value per hidden unit, b2 is a scalar. Returns (mean, variance).
     """
-    def pop_std(values):
-        m = sum(values) / len(values)
-        return math.sqrt(sum((v - m) ** 2 for v in values) / len(values))
-
-    sigma1 = pop_std([w for row in W1 for w in row])
-    sigma2 = pop_std(list(W2))
+    sigma1 = _pop_std([w for row in W1 for w in row])
+    sigma2 = _pop_std(list(W2))
     s = abs(alpha1) * sigma1 * math.sqrt(sum(xi * xi for xi in x))
     mean, var, second_total = b2, 0.0, 0.0
     for j in range(len(b1)):
@@ -181,6 +182,84 @@ def relu_net_predictive_oracle(x, W1, b1, alpha1, W2, b2, alpha2):
         var += W2[j] ** 2 * (eh2 - eh * eh)
         second_total += eh2
     return mean, var + (alpha2 * sigma2) ** 2 * second_total
+
+
+def _rectified_mean(mu, s):
+    """E relu(u) for u ~ N(mu, s^2)."""
+    if s == 0.0:
+        return max(mu, 0.0)
+    a = mu / s
+    return (mu * 0.5 * (1.0 + math.erf(a / math.sqrt(2.0)))
+            + s * math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi))
+
+
+def _relu_product_mean(mu_x, s_x, mu_y, s_y, c, nodes):
+    """E[relu(u) relu(v)] for (u, v) jointly Gaussian with means mu_x, mu_y,
+    standard deviations s_x, s_y and covariance c, as one 1-D integral.
+
+    With u = mu_x + s_x t, t standard normal, v given t is N(m, r^2),
+    m = mu_y + s_y rho t and r = s_y sqrt(1 - rho^2), so
+        E[relu(u) relu(v)] = int_{t > -mu_x/s_x} u E[relu(v) | t] phi(t) dt.
+    The integrand is smooth on either side of m = 0 (a kink when rho = +-1),
+    so the interval, cut to |t| <= 10, is split there and each piece takes a
+    Gauss-Legendre rule of ``nodes`` points.
+    """
+    if s_x == 0.0:
+        return max(mu_x, 0.0) * _rectified_mean(mu_y, s_y)
+    rho = 0.0 if s_y == 0.0 else max(-1.0, min(1.0, c / (s_x * s_y)))
+    r = s_y * math.sqrt(1.0 - rho * rho)
+    lo = max(-mu_x / s_x, -10.0)
+    hi = max(lo, 10.0)
+    cuts = [lo, hi]
+    if s_y * rho != 0.0 and lo < -mu_y / (s_y * rho) < hi:
+        cuts.insert(1, -mu_y / (s_y * rho))
+    t_nodes, weights = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        for tn, wn in zip(t_nodes, weights):
+            t = 0.5 * (b - a) * tn + 0.5 * (b + a)
+            u = mu_x + s_x * t
+            given = _rectified_mean(mu_y + s_y * rho * t, r)
+            density = math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+            total += 0.5 * (b - a) * wn * u * given * density
+    return total
+
+
+def relu_net_predictive_covariance_oracle(xs, W1, b1, alpha1, W2, b2, alpha2,
+                                          nodes=64):
+    """Predictive covariance of one output across the input rows xs, for the
+    noisy one-hidden-layer ReLU net of relu_net_predictive_oracle.
+
+    One eps is shared by every row of a pass, so hidden unit j's
+    pre-activations at rows x and y are jointly Gaussian: means mu_j(x) and
+    mu_j(y), standard deviations |alpha1| sigma1 |x| and |alpha1| sigma1 |y|,
+    and covariance (alpha1 sigma1)^2 x.y. The units are independent, because
+    their eps columns are, and the output noise is independent of h, so
+        Cov(f(x), f(y)) = sum_j W2_j^2 Cov(h_j(x), h_j(y))
+                          + alpha2^2 sigma2^2 sum_j E[h_j(x) h_j(y)],
+    with E h from the rectified-Gaussian mean and E[h_j(x) h_j(y)] from one
+    1-D Gauss-Legendre integral (_relu_product_mean). Returns the
+    len(xs) x len(xs) covariance as nested lists.
+    """
+    scale1 = abs(alpha1) * _pop_std([w for row in W1 for w in row])
+    scale2 = abs(alpha2) * _pop_std(list(W2))
+    n, units = len(xs), len(b1)
+    mus = [[sum(x[i] * W1[i][j] for i in range(len(x))) + b1[j]
+            for j in range(units)] for x in xs]
+    stds = [scale1 * math.sqrt(sum(v * v for v in x)) for x in xs]
+    cov = [[0.0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            c = scale1 * scale1 * sum(u * v for u, v in zip(xs[a], xs[b]))
+            total = 0.0
+            for j in range(units):
+                second = _relu_product_mean(mus[a][j], stds[a], mus[b][j],
+                                            stds[b], c, nodes)
+                means = (_rectified_mean(mus[a][j], stds[a])
+                         * _rectified_mean(mus[b][j], stds[b]))
+                total += W2[j] ** 2 * (second - means) + scale2 ** 2 * second
+            cov[a][b] = cov[b][a] = total
+    return cov
 
 
 def adam_steps_oracle(p0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):

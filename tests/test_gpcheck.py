@@ -5,6 +5,7 @@ import os
 import select
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -480,5 +481,26 @@ def test_every_chunk_of_a_worker_reuses_its_buffers(monkeypatch):
     assert len(runs) == 9
     # runs holds every buffer it saw, so equal ids are the same arrays
     assert len({tuple(map(id, bufs)) for _, bufs in runs}) == 1
-    # the (q + 1, k) weights of a full chunk, and sub-blocks of 2 hidden layers
-    assert [b.size for b in runs[0][1]] == [34 * 3 * 4096, 2 * 3 * 4096]
+    # the (q + 1, k) weights and the hidden layers of a sub-block of 2 networks
+    assert [b.size for b in runs[0][1]] == [2 * 3 * 4096, 2 * 3 * 4096]
+
+
+def test_draw_memory_is_bounded_by_a_sub_block_not_a_chunk(monkeypatch):
+    """Each sub-block's hidden weights are drawn just before it is used,
+    so a call's arrays stay near one sub-block: 2 networks at width 4096,
+    not a 34-network chunk of weights (3.3 MB)."""
+    fake_cpus(monkeypatch, 1)
+    probe = WideNetProbe(width=4096, n_networks=300, probe_inputs=PROBES3)
+    want = wide_net_covariance_oracle(probe, cfg(), np.random.default_rng(35))
+    # an untraced first call, so that one-time imports and caches stay out
+    # of the peak
+    assert np.array_equal(
+        wide_net_covariance(probe, cfg(), np.random.default_rng(35)), want)
+    tracemalloc.start()
+    try:
+        got = wide_net_covariance(probe, cfg(), np.random.default_rng(35))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 1_000_000

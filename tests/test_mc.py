@@ -15,7 +15,8 @@ from mcni.nn import ContractError, Network, ShapeError
 from mcni.optim import TrainConfig, fit
 
 from conftest import assert_no_child_left, fake_cpus
-from oracles import entropy_oracle, relu_net_predictive_oracle, welford_scalar
+from oracles import (entropy_oracle, relu_net_predictive_covariance_oracle,
+                     relu_net_predictive_oracle, welford_scalar)
 
 
 def reg_samples(passes):
@@ -521,3 +522,50 @@ def test_one_hidden_layer_predictive_matches_closed_form(which):
             out.W[:, 0].tolist(), float(out.b[0]), float(out.alpha))
         assert abs(mean[i] - exact_mean) < 4.5 * se_mean[i], (i, "mean")
         assert abs(var[i] - exact_var) < 4.5 * se_var[i], (i, "variance")
+
+
+def test_one_hidden_layer_predictive_covariance_across_rows_matches_closed_form():
+    """One eps is shared by every row of a pass, so the predictive is a
+    process over the inputs. At T = 10,000 every entry of the 5 x 5 sample
+    covariance of a 3-20-1 ReLU noise_fixed net at alpha 0.3 lies within 4.5
+    standard errors of the closed form
+    (oracles.relu_net_predictive_covariance_oracle).
+
+    The SE of entry (a, b) is sqrt((m22 - c^2) / T), with c the sample
+    covariance and m22 the sample mean of the squared centred product. Over
+    the 15 distinct entries a two-sided bound of 4.5 SE leaves a family-wise
+    false-alarm rate under 1.1e-4 (Bonferroni, normal estimates). A sampler
+    that draws eps per row, written here in plain numpy, has the right
+    moments at each row but independent rows, and fails the bound by far.
+    """
+    net = build_mlp("noise_fixed", 3, [20], 1, rng=np.random.default_rng(60))
+    biases = np.random.default_rng(61)
+    for layer in net.layers:
+        layer.alpha[...] = 0.3
+        layer.b[...] = biases.normal(0.0, 0.3, size=layer.b.shape)
+    hidden, out = net.layers
+    X = np.random.default_rng(62).normal(size=(5, 3))
+    T = 10_000
+    exact = np.array(relu_net_predictive_covariance_oracle(
+        X.tolist(), hidden.W.tolist(), hidden.b.tolist(), float(hidden.alpha),
+        out.W[:, 0].tolist(), float(out.b[0]), float(out.alpha)))
+
+    def max_abs_z(v):
+        centred = v - v.mean(axis=0)
+        cov = centred.T @ centred / (T - 1)
+        m22 = (centred ** 2).T @ centred ** 2 / T
+        return float(np.max(np.abs(cov - exact) / np.sqrt((m22 - cov ** 2) / T)))
+
+    v = mc_predict(net, X, T, np.random.default_rng(63)).values[:, :, 0]
+    assert max_abs_z(v) < 4.5
+
+    per_row = np.empty((T, len(X)))
+    eps = np.random.default_rng(64)
+    scale1 = float(hidden.alpha) * hidden.W.std()
+    scale2 = float(out.alpha) * out.W.std()
+    for i, x in enumerate(X):
+        W1 = hidden.W + scale1 * eps.standard_normal((T,) + hidden.W.shape)
+        W2 = out.W[:, 0] + scale2 * eps.standard_normal((T, len(out.W)))
+        h = np.maximum(np.einsum("i,tij->tj", x, W1) + hidden.b, 0.0)
+        per_row[:, i] = np.einsum("tj,tj->t", h, W2) + out.b[0]
+    assert max_abs_z(per_row) > 4 * 4.5
