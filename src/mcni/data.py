@@ -233,7 +233,7 @@ def split(dataset: Dataset, fractions=(0.8, 0.1, 0.1), seed: int = 0):
     DataError.
     """
     f = tuple(float(x) for x in fractions)
-    if len(f) != 3 or any(x < 0.0 for x in f):
+    if len(f) != 3 or any(not x >= 0.0 for x in f):  # NaN fails too
         raise ValueError("fractions must be three non-negative numbers")
     if abs(sum(f) - 1.0) > 1e-9:
         raise ValueError("fractions must sum to 1")
@@ -251,8 +251,8 @@ def split(dataset: Dataset, fractions=(0.8, 0.1, 0.1), seed: int = 0):
 
 def gaussian_corrupt(X, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """X + N(0, sigma^2) noise per element; sigma = 0 returns X unchanged."""
-    if sigma < 0.0:
-        raise ValueError("corruption std must be non-negative")
+    if not 0.0 <= sigma < math.inf:  # NaN fails too
+        raise ValueError("corruption std must be finite and non-negative")
     X = np.asarray(X, dtype=np.float64)
     if sigma == 0.0:
         return X.copy()

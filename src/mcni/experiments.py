@@ -13,10 +13,9 @@ into place, and returns a RunOutput that carries the manifest digest.
 Commands are deterministic functions of (config, seeds): all randomness
 flows from np.random.default_rng seeded with [seed, tag] pairs, and files
 are written with repr-formatted floats, so reruns are byte-identical. The
-digest excludes the manifest's wall-clock timings and its environment block
-(versions, usable CPUs, worker processes, BLAS thread variables). The one
-data file whose payload is a measurement, the timing benchmark's
-timing.csv, has its hash recorded under those timings, outside the digest.
+digest excludes the manifest's wall-clock timings, where bench-time keeps
+its measurements, and its environment block (versions, usable CPUs, worker
+processes, BLAS thread variables).
 
 The benchmark, toy and noise-sweep drivers cut their fits into independent
 tasks and run them on every usable CPU in forked worker processes
@@ -83,8 +82,6 @@ class Computed:
     metrics: dict
     inputs: dict[str, Path] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
-    # names in outputs whose payload is a wall-clock measurement
-    measured_files: tuple[str, ...] = ()
 
 
 # command name -> (config class, run_* function), filled by ``_command``; the
@@ -138,8 +135,6 @@ def _command(command: str, config_cls):
                         write_csv(staged[name], *payload)
                     hashes[name] = sha256_file(staged[name])
                 timings = {"total_s": time.perf_counter() - t0, **done.timings}
-                # a measurement's hash changes on every run: keep it out of the digest
-                measured = {name: hashes.pop(name) for name in done.measured_files}
                 manifest = {
                     "command": command,
                     "config": config_to_dict(cfg),
@@ -147,8 +142,7 @@ def _command(command: str, config_cls):
                                for name, path in done.inputs.items()},
                     "outputs": hashes,
                     "results": done.metrics,
-                    "timings": ({**timings, "outputs": measured} if measured
-                                else timings),
+                    "timings": timings,
                     "environment": _environment(),
                 }
                 write_json(staged["manifest.json"], manifest)
@@ -708,7 +702,6 @@ def _seconds_per_prediction(net, X, T: int, reps: int, key) -> list[float]:
 def run_bench_time(cfg: TimingConfig) -> Computed:
     X = np.random.default_rng([cfg.seed, 99]).standard_normal(
         (cfg.batch, cfg.input_dim))
-    rows = []
     measured: dict[str, dict[str, float]] = {}
     for fam_idx, family in enumerate(cfg.families):
         net = build_mlp(family, cfg.input_dim, list(cfg.hidden), 1,
@@ -718,18 +711,14 @@ def run_bench_time(cfg: TimingConfig) -> Computed:
         for T in t_values:
             times = _seconds_per_prediction(net, X, T, cfg.reps,
                                             [cfg.seed, fam_idx, T])
-            mean_s = float(np.mean(times))
-            std_s = float(np.std(times))
-            rows.append([family, T, mean_s, std_s])
-            measured[f"{family}/T={T}"] = {"mean_s": mean_s, "std_s": std_s}
+            measured[f"{family}/T={T}"] = {"mean_s": float(np.mean(times)),
+                                           "std_s": float(np.std(times))}
 
     # measurements live under timings (excluded from the determinism
     # contract), keeping the manifest's results block rerun-stable
     metrics = {"batch": cfg.batch, "reps": cfg.reps,
                "families": list(cfg.families), "t_list": list(cfg.t_list)}
-    return Computed(
-        {"timing.csv": (["model", "passes", "mean_seconds", "std_seconds"], rows)},
-        metrics, timings=measured, measured_files=("timing.csv",))
+    return Computed({}, metrics, timings=measured)
 
 
 # ---------------------------------------------------------------------------

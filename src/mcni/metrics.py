@@ -132,6 +132,8 @@ def brier(mean_probs, labels) -> float:
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != p.shape[0]:
         raise ShapeError("labels must align with mean_probs rows")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ShapeError("labels must be integers")
     if labels.size == 0:
         raise ValueError("no samples")
     if not (np.abs(p.sum(axis=1) - 1.0) <= 1e-6).all():

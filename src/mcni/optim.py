@@ -273,6 +273,8 @@ def fit(net, train_x, train_y, cfg, val_x=None, val_y=None, rng=None):
         raise ValueError(f"{train_y.shape[0]} training targets for {n} inputs")
     if has_val:
         val_x, val_y = np.asarray(val_x, dtype=np.float64), np.asarray(val_y)
+        if val_x.shape[0] == 0:
+            raise ValueError("empty validation set")
         if val_y.shape[0] != val_x.shape[0]:
             raise ValueError(f"{val_y.shape[0]} validation targets for "
                              f"{val_x.shape[0]} inputs")

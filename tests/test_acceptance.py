@@ -372,7 +372,7 @@ def test_criterion_10_cli_reruns_are_byte_identical(tmp_path):
         names = sorted(p.name for p in first.iterdir())
         assert names == sorted(p.name for p in second.iterdir()), command
         for name in names:
-            if name in ("manifest.json", "timing.csv"):  # timing fields
+            if name == "manifest.json":  # timing fields
                 continue
             assert ((first / name).read_bytes()
                     == (second / name).read_bytes()), f"{command}/{name}"
@@ -380,6 +380,5 @@ def test_criterion_10_cli_reruns_are_byte_identical(tmp_path):
         for outdir in dirs:
             manifest = json.loads((outdir / "manifest.json").read_text())
             manifest["config"]["outdir"] = ""  # differs by construction
-            manifest["outputs"].pop("timing.csv", None)  # measured content
             digests.append(manifest_digest(manifest))
         assert digests[0] == digests[1], command

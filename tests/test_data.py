@@ -234,6 +234,8 @@ def test_split_validation():
         split(ds, (0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         split(ds, (0.0, 0.5, 0.5))
+    with pytest.raises(ValueError, match="three non-negative numbers"):
+        split(ds, (float("nan"), 0.5, 0.5))
 
 
 def test_split_leaving_a_part_empty_is_a_data_error():
@@ -303,6 +305,12 @@ def test_corruption_std_matches_sigma():
 def test_negative_sigma_rejected():
     with pytest.raises(ValueError):
         gaussian_corrupt(np.ones((2, 2)), -0.1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_non_finite_sigma_rejected(sigma):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        gaussian_corrupt(np.ones((2, 2)), sigma, np.random.default_rng(0))
 
 
 def test_dataset_row_count_consistency():

@@ -167,6 +167,16 @@ def test_brier_uniform_closed_form(c):
     assert abs(brier(p, labels) - expected) < 1e-12
 
 
+@pytest.mark.parametrize("labels", [np.array([1.0, 0.0]),
+                                    np.array([True, False])])
+def test_brier_requires_integer_labels(labels):
+    # boolean labels would index as a mask and score 0.65, not 0.25
+    p = np.array([[0.3, 0.7], [0.6, 0.4]])
+    with pytest.raises(ShapeError, match="labels must be integers"):
+        brier(p, labels)
+    assert abs(brier(p, labels.astype(np.int64)) - 0.25) < 1e-12
+
+
 def test_brier_rejects_unnormalized_rows():
     with pytest.raises(ValueError):
         brier(np.array([[0.5, 0.6]]), np.array([0]))

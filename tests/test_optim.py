@@ -331,6 +331,7 @@ def test_fit_rejects_targets_that_do_not_match_the_inputs():
 @pytest.mark.parametrize("val_x, val_y, message", [
     (np.ones((20, 1)), np.ones((1, 1)), "1 validation targets for 20 inputs"),
     (np.ones((20, 3)), np.ones((20, 1)), "3 features; the net takes 1"),
+    (np.empty((0, 1)), np.empty((0, 1)), "empty validation set"),
 ])
 def test_fit_checks_the_validation_set_before_training(monkeypatch, val_x,
                                                        val_y, message):
