@@ -99,17 +99,18 @@ def gen_toy(n: int = 200, seed: int = 0, random_x: bool = False) -> Dataset:
 def read_table(path) -> tuple[list[str], np.ndarray]:
     """Read a header-row CSV of numbers into (column names, float table).
 
-    The one CSV reader, so every input follows the same rules: UTF-8, one
-    header row of distinct names (surrounding spaces stripped), blank lines
-    skipped, at least one data row, every row as wide as the header, and
-    every cell a finite number. A breach raises DataError; a bad row or cell
-    is named by its 1-based physical row (the header is row 1) and column.
+    The one CSV reader, so every input follows the same rules: UTF-8 (a
+    leading byte-order mark is dropped), one header row of distinct names
+    (surrounding spaces stripped), blank lines skipped, at least one data
+    row, every row as wide as the header, and every cell a finite number.
+    A breach raises DataError; a bad row or cell is named by its 1-based
+    physical row (the header is row 1) and column.
     """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such data file: {path}")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = [name.strip() for name in next(reader, [])]
             if not header:

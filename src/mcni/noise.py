@@ -41,9 +41,10 @@ class NoiseSpec:
     mode 'fixed' keeps alpha at alpha_init; 'learned' trains it.
     alpha_penalty_lambda is the coefficient of the optional reward term
     -lambda * ||alpha||^2 that the training loss adds for a learned alpha
-    (see ``optim.Penalty``); it is subtracted, so a positive lambda pushes
-    alpha away from zero instead of collapsing it. A fixed alpha is not a
-    parameter, so its lambda has no effect.
+    (its entry of the coefficient block of ``optim.Penalty``); it is
+    subtracted, so a positive lambda pushes alpha away from zero instead of
+    collapsing it. At lambda = 0 the alpha gradient is left untouched. A
+    fixed alpha is not a parameter, so its lambda has no effect.
     alpha_init, only where alpha starts, is left out of equality and the
     hash, so members that start from different levels can stack.
     """

@@ -7,9 +7,12 @@ parameter block (``Network.flat``) from the gradient block of backward.
 The training loss is task loss + one quadratic penalty (``Penalty``): L2
 weight decay on every W and b, and the optional noise-level reward
 -lambda * ||alpha||^2 on every trained alpha (lambda is carried per layer by
-its NoiseSpec; a fixed alpha moves no parameter, so it gets no term). Noise
-and dropout draws are live on every pass; validation is scored with a noisy
-pass too, because stochastic prediction is the model being selected.
+its NoiseSpec; a fixed alpha moves no parameter, so it gets no term). Its
+coefficients are one block laid out like ``Network.flat``, so the penalty
+is three whole-block operations; a gradient entry whose coefficient is
+zero is left untouched. Noise and dropout draws are live on every pass;
+validation is scored with a noisy pass too, because stochastic prediction
+is the model being selected.
 
 ``fit`` trains a list of same-shape nets as one member stack (see
 ``nn.stack_networks``): one forward, backward and optimizer step per batch
@@ -140,62 +143,39 @@ def task_loss(net: Network, X, Y,
 class Penalty:
     """The quadratic penalty of one net's training loss, resolved once.
 
-    Every group is c_g * ||p_g||^2. For each W and b, c_g is the weight
-    decay: one float, or in a member stack a list with one float per
-    member. For each trained alpha, c_g is -alpha_penalty_lambda, a reward
-    that pushes the noise level away from zero; weight decay never reaches
-    alpha, since shrinking it would cancel the mechanism the model is built
-    around. The value is one per member, summed group by group. The
-    gradient 2 c p is one product over the parameter block, with one
-    coefficient per entry; where the coefficient is zero it is -0.0, the
-    exact additive identity, in the value and the gradient, so adding the
-    terms leaves those values as they would be without them.
+    The penalty is sum c * p^2 over the parameter block, with one
+    coefficient per entry, held as one block ``two_c`` (2c) laid out like
+    ``net.flat``. Every W and b entry takes the weight decay: one float, or
+    in a member stack one float per member (its row). Every trained alpha
+    takes -alpha_penalty_lambda, a reward that pushes the noise level away
+    from zero; weight decay never reaches alpha, since shrinking it would
+    cancel the mechanism the model is built around. The value is one per
+    member, summed over its row. The gradient 2 c p is added only where the
+    coefficient is nonzero (``on``): a c = 0 entry of the gradient is left
+    untouched, bit for bit, whatever its parameter holds.
     """
 
     def __init__(self, net: Network, weight_decay):
         decay = np.asarray(weight_decay, dtype=np.float64)
         if not ((decay >= 0.0) & (decay < np.inf)).all():
             raise ValueError("weight decay must be finite and non-negative")
-        self._work = np.empty_like(net.flat)
-        two_c = np.zeros_like(net.flat)
-        coefficients, squares = net.views(two_c), net.views(self._work)
-        self.groups = []     # (c, view of p^2, summed axes, members on)
+        self.two_c = np.zeros_like(net.flat)
+        coefficients = net.views(self.two_c)
         for i, layer in enumerate(net.layers):
-            if not hasattr(layer, "parameters"):
-                continue
-            for key, p in layer.parameters().items():
+            for key, p in getattr(layer, "parameters", dict)().items():
                 c = (np.asarray(-layer.spec.alpha_penalty_lambda)
                      if key == "alpha" else decay)
-                on = c != 0.0
-                if not on.any():
-                    continue
-                name = f"L{i}.{key}"
-                coefficients[name][...] = 2.0 * c.reshape(
+                coefficients[f"L{i}.{key}"][...] = 2.0 * c.reshape(
                     c.shape + (1,) * (p.ndim - c.ndim))
-                axes = None if net.members is None else tuple(range(1, p.ndim))
-                self.groups.append((c, squares[name], axes,
-                                    None if on.all() else on))
-        self._two_c = two_c
-        off = two_c == 0.0
-        self._off = off if off.any() else None
+        self.on = self.two_c != 0.0
+        self._work = np.empty_like(net.flat)
 
     def terms(self, net: Network, grad: np.ndarray) -> float:
-        """The penalty sum_g c_g ||p_g||^2; adds its gradient 2 c_g p_g
-        into the block ``grad``."""
-        if not self.groups:
-            return 0.0
-        np.multiply(net.flat, net.flat, out=self._work)
-        total = 0.0
-        for c, square, axes, on in self.groups:
-            term = c * square.sum(axis=axes)
-            if on is not None:
-                term = np.where(on, term, -0.0)
-            total += term
-        step = np.multiply(self._two_c, net.flat, out=self._work)
-        if self._off is not None:
-            step[self._off] = -0.0
-        grad += step
-        return total
+        """The penalty sum c p^2, one value per member; adds its gradient
+        2 c p into the block ``grad`` where c is nonzero."""
+        step = np.multiply(self.two_c, net.flat, out=self._work)
+        np.add(grad, step, out=grad, where=self.on)
+        return np.multiply(step, net.flat, out=step).sum(axis=-1) / 2.0
 
 
 def training_loss_and_grads(net: Network, X, Y, weight_decay=0.0,

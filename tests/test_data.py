@@ -186,6 +186,20 @@ def test_read_table_returns_stripped_header_and_float_table(tmp_path):
     assert np.array_equal(table, [[1.5, 2.0], [-3.0, 4e-3]])
 
 
+def test_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path):
+    """Spreadsheet "CSV UTF-8" exports start with a byte-order mark."""
+    text = "pred,target\n1.5,2\n-3,4e-3\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    header, table = read_table(marked)
+    assert header == read_table(plain)[0] == ["pred", "target"]
+    assert np.array_equal(table, read_table(plain)[1])
+    assert np.array_equal(load_csv(marked, target="pred").Y,
+                          load_csv(plain, target="pred").Y)
+
+
 def test_single_column_rejected(tmp_path):
     path = tmp_path / "one.csv"
     path.write_text("a\n1\n")

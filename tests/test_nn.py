@@ -488,18 +488,18 @@ def test_l2_terms_bit_identical_to_reference_sum_and_grads():
     net = learned_noise_net(11)
     for decay in (0.037, 0.0):
         total, grads = penalty_terms(net, decay)
-        ref_total = 0.0
+        c_block = np.zeros_like(net.flat)
+        coefficients = net.views(c_block)
         for name, p in net.parameters().items():
             c = -0.2 if name.endswith(".alpha") else decay
+            coefficients[name][...] = c
             if c == 0.0:
                 assert np.all(grads[name] == 0.0)
                 assert np.all(np.signbit(grads[name])), name
                 continue
-            ref_total += c * float(np.sum(p * p))
             assert np.array_equal(grads[name], 2.0 * c * p), name
-        assert total == ref_total
+        assert total == np.sum(c_block * net.flat * net.flat)
     plain = learned_noise_net(11, lam=0.0)
-    assert Penalty(plain, 0.0).groups == []
     assert penalty_value(plain, 0.0) == 0.0
 
 
@@ -517,6 +517,25 @@ def test_l2_stacked_members_equal_lone_values():
             assert np.array_equal(grads[name][m].reshape(g.shape), g), name
             if decay == 0.0 and not name.endswith(".alpha"):
                 assert np.all(g == 0.0) and np.all(np.signbit(g)), name
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_zero_coefficient_leaves_the_gradient_of_a_non_finite_parameter(bad):
+    """0 * inf is NaN, yet a gradient entry whose coefficient is zero is
+    left bit for bit when its parameter is inf or NaN: a learned alpha at
+    lambda = 0, and every entry of a stack member at decay 0."""
+    net = learned_noise_net(38, lam=0.0)
+    net.parameters()["L0.alpha"][...] = bad
+    stack = stack_networks([learned_noise_net(s, lam=0.0) for s in (39, 40)])
+    stack.flat[0] = bad
+    for model, decay in ((net, 0.01), (stack, [0.0, 0.01])):
+        grad = np.random.default_rng(41).normal(size=model.flat.shape)
+        before = grad.copy()
+        with np.errstate(invalid="ignore"):
+            Penalty(model, decay).terms(model, grad)
+        finite = np.isfinite(model.flat)
+        assert np.array_equal(grad[~finite], before[~finite])
+        assert np.all(np.isfinite(grad[finite]))
 
 
 def test_l2_negative_lambda_rejected():

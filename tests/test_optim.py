@@ -184,7 +184,9 @@ def test_fixed_alpha_reward_adds_nothing():
                                                  frozen_noise=frozen)
     assert loss == ref_loss
     assert np.array_equal(grad, ref_grad)
-    assert Penalty(rewarded, 0.0).groups == []
+    untouched = np.full_like(rewarded.flat, -0.0)
+    assert Penalty(rewarded, 0.0).terms(rewarded, untouched) == 0.0
+    assert np.all(untouched == 0.0) and np.all(np.signbit(untouched))
 
 
 def test_training_loss_rejects_a_stale_call():
