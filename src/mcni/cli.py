@@ -93,11 +93,12 @@ def _apply(cfg, updates: dict[str, str], source: str) -> None:
 
 
 def _load_config_file(path: str, command: str) -> dict[str, str]:
-    parser = configparser.ConfigParser()
+    # values are text like any --set value: a '%' is literal
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None

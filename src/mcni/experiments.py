@@ -5,10 +5,13 @@ rows)`` table for a CSV file, a dict for a JSON file), its headline
 metrics and, where it has them, its input files and measured timings. The
 ``_command`` skeleton turns a driver into the public run_* function and
 registers it with its config class in ``COMMANDS``. The run validates the
-config before anything touches the disk, creates ``outdir``, times the run,
-removes any old ``manifest.json``, writes every output and then
-``manifest.json`` through runio under temporary names, renames them all
-into place, and returns a RunOutput that carries the manifest digest.
+config before anything touches the disk: each config class's ``validate``
+holds every field to the range rule that ``_RULES`` states once for that
+field name in all commands, then checks its own command's cross-field
+rules. The run then creates ``outdir``, times the run, removes any old
+``manifest.json``, writes every output and then ``manifest.json`` through
+runio under temporary names, renames them all into place, and returns a
+RunOutput that carries the manifest digest.
 
 Commands are deterministic functions of (config, seeds): all randomness
 flows from np.random.default_rng seeded with [seed, tag] pairs, and files
@@ -188,25 +191,55 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _require_seeds(seeds: tuple[int, ...]) -> None:
-    _require(len(seeds) >= 1, "at least one seed required")
-    _require(len(set(seeds)) == len(seeds), f"seeds repeat: {list(seeds)}")
-    _require(all(s >= 0 for s in seeds), "seeds must be >= 0")
+def _at_least(low):
+    return f">= {low}", lambda v: v >= low
 
 
-def _require_families(families: tuple[str, ...]) -> None:
-    _require(len(families) >= 1, "at least one family required")
-    unknown = set(families) - set(FAMILIES)
-    _require(not unknown, f"unknown families: {sorted(unknown)}")
-    _require(len(set(families)) == len(families),
-             f"families repeat: {list(families)}")
+def _one_of(choices):
+    return f"one of {choices}", lambda v: v in choices
 
 
-def _require_net(hidden: tuple[int, ...], activation: str) -> None:
-    _require(len(hidden) >= 1 and all(h >= 1 for h in hidden),
-             "hidden must list at least one width, each >= 1")
-    _require(activation in ACTIVATIONS,
-             f"activation must be one of {ACTIVATIONS}")
+_POSITIVE = ("> 0", lambda v: v > 0)
+_DROP_RATE = ("in [0, 1)", lambda v: 0 <= v < 1)
+
+# each field's range rule, (what it says, test), stated once for the field
+# of that name in every config class; see _check_fields
+_RULES = {
+    "seed": _at_least(0), "seeds": _at_least(0),
+    "passes": _at_least(2), "val_passes": _at_least(1), "t_list": _at_least(1),
+    "epochs": _at_least(1), "max_epochs": _at_least(1), "patience": _at_least(0),
+    "batch_size": _at_least(1), "batch": _at_least(1), "reps": _at_least(2),
+    "n_points": _at_least(2), "n_train": _at_least(4), "n_eval": _at_least(1),
+    "input_dim": _at_least(1), "hidden": _at_least(1), "width": _at_least(1),
+    "widths": _at_least(1), "n_samples": _at_least(1), "n_networks": _at_least(2),
+    "lr": _POSITIVE, "lr_grid": _POSITIVE,
+    "noise_level": _at_least(0), "noise_grid": _at_least(0),
+    "alpha_init_grid": _at_least(0), "weight_decay_grid": _at_least(0),
+    "alpha_penalty_lambda": _at_least(0), "bias_std": _at_least(0),
+    "sigmas": _at_least(0),
+    "dropout_p": _DROP_RATE, "dropout_grid": _DROP_RATE,
+    "coverage_grid": ("in (0, 1]", lambda v: 0 < v <= 1),
+    "activation": _one_of(ACTIVATIONS), "families": _one_of(FAMILIES),
+    "risk_kind": _one_of(RISK_KINDS), "nonlinearity": _one_of(NONLINEARITIES),
+}
+# the tuple fields whose entries must not repeat
+_DISTINCT = ("seeds", "families", "t_list")
+
+
+def _check_fields(cfg) -> None:
+    """Hold each field of ``cfg`` that has a rule in ``_RULES`` to it: a
+    scalar must obey it, a tuple must be non-empty and each entry obey it."""
+    for f in fields(cfg):
+        if f.name not in _RULES:
+            continue
+        rule, test = _RULES[f.name]
+        value = getattr(cfg, f.name)
+        values = value if isinstance(value, tuple) else (value,)
+        _require(len(values) >= 1, f"{f.name} must be non-empty")
+        _require(all(test(v) for v in values),
+                 f"{f.name} must be {rule}, got {value!r}")
+        _require(f.name not in _DISTINCT or len(set(values)) == len(values),
+                 f"{f.name} repeat: {list(values)}")
 
 
 def spearman_rho(xs, ys) -> float:
@@ -255,16 +288,7 @@ class ToyConfig:
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
     def validate(self) -> None:
-        _require(self.n_points >= 2, "n_points must be >= 2")
-        _require_net((self.hidden,), self.activation)
-        _require(self.lr > 0, "lr must be > 0")
-        _require(self.epochs >= 1, "epochs must be >= 1")
-        _require(self.batch_size >= 1, "batch_size must be >= 1")
-        _require(self.passes >= 2, "passes must be >= 2 for interval metrics")
-        _require(0 <= self.dropout_p < 1, "dropout_p must be in [0, 1)")
-        _require(self.noise_level >= 0, "noise_level must be >= 0")
-        _require(self.alpha_penalty_lambda >= 0, "alpha_penalty_lambda must be >= 0")
-        _require_seeds(self.seeds)
+        _check_fields(self)
 
 
 TOY_MODELS = ("noise_fixed", "noise_learned", "mc_dropout")
@@ -358,27 +382,11 @@ class BenchmarkConfig:
 
     def validate(self) -> None:
         _require(bool(self.data), "benchmark requires a dataset path (data=...)")
-        _require_net(self.hidden, self.activation)
-        for name in ("lr_grid", "weight_decay_grid", "dropout_grid",
-                     "noise_grid", "alpha_init_grid"):
-            _require(len(getattr(self, name)) >= 1, f"{name} must be non-empty")
-        _require(all(lr > 0 for lr in self.lr_grid), "learning rates must be > 0")
-        for name in ("weight_decay_grid", "noise_grid", "alpha_init_grid"):
-            _require(all(v >= 0 for v in getattr(self, name)),
-                     f"{name} entries must be >= 0")
-        _require(all(0 <= p < 1 for p in self.dropout_grid),
-                 "dropout_grid entries must be in [0, 1)")
+        _check_fields(self)
         fr = self.split_fractions
         _require(len(fr) == 3 and all(0 <= f <= 1 for f in fr)
                  and abs(sum(fr) - 1.0) <= 1e-9,
                  "split_fractions must be three numbers in [0, 1] summing to 1")
-        _require(self.batch_size >= 1, "batch_size must be >= 1")
-        _require(self.max_epochs >= 1, "max_epochs must be >= 1")
-        _require(self.patience >= 0, "patience must be >= 0")
-        _require(self.passes >= 2, "passes must be >= 2 for interval metrics")
-        _require(self.val_passes >= 1, "val_passes must be >= 1")
-        _require_families(self.families)
-        _require(self.seed >= 0, "seed must be >= 0")
 
 
 LEADERBOARD_HEADER = ["family", "lr", "weight_decay", "dropout_p", "noise_level",
@@ -509,11 +517,8 @@ class RiskCovConfig:
     def validate(self) -> None:
         _require(bool(self.pred_file), "riskcov requires pred_file=...")
         _require(bool(self.unc_file), "riskcov requires unc_file=...")
-        _require(self.risk_kind in RISK_KINDS,
-                 f"unknown risk_kind {self.risk_kind!r}")
-        _require(all(0 < c <= 1 for c in self.coverage_grid)
-                 and 1.0 in self.coverage_grid,
-                 "coverage_grid levels must lie in (0, 1] and include 1.0")
+        _check_fields(self)
+        _require(1.0 in self.coverage_grid, "coverage_grid must include 1.0")
 
 
 def _columns(path, names: tuple[str, ...]) -> list[np.ndarray]:
@@ -574,17 +579,8 @@ class SweepConfig:
     seeds: tuple[int, ...] = (0, 1, 2)
 
     def validate(self) -> None:
+        _check_fields(self)
         _require(len(self.sigmas) >= 2, "need at least 2 sigma values")
-        _require(all(s >= 0 for s in self.sigmas), "sigmas must be >= 0")
-        _require(self.passes >= 2, "passes must be >= 2")
-        _require(self.n_eval >= 1, "n_eval must be >= 1")
-        _require(self.n_train >= 4, "n_train must be >= 4")
-        _require_net(self.hidden, self.activation)
-        _require(self.noise_level >= 0, "noise_level must be >= 0")
-        _require(self.lr > 0, "lr must be > 0")
-        _require(self.epochs >= 1, "epochs must be >= 1")
-        _require(self.batch_size >= 1, "batch_size must be >= 1")
-        _require_seeds(self.seeds)
 
 
 def gen_blobs(n: int, seed_key, spread: float = 0.7):
@@ -671,19 +667,7 @@ class TimingConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        _require(self.batch >= 1, "batch must be >= 1")
-        _require(self.input_dim >= 1, "input_dim must be >= 1")
-        _require(self.reps >= 2, "reps must be >= 2 to report a std")
-        _require(all(t >= 1 for t in self.t_list), "passes must be >= 1")
-        _require(len(self.t_list) >= 1, "t_list must be non-empty")
-        _require(len(set(self.t_list)) == len(self.t_list),
-                 f"t_list repeats: {list(self.t_list)}")
-        _require(len(self.hidden) >= 1 and all(h >= 1 for h in self.hidden),
-                 "hidden must list at least one width, each >= 1")
-        _require(self.noise_level >= 0, "noise_level must be >= 0")
-        _require(0 <= self.dropout_p < 1, "dropout_p must be in [0, 1)")
-        _require_families(self.families)
-        _require(self.seed >= 0, "seed must be >= 0")
+        _check_fields(self)
 
 
 def _seconds_per_prediction(net, X, T: int, reps: int, key) -> list[float]:
@@ -742,18 +726,10 @@ class GpCheckConfig:
     seeds: tuple[int, ...] = (0,)
 
     def validate(self) -> None:
-        _require(self.nonlinearity in NONLINEARITIES,
-                 f"nonlinearity must be one of {NONLINEARITIES}")
-        _require(self.bias_std >= 0, "bias_std must be >= 0")
-        _require(self.n_samples >= 1, "n_samples must be >= 1")
-        _require(self.n_networks >= 2, "n_networks must be >= 2")
-        _require(len(self.widths) >= 1, "widths must be non-empty")
-        _require(self.width >= 1 and all(w >= 1 for w in self.widths),
-                 "widths must be >= 1")
+        _check_fields(self)
         _require(len(self.probes) >= 2, "need at least 2 probe inputs")
         dims = {len(p) for p in self.probes}
         _require(len(dims) == 1, "probe inputs must share one dimension")
-        _require_seeds(self.seeds)
 
 
 @_command("gpcheck", GpCheckConfig)

@@ -14,7 +14,8 @@ import pytest
 import mcni.mc
 from mcni.cli import (COMMANDS, EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME,
                       build_parser, main, resolve_config)
-from mcni.experiments import ConfigError, RiskCovConfig, run_riskcov
+from mcni.experiments import (_DISTINCT, _RULES, ConfigError, RiskCovConfig,
+                              run_riskcov)
 from mcni.runio import manifest_digest
 
 DATASETS = Path(__file__).resolve().parent.parent / "datasets"
@@ -102,6 +103,34 @@ def test_config_file_section_is_per_command(tmp_path):
     ini = tmp_path / "cfg.ini"
     ini.write_text("[benchmark]\npasses = 9\n")
     assert resolve(["toy", "--config", str(ini)]).passes == 500  # untouched
+
+
+def test_config_file_percent_is_literal(tmp_path, monkeypatch, capsys):
+    # an INI value is text like a --set value: no interpolation
+    monkeypatch.chdir(tmp_path)
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[toy]\noutdir = runs/50%\n")
+    assert main(["toy", "--config", str(ini), *TINY_TOY]) == EXIT_OK
+    assert (tmp_path / "runs" / "50%" / "manifest.json").exists()
+    ini.write_text("[toy]\nlr = %(x)s\n")
+    assert main(["toy", "--config", str(ini), "--outdir", "never"]) == EXIT_CONFIG
+    assert "bad value for lr" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+def test_config_file_may_start_with_byte_order_mark(tmp_path):
+    ini = tmp_path / "cfg.ini"
+    ini.write_bytes(b"\xef\xbb\xbf[toy]\npasses = 7\n")
+    assert resolve(["toy", "--config", str(ini)]).passes == 7
+
+
+def test_config_file_not_utf8_exits_2(tmp_path, capsys):
+    ini = tmp_path / "cfg.ini"
+    ini.write_bytes(b"[toy]\noutdir = caf\xe9\n")
+    outdir = tmp_path / "never"
+    assert main(["toy", "--config", str(ini), "--outdir", str(outdir)]) == EXIT_CONFIG
+    assert f"cannot read config file {ini}" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_every_option_sets_a_field_of_its_command():
@@ -243,6 +272,24 @@ CONFIG_ERRORS = [
     ("gpcheck", "bias_std=nan"),
     ("gpcheck", "probes=nan,1;0.5,0.5"),
     ("gpcheck", "probes=1,-inf;0.5,0.5"),
+    # a case for each rule of experiments._RULES that no case above sets
+    ("benchmark", "lr_grid=0.01,0"),
+    ("benchmark", "max_epochs=0"),
+    ("benchmark", "val_passes=0"),
+    ("benchmark", "patience=-1"),
+    ("toy", "epochs=0"),
+    ("toy", "n_points=1"),
+    ("noise-sweep", "n_eval=0"),
+    ("noise-sweep", "n_train=3"),
+    ("noise-sweep", "sigmas=0,-0.1"),
+    ("bench-time", "batch=0"),
+    ("bench-time", "reps=1"),
+    ("bench-time", "t_list=0,1"),
+    ("bench-time", "families=oracle"),
+    ("gpcheck", "n_samples=0"),
+    ("gpcheck", "width=0"),
+    ("gpcheck", "n_networks=1"),
+    ("gpcheck", "bias_std=-1"),
 ]
 NEEDED = {"benchmark": ["--data", "absent.csv"],
           "riskcov": ["--pred-file", "p.csv", "--unc-file", "u.csv"]}
@@ -254,7 +301,8 @@ def test_config_error_exits_2_before_writing(tmp_path, capsys, command, setting)
     code = main([command, "--outdir", str(outdir), *NEEDED.get(command, []),
                  "--set", setting])
     assert code == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and setting.partition("=")[0] in err
     assert not outdir.exists()
 
 
@@ -275,8 +323,42 @@ def test_bad_flag_value_exits_2_before_writing(tmp_path, capsys, command, flag,
     code = main([command, "--outdir", str(outdir), *NEEDED.get(command, []),
                  flag, value])
     assert code == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and flag[2:].replace("-", "_") in err
     assert not outdir.exists()
+
+
+# the config fields that have no range rule in experiments._RULES
+NO_RULE = {"data", "target", "outdir", "pred_file", "unc_file", "random_x",
+           "probes", "split_fractions"}
+
+
+def rule_table_faults(rules):
+    """What is wrong with a range-rule table keyed by field name: a key that
+    names no field of any command's config class, a field with neither a
+    rule nor a place on NO_RULE, and a key that no CONFIG_ERRORS or
+    BAD_FLAGS case sets."""
+    names = {f.name for cls, _ in COMMANDS.values()
+             for f in dataclasses.fields(cls)}
+    tried = ({setting.partition("=")[0] for _, setting in CONFIG_ERRORS}
+             | {flag[2:].replace("-", "_") for _, flag, _ in BAD_FLAGS})
+    return sorted([f"{key} names no config field" for key in rules
+                   if key not in names]
+                  + [f"{name} has no rule" for name in names - NO_RULE
+                     if name not in rules]
+                  + [f"{key} is set by no CLI case" for key in rules
+                     if key not in tried])
+
+
+def test_rule_table_covers_every_field():
+    assert rule_table_faults(_RULES) == []
+    assert set(_DISTINCT) <= set(_RULES)
+    assert not NO_RULE & set(_RULES)
+    planted = dict(_RULES)
+    planted["n_sample"] = planted.pop("n_samples")
+    assert rule_table_faults(planted) == [
+        "n_sample is set by no CLI case", "n_sample names no config field",
+        "n_samples has no rule"]
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
