@@ -9,11 +9,13 @@ help is the first line of its config class's docstring, and besides
 class lists in FLAGS, named after that field (--pred-file sets pred_file).
 Values are resolved in order: dataclass defaults, then the [command]
 section of an INI config file (--config), then --set key=value overrides,
-then dedicated flags. Every value, whichever its source, is text read by
-one parser that takes the field's default as its type template; a value it
-cannot read is a config error. The run_* function validates the resolved
-config before it writes anything, writes the data files and manifest.json,
-and returns the manifest digest that is printed last.
+then dedicated flags. A key is the field name exactly, and every value,
+whichever its source, is stripped text read by one parser against the
+field's default: a tuple is split on ',' (on ';' between the rows of a tuple
+of tuples) and each entry is read like a lone value. A value it cannot
+read, or an empty entry, is a config error. The run_* function validates
+the resolved config before it writes anything, writes the data files and
+manifest.json, and returns the manifest digest that is printed last.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 runtime error.
 """
@@ -35,31 +37,30 @@ EXIT_RUNTIME = 4
 
 
 def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
+    low = text.lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_tuple(text: str, template: tuple):
-    """Parse comma-separated values; ';' separates rows of nested tuples."""
-    text = text.strip()
-    if template and isinstance(template[0], tuple):
-        rows = [r for r in text.split(";") if r.strip()]
-        return tuple(tuple(float(v) for v in row.split(",")) for row in rows)
-    if template and isinstance(template[0], str):
-        elem = str
-    elif template and isinstance(template[0], int):
-        elem = int
-    else:
-        elem = float
-    return tuple(elem(v.strip()) for v in text.split(",") if v.strip())
+def _parse_tuple(text: str, template: tuple, field_name: str) -> tuple:
+    """Split on ',' (on ';' between the rows of a tuple of tuples) and read
+    each entry like a lone value whose default is the template's first entry."""
+    if not text:
+        return ()
+    sep = ";" if isinstance(template[0], tuple) else ","
+    entries = [entry.strip() for entry in text.split(sep)]
+    if "" in entries:
+        raise ConfigError(f"bad value for {field_name}: {text!r} (empty entry)")
+    return tuple(_parse_value(entry, template[0], field_name) for entry in entries)
 
 
 def _parse_value(text: str, default, field_name: str):
-    """Interpret text using the field's default value as the type template."""
+    """Interpret stripped text using the field's default value as the type template."""
+    if isinstance(default, tuple):
+        return _parse_tuple(text, default, field_name)
     try:
         if isinstance(default, bool):
             return _parse_bool(text)
@@ -67,18 +68,15 @@ def _parse_value(text: str, default, field_name: str):
             return int(text)
         if isinstance(default, float):
             return float(text)
-        if isinstance(default, tuple):
-            return _parse_tuple(text, default)
         if default is None:
-            low = text.strip().lower()
-            if low in ("", "none"):
+            if text.lower() in ("", "none"):
                 return None
             try:
                 return int(text)
             except ValueError:
                 return text
         return text
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad value for {field_name}: {text!r} ({exc})") from None
 
 
@@ -89,12 +87,14 @@ def _apply(cfg, updates: dict[str, str], source: str) -> None:
             raise ConfigError(
                 f"{source}: unknown option {key!r} for this command "
                 f"(known: {', '.join(sorted(known))})")
-        setattr(cfg, key, _parse_value(text, known[key].default, key))
+        setattr(cfg, key, _parse_value(text.strip(), known[key].default, key))
 
 
 def _load_config_file(path: str, command: str) -> dict[str, str]:
-    # values are text like any --set value: a '%' is literal
+    # values are text like any --set value: a '%' is literal, and a key is
+    # the field name exactly
     parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
     try:
         with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)

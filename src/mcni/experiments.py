@@ -39,7 +39,7 @@ import os
 import platform
 import secrets
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -108,7 +108,8 @@ def _command(command: str, config_cls):
     def register(driver):
         @functools.wraps(driver)
         def run(cfg) -> RunOutput:
-            bad = _non_finite_paths(jsonable(config_to_dict(cfg)))
+            config = jsonable(asdict(cfg))
+            bad = _non_finite_paths(config)
             _require(not bad, f"config values must be finite: {', '.join(bad)}")
             cfg.validate()
             _require(str(cfg.outdir).strip() != "", "outdir must not be empty")
@@ -140,7 +141,7 @@ def _command(command: str, config_cls):
                 timings = {"total_s": time.perf_counter() - t0, **done.timings}
                 manifest = {
                     "command": command,
-                    "config": config_to_dict(cfg),
+                    "config": config,
                     "inputs": {name: {"path": str(path), "sha256": sha256_file(path)}
                                for name, path in done.inputs.items()},
                     "outputs": hashes,
@@ -761,11 +762,3 @@ def run_gpcheck(cfg: GpCheckConfig) -> Computed:
                                           "seed"], rows),
                      "metrics.json": metrics}, metrics)
 
-
-def config_to_dict(cfg) -> dict:
-    """Resolved-config view for manifests; tuples become lists."""
-    out = {}
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        out[f.name] = list(v) if isinstance(v, tuple) else v
-    return out

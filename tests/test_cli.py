@@ -13,7 +13,7 @@ import pytest
 
 import mcni.mc
 from mcni.cli import (COMMANDS, EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_RUNTIME,
-                      build_parser, main, resolve_config)
+                      _parse_value, build_parser, main, resolve_config)
 from mcni.experiments import (_DISTINCT, _RULES, ConfigError, RiskCovConfig,
                               run_riskcov)
 from mcni.runio import manifest_digest
@@ -62,6 +62,22 @@ def test_set_parses_field_types():
     assert cfg.seeds == (3, 4)
     assert cfg.random_x is True
     assert cfg.lr == 0.25
+
+
+def text_form(value) -> str:
+    """How a user writes a value: ',' between entries, ';' between rows."""
+    if isinstance(value, tuple):
+        sep = ";" if isinstance(value[0], tuple) else ","
+        return sep.join(text_form(v) for v in value)
+    return str(value)
+
+
+def test_every_default_reads_back_from_its_text_form():
+    # a tuple entry is read like a lone value: an int entry stays an int
+    for cls, _ in COMMANDS.values():
+        for f in dataclasses.fields(cls):
+            parsed = _parse_value(text_form(f.default), f.default, f.name)
+            assert repr(parsed) == repr(f.default), (cls.__name__, f.name)
 
 
 def test_set_parses_nested_tuples():
@@ -116,6 +132,25 @@ def test_config_file_percent_is_literal(tmp_path, monkeypatch, capsys):
     assert main(["toy", "--config", str(ini), "--outdir", "never"]) == EXIT_CONFIG
     assert "bad value for lr" in capsys.readouterr().err
     assert not (tmp_path / "never").exists()
+
+
+def test_config_file_key_is_the_field_name_exactly(tmp_path):
+    # a key means what it means in --set, where 'Passes' is not 'passes'
+    ini = tmp_path / "cfg.ini"
+    ini.write_text("[toy]\nPasses = 3\n")
+    with pytest.raises(ConfigError, match="unknown option 'Passes'"):
+        resolve(["toy", "--config", str(ini)])
+
+
+def test_set_value_is_stripped_like_an_ini_value(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["toy", *TINY_TOY, "--set", "outdir= runs/x "]) == EXIT_OK
+    assert (tmp_path / "runs" / "x" / "manifest.json").exists()
+
+
+def test_set_target_is_stripped():
+    cfg = resolve(["benchmark", "--data", "d.csv", "--set", "target= y "])
+    assert cfg.target == "y"
 
 
 def test_config_file_may_start_with_byte_order_mark(tmp_path):
@@ -272,6 +307,11 @@ CONFIG_ERRORS = [
     ("gpcheck", "bias_std=nan"),
     ("gpcheck", "probes=nan,1;0.5,0.5"),
     ("gpcheck", "probes=1,-inf;0.5,0.5"),
+    # an empty entry is an error in every tuple field
+    ("benchmark", "lr_grid=0.1,,0.2"),
+    ("toy", "seeds=3,4,"),
+    ("benchmark", "families=deterministic,,noise_fixed"),
+    ("gpcheck", "probes=1,,0.5;0.8,0.6"),
     # a case for each rule of experiments._RULES that no case above sets
     ("benchmark", "lr_grid=0.01,0"),
     ("benchmark", "max_epochs=0"),

@@ -10,6 +10,7 @@ import platform
 import signal
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from mcni.cli import EXIT_DATA, main
 from mcni.data import DataError, load_csv, split, standardize_fit_apply
 from mcni.experiments import (BenchmarkConfig, ConfigError, GpCheckConfig,
                               RiskCovConfig, SweepConfig, TimingConfig,
-                              ToyConfig, _family_grid, config_to_dict,
+                              ToyConfig, _family_grid,
                               corrupted_predict, gen_blobs, run_bench_time,
                               run_benchmark, run_gpcheck,
                               run_noise_sweep, run_riskcov, run_toy,
@@ -31,6 +32,7 @@ from mcni.metrics import mpiw, msll, nll_gaussian, picp, rmse
 from mcni.models import build_mlp
 from mcni.nn import softmax
 from mcni.optim import TrainConfig, fit
+from mcni.runio import jsonable
 from mcni import workers
 from mcni.workers import run_tasks
 
@@ -630,10 +632,14 @@ def test_gpcheck_config_validation():
         GpCheckConfig(n_networks=1).validate()
 
 
-def test_config_to_dict_converts_tuples():
-    d = config_to_dict(SweepConfig())
-    assert d["sigmas"] == [0.0, 0.05, 0.1, 0.2, 0.4]
-    assert d["passes"] == 100
+def test_manifest_config_is_the_jsonable_config(tmp_path):
+    cfg = GpCheckConfig(outdir=str(tmp_path / "gp"), n_samples=500,
+                        n_networks=20, width=4, widths=(4,))
+    out = run_gpcheck(cfg)
+    config = json.loads(out.files["manifest.json"].read_text())["config"]
+    assert config == jsonable(asdict(cfg))
+    assert config["widths"] == [4] and config["n_networks"] == 20
+    assert config["probes"] == [[1.0, 0.5], [0.8, 0.6], [0.6, 1.0]]
 
 
 # ---------------------------------------------------------------------------
