@@ -2,32 +2,31 @@
 
 Each driver only computes: it returns its named outputs (a ``(header,
 rows)`` table for a CSV file, a dict for a JSON file), its headline
-metrics and, where it has them, its input files and measured timings. The
-``_command`` skeleton turns a driver into the public run_* function and
-registers it with its config class in ``COMMANDS``. The run validates the
-config before anything touches the disk: each config class's ``validate``
-holds every field to the range rule that ``_RULES`` states once for that
-field name in all commands, then checks its own command's cross-field
-rules. The run then creates ``outdir``, times the run, removes any old
-``manifest.json``, writes every output and then ``manifest.json`` through
-runio under temporary names, renames them all into place, and returns a
-RunOutput that carries the manifest digest.
+metrics and, where it has them, its input files. The ``_command``
+skeleton turns a driver into the public run_* function and registers it
+with its config class in ``COMMANDS``. The run validates the config before
+anything touches the disk: each config class's ``validate`` holds every
+field to the range rule that ``_RULES`` states once for that field name in
+all commands, then checks its own command's cross-field rules. The run
+then creates ``outdir``, times the run, removes any old ``manifest.json``,
+writes every output and then ``manifest.json`` through runio under
+temporary names, renames them all into place, and returns a RunOutput that
+carries the manifest digest.
 
 Commands are deterministic functions of (config, seeds): all randomness
 flows from np.random.default_rng seeded with [seed, tag] pairs, and files
 are written with repr-formatted floats, so reruns are byte-identical. The
-digest excludes the manifest's wall-clock timings, where bench-time keeps
-its measurements, and its environment block (versions, usable CPUs, worker
-processes, BLAS thread variables).
+digest excludes the manifest's wall-clock timings and its environment block
+(versions, usable CPUs, worker processes, BLAS thread variables).
 
 The benchmark, toy and noise-sweep drivers cut their fits into independent
 tasks and run them on every usable CPU in forked worker processes
 (``run_tasks``). Each task draws only from its own streams and results are
 kept in task order, so the outputs are the same at any CPU count. A fit's
-own Monte Carlo predictions then run in its task's process; bench-time's
-timed predictions and gpcheck's chunks spread over the CPUs themselves.
-The manifest names the most processes any ``run_tasks`` call of the run
-used: ``_command`` sets ``workers.most_processes`` to 1 before each run.
+own Monte Carlo predictions then run in its task's process; gpcheck's
+chunks spread over the CPUs themselves. The manifest names the most
+processes any ``run_tasks`` call of the run used: ``_command`` sets
+``workers.most_processes`` to 1 before each run.
 """
 
 from __future__ import annotations
@@ -84,7 +83,6 @@ class Computed:
     outputs: dict[str, tuple | dict]
     metrics: dict
     inputs: dict[str, Path] = field(default_factory=dict)
-    timings: dict[str, float] = field(default_factory=dict)
 
 
 # command name -> (config class, run_* function), filled by ``_command``; the
@@ -138,7 +136,7 @@ def _command(command: str, config_cls):
                     else:
                         write_csv(staged[name], *payload)
                     hashes[name] = sha256_file(staged[name])
-                timings = {"total_s": time.perf_counter() - t0, **done.timings}
+                timings = {"total_s": time.perf_counter() - t0}
                 manifest = {
                     "command": command,
                     "config": config,
@@ -207,12 +205,12 @@ _DROP_RATE = ("in [0, 1)", lambda v: 0 <= v < 1)
 # of that name in every config class; see _check_fields
 _RULES = {
     "seed": _at_least(0), "seeds": _at_least(0),
-    "passes": _at_least(2), "val_passes": _at_least(1), "t_list": _at_least(1),
+    "passes": _at_least(2), "val_passes": _at_least(1),
     "epochs": _at_least(1), "max_epochs": _at_least(1), "patience": _at_least(0),
-    "batch_size": _at_least(1), "batch": _at_least(1), "reps": _at_least(2),
+    "batch_size": _at_least(1),
     "n_points": _at_least(2), "n_train": _at_least(4), "n_eval": _at_least(1),
-    "input_dim": _at_least(1), "hidden": _at_least(1), "width": _at_least(1),
-    "widths": _at_least(1), "n_samples": _at_least(1), "n_networks": _at_least(2),
+    "hidden": _at_least(1), "width": _at_least(1), "widths": _at_least(1),
+    "n_samples": _at_least(1), "n_networks": _at_least(2),
     "lr": _POSITIVE, "lr_grid": _POSITIVE,
     "noise_level": _at_least(0), "noise_grid": _at_least(0),
     "alpha_init_grid": _at_least(0), "weight_decay_grid": _at_least(0),
@@ -224,7 +222,7 @@ _RULES = {
     "risk_kind": _one_of(RISK_KINDS), "nonlinearity": _one_of(NONLINEARITIES),
 }
 # the tuple fields whose entries must not repeat
-_DISTINCT = ("seeds", "families", "t_list")
+_DISTINCT = ("seeds", "families")
 
 
 def _check_fields(cfg) -> None:
@@ -644,66 +642,6 @@ def run_noise_sweep(cfg: SweepConfig) -> Computed:
               "mean_p0", "mean_p1"]
     return Computed({"sweep.csv": (header, rows), "metrics.json": metrics},
                     metrics)
-
-
-# ---------------------------------------------------------------------------
-# bench-time
-
-
-@dataclass
-class TimingConfig:
-    """Wall-clock inference timing over repeated T-pass predictions."""
-
-    FLAGS = ("seed",)
-
-    outdir: str = "runs/bench_time"
-    batch: int = 500
-    input_dim: int = 10
-    hidden: tuple[int, ...] = (50, 50)
-    t_list: tuple[int, ...] = (1, 10, 100)
-    reps: int = 10
-    noise_level: float = 0.05
-    dropout_p: float = 0.2
-    families: tuple[str, ...] = ("deterministic", "noise_fixed", "mc_dropout")
-    seed: int = 0
-
-    def validate(self) -> None:
-        _check_fields(self)
-
-
-def _seconds_per_prediction(net, X, T: int, reps: int, key) -> list[float]:
-    """Wall-clock seconds of ``reps`` T-pass predictions, rep r seeded
-    [*key, r]."""
-    times = []
-    for rep in range(reps):
-        rng = np.random.default_rng([*key, rep])
-        tic = time.perf_counter()
-        mc_predict(net, X, T, rng)
-        times.append(time.perf_counter() - tic)
-    return times
-
-
-@_command("bench-time", TimingConfig)
-def run_bench_time(cfg: TimingConfig) -> Computed:
-    X = np.random.default_rng([cfg.seed, 99]).standard_normal(
-        (cfg.batch, cfg.input_dim))
-    measured: dict[str, dict[str, float]] = {}
-    for fam_idx, family in enumerate(cfg.families):
-        net = build_mlp(family, cfg.input_dim, list(cfg.hidden), 1,
-                        rng=np.random.default_rng([cfg.seed, fam_idx]),
-                        noise_level=cfg.noise_level, dropout_p=cfg.dropout_p)
-        t_values = (1,) if family == "deterministic" else cfg.t_list
-        for T in t_values:
-            times = _seconds_per_prediction(net, X, T, cfg.reps,
-                                            [cfg.seed, fam_idx, T])
-            measured[f"{family}/T={T}"] = {"mean_s": float(np.mean(times)),
-                                           "std_s": float(np.std(times))}
-
-    # measurements live under timings (excluded from the determinism
-    # contract), keeping the manifest's results block rerun-stable
-    metrics = {"batch": cfg.batch, "reps": cfg.reps,
-               "families": list(cfg.families), "t_list": list(cfg.t_list)}
-    return Computed({}, metrics, timings=measured)
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,17 @@ def _check_bounds(lower: np.ndarray, upper: np.ndarray) -> None:
 
 
 def picp(y, lower, upper) -> float:
-    """Fraction of targets inside their closed interval [lower, upper]."""
+    """Fraction of targets inside their closed interval [lower, upper].
+
+    NaN when a target or a bound is NaN: such a point has no interval to be
+    inside or outside of, as rmse and mpiw are NaN for it too.
+    """
     y, lower, upper = _flat(y), _flat(lower), _flat(upper)
     _check_bounds(lower, upper)
     if y.shape != lower.shape:
         raise ShapeError("targets must align with the bounds")
+    if any(np.isnan(a).any() for a in (y, lower, upper)):
+        return float("nan")
     inside = (y >= lower) & (y <= upper)
     return float(np.mean(inside))
 

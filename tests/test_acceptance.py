@@ -337,9 +337,6 @@ def test_criterion_10_cli_reruns_are_byte_identical(tmp_path):
         "gpcheck": ["gpcheck", "--set", "n_samples=2000", "--set",
                     "n_networks=60", "--set", "width=16", "--set",
                     "widths=8,16", "--seeds", "0"],
-        "bench-time": ["bench-time", "--set", "batch=8", "--set",
-                       "input_dim=3", "--set", "hidden=4", "--set",
-                       "t_list=1,2", "--set", "reps=2"],
     }
     (tmp_path / "pred.csv").write_text(
         "pred,target\n1.0,1.0\n2.0,2.5\n3.0,3.0\n")

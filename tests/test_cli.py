@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shlex
 import shutil
 from pathlib import Path
@@ -181,13 +182,19 @@ def test_every_option_sets_a_field_of_its_command():
         assert "outdir" in dests
 
 
+def test_readme_command_list_names_every_command():
+    """README's CLI block lists the commands as `mcni <command>  # ...`."""
+    readme = (DATASETS.parent / "README.md").read_text(encoding="utf-8")
+    listed = re.findall(r"^mcni (\S+) +# ", readme, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(set(listed)) == sorted(COMMANDS)
+
+
 # each command's dedicated flags: one added or dropped must show here
 DEDICATED_FLAGS = {
     "toy": {"--seeds", "--passes", "--random-x"},
     "benchmark": {"--data", "--target", "--seed", "--passes"},
     "riskcov": {"--pred-file", "--unc-file", "--risk-kind"},
     "noise-sweep": {"--seeds", "--passes"},
-    "bench-time": {"--seed"},
     "gpcheck": {"--seeds", "--nonlinearity"},
 }
 
@@ -291,14 +298,6 @@ CONFIG_ERRORS = [
     ("riskcov", "coverage_grid=0.5,0.9"),
     ("riskcov", "coverage_grid=0,1.0"),
     ("riskcov", "coverage_grid=0.5,1.5"),
-    ("bench-time", "families="),
-    ("bench-time", "families=noise_fixed,noise_fixed"),
-    ("bench-time", "hidden="),
-    ("bench-time", "input_dim=0"),
-    ("bench-time", "noise_level=-0.1"),
-    ("bench-time", "dropout_p=1.0"),
-    ("bench-time", "seed=-2"),
-    ("bench-time", "t_list=1,1"),
     ("gpcheck", "seeds="),
     ("gpcheck", "seeds=0,0"),
     ("gpcheck", "seeds=-1"),
@@ -319,13 +318,10 @@ CONFIG_ERRORS = [
     ("benchmark", "patience=-1"),
     ("toy", "epochs=0"),
     ("toy", "n_points=1"),
+    ("toy", "dropout_p=1.0"),
     ("noise-sweep", "n_eval=0"),
     ("noise-sweep", "n_train=3"),
     ("noise-sweep", "sigmas=0,-0.1"),
-    ("bench-time", "batch=0"),
-    ("bench-time", "reps=1"),
-    ("bench-time", "t_list=0,1"),
-    ("bench-time", "families=oracle"),
     ("gpcheck", "n_samples=0"),
     ("gpcheck", "width=0"),
     ("gpcheck", "n_networks=1"),
@@ -352,7 +348,6 @@ BAD_FLAGS = [
     ("toy", "--passes", "abc"),
     ("noise-sweep", "--seeds", "0,x"),
     ("benchmark", "--seed", "1.5"),
-    ("bench-time", "--seed", "1.5"),
 ]
 
 
@@ -467,6 +462,28 @@ def test_non_finite_metrics_exit_4_without_writing(tmp_path, capsys, command):
     assert code == EXIT_RUNTIME
     assert error in capsys.readouterr().err
     assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_configs_score_nan_beside_finite_best(tmp_path):
+    """A grid whose every family has one finite config runs to the end; the
+    configs that diverged score no coverage, like every other metric."""
+    outdir = tmp_path / "out"
+    code = main(["benchmark", "--outdir", str(outdir),
+                 "--data", str(DATASETS / "synth_regression.csv"),
+                 "--set", "lr_grid=0.001,1e300", "--set", "max_epochs=2",
+                 "--set", "families=deterministic,noise_fixed",
+                 "--set", "noise_grid=0.01", "--set", "weight_decay_grid=0",
+                 "--passes", "5"])
+    assert code == EXIT_OK
+    best = json.loads((outdir / "metrics.json").read_text())["families"]
+    assert {family: entry["lr"] for family, entry in best.items()} == {
+        "deterministic": 0.001, "noise_fixed": 0.001}
+    lines = (outdir / "leaderboard.csv").read_text().splitlines()
+    diverged = [line for line in lines[1:] if ",1e+300," in line]
+    assert len(diverged) == 2
+    for line in diverged:
+        assert line.endswith(",inf,nan,nan,nan,nan"), line
 
 
 def test_non_finite_config_error_names_the_value(tmp_path, capsys):
@@ -611,17 +628,6 @@ def test_rerun_same_outdir_same_digest(tmp_path, capsys):
     assert first == second
 
 
-def test_bench_time_rerun_same_outdir_same_digest(tmp_path, capsys):
-    argv = ["bench-time", "--outdir", str(tmp_path / "bt"), "--set", "batch=8",
-            "--set", "input_dim=3", "--set", "hidden=4", "--set", "t_list=1,2",
-            "--set", "reps=2"]
-    assert main(argv) == EXIT_OK
-    first = digest_line(capsys.readouterr().out)
-    assert main(argv) == EXIT_OK
-    second = digest_line(capsys.readouterr().out)
-    assert first == second
-
-
 def test_library_run_writes_manifest_and_returns_cli_digest(tmp_path, capsys):
     (tmp_path / "pred.csv").write_text("pred,target\n1.0,1.0\n2.0,2.5\n")
     (tmp_path / "unc.csv").write_text("uncertainty\n0.1\n0.2\n")
@@ -676,7 +682,6 @@ GOLDEN_ARGS = {
                  "--set max_epochs=12 --set patience=2 --set passes=20",
     "noise-sweep": "--set seeds=0 --set epochs=20 --set passes=20 --set n_train=60",
     "riskcov": "--pred-file pred.csv --unc-file unc.csv",
-    "bench-time": "--set reps=3 --set t_list=1,10",
     "gpcheck": "--set n_samples=20000 --set n_networks=200 --set width=256 "
                "--set widths=64,128",
 }
@@ -685,7 +690,6 @@ GOLDEN_DIGESTS = {
     "benchmark": "e601db61af2643ef7de4fae3e2f9b6b502fd8f374f65bb228c7c058cc907ad35",
     "noise-sweep": "8b2b9f24c3525526a452a69a9a0ecb1ca2a8f9a3eb392b0b552cf2baab59145d",
     "riskcov": "200a8b791f26f211740e8ea2dc9e1f4e1ba2aa8ecfff145417bbc211fc6b595e",
-    "bench-time": "74607196c7b612f5481fb3614fe96ef84d61e43b7305dbc3efd3dec35141d21f",
     "gpcheck": "81b9183ff373397dfaa70042c85182e4e5d095cdd93d8ee99e7f15b8a0ee2de3",
 }
 GOLDEN_LEADERBOARD = "6d3bec1dbd3c4ee5b67ebc4353c18f110570a0261332a0a19248c400c26eaeb3"
@@ -724,7 +728,7 @@ def test_golden_benchmark_forks_only_for_its_outer_tasks(tmp_path, monkeypatch,
 
 
 def test_golden_manifest_digests(tmp_path, monkeypatch, capsys):
-    """All six commands at pinned small configs reproduce recorded digests.
+    """All five commands at pinned small configs reproduce recorded digests.
 
     The configs and digests are BENCH_6.json's ``digests`` records (gpcheck's
     is BENCH_29.json's, recorded when the covariance's draws changed), made

@@ -4,7 +4,6 @@ import ast
 import errno
 import functools
 import json
-import math
 import os
 import platform
 import signal
@@ -21,9 +20,8 @@ import mcni.experiments
 from mcni.cli import EXIT_DATA, main
 from mcni.data import DataError, load_csv, split, standardize_fit_apply
 from mcni.experiments import (BenchmarkConfig, ConfigError, GpCheckConfig,
-                              RiskCovConfig, SweepConfig, TimingConfig,
-                              ToyConfig, _family_grid,
-                              corrupted_predict, gen_blobs, run_bench_time,
+                              RiskCovConfig, SweepConfig, ToyConfig,
+                              _family_grid, corrupted_predict, gen_blobs,
                               run_benchmark, run_gpcheck,
                               run_noise_sweep, run_riskcov, run_toy,
                               spearman_rho)
@@ -520,68 +518,6 @@ def test_sweep_config_validation():
         SweepConfig(sigmas=(0.1, -0.2)).validate()
     with pytest.raises(ConfigError):
         SweepConfig(passes=1).validate()
-
-
-# ---------------------------------------------------------------------------
-# bench-time
-
-def test_bench_time_rows_and_values(tmp_path):
-    cfg = TimingConfig(outdir=str(tmp_path / "bt"), batch=16, input_dim=3,
-                       hidden=(4,), t_list=(1, 2), reps=2)
-    out = run_bench_time(cfg)
-    # measurements ride in timings, keeping metrics deterministic
-    assert list(out.timings) == [
-        "total_s", "deterministic/T=1", "noise_fixed/T=1", "noise_fixed/T=2",
-        "mc_dropout/T=1", "mc_dropout/T=2"]
-    for key, measured in out.timings.items():
-        if key == "total_s":
-            continue
-        assert list(measured) == ["mean_s", "std_s"], key
-        assert all(math.isfinite(v) and v >= 0.0 for v in measured.values()), key
-    assert out.metrics == {"batch": 16, "reps": 2,
-                           "families": ["deterministic", "noise_fixed",
-                                        "mc_dropout"],
-                           "t_list": [1, 2]}
-
-
-def test_bench_time_writes_its_timings_to_the_manifest_only(tmp_path):
-    cfg = TimingConfig(outdir=str(tmp_path / "bt"), batch=4, input_dim=2,
-                       hidden=(3,), t_list=(1, 3), reps=2)
-    out = run_bench_time(cfg)
-    assert list(out.files) == ["manifest.json"]
-    assert sorted(p.name for p in (tmp_path / "bt").iterdir()) == ["manifest.json"]
-    manifest = json.loads(out.files["manifest.json"].read_text())
-    assert manifest["command"] == "bench-time"
-    assert manifest["outputs"] == {}
-    timings = manifest["timings"]
-    assert "outputs" not in timings
-    for key in ("deterministic/T=1", "noise_fixed/T=1", "noise_fixed/T=3",
-                "mc_dropout/T=1", "mc_dropout/T=3"):
-        # written as repr, so the manifest holds the measured values exactly
-        assert timings[key] == out.timings[key], key
-
-
-def test_bench_time_names_the_processes_its_passes_ran_on(tmp_path, monkeypatch):
-    """At 2 CPUs, 100 passes of the default 10-50-50-1 net over 500 rows
-    are several blocks, so the timed passes run on 2 processes; 10 passes
-    are one block and run in the calling process."""
-    fake_cpus(monkeypatch, 2)
-    for t_list, processes in (((1, 10), 1), ((1, 100), 2)):
-        out = run_bench_time(TimingConfig(outdir=str(tmp_path / f"bt{t_list[-1]}"),
-                                          t_list=t_list, reps=2,
-                                          families=("noise_fixed",)))
-        env = json.loads(out.files["manifest.json"].read_text())["environment"]
-        assert env["worker_processes"] == processes, t_list
-        assert_no_child_left()
-
-
-def test_bench_time_config_validation():
-    with pytest.raises(ConfigError):
-        TimingConfig(reps=1).validate()
-    with pytest.raises(ConfigError):
-        TimingConfig(t_list=()).validate()
-    with pytest.raises(ConfigError):
-        TimingConfig(families=("oracle",)).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,16 @@ def test_picp_boundary_counts_as_covered():
     assert picp([0.0], [0.0], [2.0]) == 1.0
 
 
+def test_picp_is_nan_when_a_target_or_bound_is_nan():
+    nan = float("nan")
+    assert np.isnan(picp([0.0], [nan], [nan]))
+    assert np.isnan(picp([0.0, 1.0], [-1.0, nan], [1.0, nan]))
+    assert np.isnan(picp([nan, 1.0], [-1.0, 0.0], [1.0, 2.0]))
+    assert np.isnan(picp([0.0, 1.0], [-1.0, 0.0], [1.0, nan]))
+    # an infinite bound is still an interval
+    assert picp([0.0, 5.0], [-np.inf, 0.0], [np.inf, 2.0]) == 0.5
+
+
 def test_picp_rejects_inverted_interval():
     with pytest.raises(ValueError):
         picp([1.0], [2.0], [0.0])
