@@ -177,11 +177,13 @@ def risk_coverage(uncertainty, risk_kind: str, coverage_grid, *,
         raise ValueError("no samples")
     if risk_kind not in RISK_KINDS:
         raise ValueError(f"risk_kind must be one of {RISK_KINDS}")
-    grid = sorted(set(float(x) for x in coverage_grid))
+    grid = [float(x) for x in coverage_grid]
     if not grid:
         raise ValueError("empty coverage grid")
-    if grid[0] <= 0.0 or grid[-1] > 1.0:
+    # each level before sorting: sorted() leaves a grid holding NaN unordered
+    if not all(0.0 < x <= 1.0 for x in grid):
         raise ValueError("coverage levels must lie in (0, 1]")
+    grid = sorted(set(grid))
     if grid[-1] != 1.0:
         raise ValueError("coverage grid must include 1.0")
 

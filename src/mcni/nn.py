@@ -366,28 +366,24 @@ def stack_networks(nets) -> Network:
 
 
 # ---------------------------------------------------------------------------
-# losses: one value per member, reduced over the trailing (batch, output) axes
+# losses: each returns (value, d(value)/d(prediction)), one value per member,
+# reduced over the trailing (batch, output) axes
 
 def _check_targets(pred: np.ndarray, target: np.ndarray) -> None:
     # a stack's prediction (S, batch, out) may share one (batch, out) target
-    if pred.shape != target.shape and pred.shape[1:] != target.shape:
+    if pred.shape != target.shape and (pred.ndim != 3
+                                       or pred.shape[1:] != target.shape):
         raise ShapeError(f"prediction {pred.shape} vs target {target.shape}")
 
 
-def loss_mse(pred: np.ndarray, target: np.ndarray) -> float:
+def loss_mse(pred: np.ndarray, target: np.ndarray) -> tuple:
     """Squared error averaged over batch and output dimensions (per member)."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     _check_targets(pred, target)
     diff = pred - target
-    return np.mean(diff * diff, axis=(-2, -1))
-
-
-def loss_mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    _check_targets(pred, target)
-    return 2.0 * (pred - target) / (pred.shape[-2] * pred.shape[-1])
+    value = np.mean(diff * diff, axis=(-2, -1))
+    return value, 2.0 * diff / (pred.shape[-2] * pred.shape[-1])
 
 
 def _label_index(logits: np.ndarray, labels) -> tuple:
@@ -403,25 +399,23 @@ def _label_index(logits: np.ndarray, labels) -> tuple:
     return (*np.indices(rows, sparse=True), labels)
 
 
-def loss_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
+def loss_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple:
     """Mean negative log-likelihood of integer labels under softmax(logits).
 
     Computed in log space from shifted logits, so extreme logits (e.g. 1e3)
     do not overflow. Stacked logits (S, batch, classes) give one value per
-    member.
+    member. The gradient, (softmax(logits) - onehot) / batch, divides the
+    same exponentials by the same row sums as ``softmax``.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim not in (2, 3):
         raise ShapeError("logits must be 2-D (batch, classes)")
     index = _label_index(logits, labels)
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=-1))
-    return np.mean(log_norm - shifted[index], axis=-1)
-
-
-def loss_cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    logits = np.asarray(logits, dtype=np.float64)
-    index = _label_index(logits, labels)
-    g = softmax(logits)
-    g[index] -= 1.0
-    return g / logits.shape[-2]
+    grad = np.exp(shifted)
+    norm = grad.sum(axis=-1, keepdims=True)
+    value = np.mean(np.log(norm[..., 0]) - shifted[index], axis=-1)
+    grad /= norm
+    grad[index] -= 1.0
+    grad /= logits.shape[-2]
+    return value, grad

@@ -38,8 +38,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .nn import (Network, loss_cross_entropy, loss_cross_entropy_grad,
-                 loss_mse, loss_mse_grad, stack_networks)
+from .nn import Network, loss_cross_entropy, loss_mse, stack_networks
 
 
 @dataclass
@@ -56,14 +55,13 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 < self.lr < math.inf):
             raise ValueError("learning rate must be positive and finite")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.patience < 0:
-            raise ValueError("patience must be non-negative")
-        if self.val_passes < 1:
-            raise ValueError("val_passes must be at least 1")
+        for name, low in (("max_epochs", 1), ("batch_size", 1),
+                          ("patience", 0), ("val_passes", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be at least {low}")
 
 
 # Adam's constants: the published defaults (Kingma & Ba 2015)
@@ -122,15 +120,15 @@ _SHARED_FIELDS = ("max_epochs", "batch_size", "patience", "val_passes")
 # ---------------------------------------------------------------------------
 # loss assembly
 
-_TASK_LOSSES = {"regression": (loss_mse, loss_mse_grad),
-                "classification": (loss_cross_entropy, loss_cross_entropy_grad)}
+_TASK_LOSSES = {"regression": loss_mse, "classification": loss_cross_entropy}
 
 
 def _forward_loss(net: Network, X, Y, rng, frozen_noise=None):
     """One forward pass and its task loss (MSE or cross-entropy by the net's
-    task), one value per member. Returns (loss, output, trace)."""
+    task), one value per member, with the loss's gradient with respect to
+    the output. Returns (loss, output gradient, trace)."""
     out, trace = net.forward(X, rng, frozen_noise=frozen_noise)
-    return _TASK_LOSSES[net.task][0](out, Y), out, trace
+    return *_TASK_LOSSES[net.task](out, Y), trace
 
 
 def task_loss(net: Network, X, Y,
@@ -189,8 +187,8 @@ def training_loss_and_grads(net: Network, X, Y, weight_decay=0.0,
     ``net`` (a training loop resolves it once). The gradient is laid out
     like ``net.flat``; ``net.views`` names its parts.
     """
-    loss, out, trace = _forward_loss(net, X, Y, rng, frozen_noise)
-    grad = net.backward(trace, _TASK_LOSSES[net.task][1](out, Y))
+    loss, out_grad, trace = _forward_loss(net, X, Y, rng, frozen_noise)
+    grad = net.backward(trace, out_grad)
     penalty = (weight_decay if isinstance(weight_decay, Penalty)
                else Penalty(net, weight_decay))
     loss += penalty.terms(net, grad)
@@ -261,6 +259,9 @@ def fit(net, train_x, train_y, cfg, val_x=None, val_y=None, rng=None):
         if val_x.shape[-1] != nets[0].fan_in:
             raise ValueError(f"validation inputs have {val_x.shape[-1]} "
                              f"features; the net takes {nets[0].fan_in}")
+    # the task loss's own target rule, on a zero prediction, before any step
+    for x, y in [(train_x, train_y)] + ([(val_x, val_y)] if has_val else []):
+        _TASK_LOSSES[nets[0].task](np.zeros((len(x), nets[0].fan_out)), y)
 
     streams = [r.spawn(2) for r in rngs]
     shuffle_rngs = [s[0] for s in streams]

@@ -132,6 +132,29 @@ def softmax_oracle(row):
     return [e / z for e in exps]
 
 
+def task_loss_oracle(task, pred, target):
+    """(value, gradient) of the MSE or cross-entropy task loss, by separate
+    formulas: the value from the prediction, then the gradient from the
+    prediction again (for cross-entropy, the softmax shifted, exponentiated
+    and normalized row by row). Stacked (S, batch, out) predictions give
+    one value per member."""
+    pred = np.asarray(pred, dtype=np.float64)
+    if task == "regression":
+        target = np.asarray(target, dtype=np.float64)
+        diff = pred - target
+        value = np.mean(diff * diff, axis=(-2, -1))
+        grad = 2.0 * (pred - target) / (pred.shape[-2] * pred.shape[-1])
+        return value, grad
+    index = (*np.indices(pred.shape[:-1], sparse=True), np.asarray(target))
+    shifted = pred - pred.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=-1))
+    value = np.mean(log_norm - shifted[index], axis=-1)
+    probs = np.exp(pred - pred.max(axis=-1, keepdims=True))
+    probs /= probs.sum(axis=-1, keepdims=True)
+    probs[index] -= 1.0
+    return value, probs / pred.shape[-2]
+
+
 def entropy_oracle(probs):
     total = 0.0
     for p in probs:

@@ -29,7 +29,7 @@ from mcni.mc import mc_predict, summarize_regression
 from mcni.metrics import (brier, ece, mpiw, msll, nll_gaussian, picp,
                           risk_coverage, rmse)
 from mcni.models import build_mlp
-from mcni.nn import loss_mse, loss_mse_grad
+from mcni.nn import loss_mse
 from mcni.runio import manifest_digest
 
 from oracles import (brier_oracle, ece_oracle, mpiw_oracle, msll_oracle,
@@ -53,7 +53,7 @@ def test_criterion_01_gradient_exactness():
         y = rng.normal(size=(8, 3))
         out, trace = net.forward(x, np.random.default_rng([seed, 1]))
         eps = [c["eps"] for c in trace.caches]
-        analytic = net.views(net.backward(trace, loss_mse_grad(out, y)))
+        analytic = net.views(net.backward(trace, loss_mse(out, y)[1]))
 
         for name, arr in net.parameters().items():
             flat = arr.reshape(-1) if arr.ndim else arr.reshape(1)
@@ -61,9 +61,9 @@ def test_criterion_01_gradient_exactness():
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                up = loss_mse(net.forward(x, frozen_noise=eps)[0], y)
+                up = loss_mse(net.forward(x, frozen_noise=eps)[0], y)[0]
                 flat[i] = orig - h
-                down = loss_mse(net.forward(x, frozen_noise=eps)[0], y)
+                down = loss_mse(net.forward(x, frozen_noise=eps)[0], y)[0]
                 flat[i] = orig
                 fd = (up - down) / (2.0 * h)
                 denom = max(abs(fd), abs(grad[i]), 1e-8)

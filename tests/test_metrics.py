@@ -252,6 +252,14 @@ def test_risk_coverage_validation():
         risk_coverage([1.0], "error_rate", [1.0])        # correct absent
 
 
+def test_risk_coverage_rejects_a_nan_level_as_out_of_range():
+    # a NaN in the grid, with 1.0 present, is a bad level, not a missing 1.0
+    for grid in ([0.5, np.nan, 1.0], [np.nan, 1.0], [1.0, np.nan]):
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\]"):
+            risk_coverage(np.arange(4.0), "rmse", grid, pred=np.zeros(4),
+                          target=np.zeros(4))
+
+
 # ---------------------------------------------------------------------------
 # oracle battery: 100 random cases per metric
 

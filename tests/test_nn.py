@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from mcni.models import FAMILIES, build_mlp
 from mcni.nn import (ContractError, DenseLayer, Network,
-                     ShapeError, loss_cross_entropy, loss_cross_entropy_grad,
-                     loss_mse, loss_mse_grad, softmax, stack_networks)
+                     ShapeError, loss_cross_entropy, loss_mse, softmax,
+                     stack_networks)
 from mcni.noise import NoiseSpec, NoisyDenseLayer
 from mcni.optim import Penalty
 
-from oracles import fd_gradient
+from oracles import fd_gradient, task_loss_oracle
 
 
 def single_layer(W, b, activation="identity", task="regression"):
@@ -138,7 +138,7 @@ def test_linear_mse_gradient_closed_form():
     x = rng.normal(size=(1, 4))
     y = rng.normal(size=(1, 2))
     pred, trace = net.forward(x)
-    grads = net.views(net.backward(trace, loss_mse_grad(pred, y)))
+    grads = net.views(net.backward(trace, loss_mse(pred, y)[1]))
     expected = x.T @ (pred - y) * 2.0 / pred.size
     assert np.max(np.abs(grads["L0.W"] - expected)) < 1e-12
 
@@ -165,13 +165,13 @@ def test_backward_matches_finite_differences(activation, task, seed):
     x = rng.normal(size=(4, 3))
     if task == "regression":
         y = rng.normal(size=(4, 2))
-        loss_fn, grad_fn = loss_mse, loss_mse_grad
+        loss_fn = loss_mse
     else:
         y = rng.integers(0, 2, size=4)
-        loss_fn, grad_fn = loss_cross_entropy, loss_cross_entropy_grad
+        loss_fn = loss_cross_entropy
 
     out, trace = net.forward(x)
-    analytic = net.views(net.backward(trace, grad_fn(out, y)))
+    analytic = net.views(net.backward(trace, loss_fn(out, y)[1]))
 
     params = net.parameters()
     flat, layout = _flatten(params)
@@ -179,7 +179,7 @@ def test_backward_matches_finite_differences(activation, task, seed):
     def f(vec):
         _load_flat(params, np.asarray(vec), layout)
         o, _ = net.forward(x)
-        return loss_fn(o, y)
+        return loss_fn(o, y)[0]
 
     fd = np.asarray(fd_gradient(f, list(flat), h=1e-5))
     _load_flat(params, flat, layout)
@@ -365,29 +365,38 @@ def test_mixed_decay_penalty_leaves_negative_zero_gradients():
 
 def test_mse_identical_inputs_zero():
     a = np.random.default_rng(5).normal(size=(3, 2))
-    assert loss_mse(a, a) == 0.0
+    assert loss_mse(a, a)[0] == 0.0
 
 
 def test_mse_hand_value():
     # (9 + 16) / 2
-    assert loss_mse(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]])) == 12.5
+    assert loss_mse(np.array([[0.0, 0.0]]), np.array([[3.0, 4.0]]))[0] == 12.5
 
 
 def test_mse_matches_loop_oracle():
     rng = np.random.default_rng(6)
     pred, y = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
     total = sum((pred[i, j] - y[i, j]) ** 2 for i in range(7) for j in range(3))
-    assert abs(loss_mse(pred, y) - total / 21.0) < 1e-12
+    assert abs(loss_mse(pred, y)[0] - total / 21.0) < 1e-12
+
+
+def test_mse_target_must_match_a_single_prediction():
+    # only a stack's (S, batch, out) prediction may share a target; a row
+    # target (out,) must not broadcast over a single net's batch
+    with pytest.raises(ShapeError):
+        loss_mse(np.zeros((4, 2)), np.array([1.0, 2.0]))
+    with pytest.raises(ShapeError):
+        loss_mse(np.zeros((3, 3)), np.ones(3))
 
 
 def test_cross_entropy_uniform_logits():
     logits = np.zeros((4, 10))
     labels = np.array([0, 3, 7, 9])
-    assert abs(loss_cross_entropy(logits, labels) - np.log(10.0)) < 1e-12
+    assert abs(loss_cross_entropy(logits, labels)[0] - np.log(10.0)) < 1e-12
 
 
 def test_cross_entropy_survives_huge_logits():
-    loss = loss_cross_entropy(np.array([[1000.0, 0.0]]), np.array([0]))
+    loss = loss_cross_entropy(np.array([[1000.0, 0.0]]), np.array([0]))[0]
     assert np.isfinite(loss)
     assert loss < 1e-12
 
@@ -400,7 +409,7 @@ def test_cross_entropy_matches_naive_softmax():
     for i in range(6):
         e = np.exp(logits[i])
         naive += -np.log(e[labels[i]] / e.sum())
-    assert abs(loss_cross_entropy(logits, labels) - naive / 6.0) < 1e-10
+    assert abs(loss_cross_entropy(logits, labels)[0] - naive / 6.0) < 1e-10
 
 
 def test_cross_entropy_label_validation():
@@ -416,7 +425,29 @@ def test_cross_entropy_nonnegative():
     for _ in range(20):
         logits = rng.normal(size=(3, 5)) * 2.0
         labels = rng.integers(0, 5, size=3)
-        assert loss_cross_entropy(logits, labels) >= 0.0
+        assert loss_cross_entropy(logits, labels)[0] >= 0.0
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+@pytest.mark.parametrize("shape", [(32, 2), (1, 32, 2), (4, 32, 1), (3, 5, 4)])
+@pytest.mark.parametrize("shared_target", [True, False])
+def test_task_loss_value_and_gradient_match_separate_formulas(task, shape,
+                                                              shared_target):
+    """One call gives, bit for bit, the value and the gradient that separate
+    value and gradient formulas give, for a single and a stacked prediction."""
+    rng = np.random.default_rng([len(shape), shape[-1], shared_target])
+    pred = rng.normal(size=shape) * 4.0
+    rows = shape[-2:-1] if shared_target else shape[:-1]
+    if task == "regression":
+        target, loss_fn = rng.normal(size=rows + shape[-1:]), loss_mse
+    else:
+        target, loss_fn = rng.integers(0, shape[-1], size=rows), loss_cross_entropy
+        pred[..., 0, 0] = 1e3                   # a logit that exp overflows
+    value, grad = loss_fn(pred, target)
+    want_value, want_grad = task_loss_oracle(task, pred, target)
+    assert np.shape(value) == shape[:-2] and grad.shape == shape
+    assert np.array_equal(value, want_value)
+    assert np.array_equal(grad, want_grad)
 
 
 def test_softmax_rows_sum_to_one():

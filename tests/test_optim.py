@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mcni.optim
-from mcni.nn import DenseLayer, Network, loss_mse
+from mcni.nn import DenseLayer, Network, ShapeError, loss_mse
 from mcni.noise import NoiseSpec, NoisyDenseLayer, sample_noise
 from mcni.models import FAMILIES, build_mlp
 from mcni.optim import (Adam, FitResult, Penalty, TrainConfig, fit,
@@ -140,7 +140,7 @@ def test_training_loss_reduces_to_task_loss():
                                       frozen_noise=frozen)
     # alpha = 0: any live pass is the plain net's pass
     out, _ = net.forward(x, np.random.default_rng(4))
-    assert abs(loss - loss_mse(out, y)) < 1e-15
+    assert abs(loss - loss_mse(out, y)[0]) < 1e-15
 
 
 def test_training_loss_hand_value():
@@ -165,7 +165,7 @@ def test_training_loss_is_sum_of_parts():
     out, _ = net.forward(x, frozen_noise=frozen)
     l2 = sum(float(np.sum(l.W ** 2) + np.sum(l.b ** 2)) for l in net.layers)
     alpha_sq = sum(float(l.alpha ** 2) for l in net.layers)
-    parts = loss_mse(out, y) + wd * l2 - 0.05 * alpha_sq
+    parts = loss_mse(out, y)[0] + wd * l2 - 0.05 * alpha_sq
     assert abs(total - parts) < 1e-12
 
 
@@ -352,6 +352,27 @@ def test_fit_checks_the_validation_set_before_training(monkeypatch, val_x,
     assert steps == []
 
 
+@pytest.mark.parametrize("task, train_y, val_y", [
+    ("regression", np.ones((64, 1)), np.ones(64)),
+    ("classification", np.zeros(64, dtype=int), np.full(64, 5)),
+])
+def test_fit_holds_targets_to_the_task_loss_before_training(monkeypatch, task,
+                                                            train_y, val_y):
+    steps = []
+    monkeypatch.setattr(mcni.optim.Adam, "step",
+                        lambda self, params, grads: steps.append(1))
+    rng = np.random.default_rng(0)
+    net = Network([DenseLayer.create(2, 1 if task == "regression" else 2,
+                                     "identity", rng)], task=task)
+    x = np.ones((64, 2))
+    with pytest.raises(ShapeError):
+        fit(net, x, train_y, TrainConfig(max_epochs=5, batch_size=8), x, val_y,
+            rng=rng)
+    with pytest.raises(ShapeError):                 # the same, as training set
+        fit(net, x, val_y, TrainConfig(max_epochs=5, batch_size=8), rng=rng)
+    assert steps == []
+
+
 def test_fit_requires_a_generator():
     x, y = np.ones((2, 1)), np.ones((2, 1))
     with pytest.raises(ValueError, match="generator"):
@@ -373,6 +394,22 @@ def test_train_config_validation():
         TrainConfig(patience=-1)
     with pytest.raises(ValueError):
         TrainConfig(val_passes=0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("max_epochs", True), ("max_epochs", 2.0), ("max_epochs", 1.5),
+    ("batch_size", 2.5), ("patience", 1.5), ("patience", False),
+    ("val_passes", 2.5), ("val_passes", "2"),
+])
+def test_train_config_counts_must_be_integers(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        TrainConfig(**{name: value})
+
+
+def test_train_config_takes_numpy_integers():
+    cfg = TrainConfig(max_epochs=np.int64(3), batch_size=np.int32(4),
+                      patience=np.uint8(0), val_passes=np.int16(2))
+    assert cfg.max_epochs == 3 and cfg.val_passes == 2
 
 
 def test_alpha_zero_follows_deterministic_trajectory():
